@@ -7,7 +7,7 @@ small-world comparison, densification analysis, and failure/attack
 resilience simulation.
 """
 
-from .bowtie import BowTieDecomposition, core_gc_series, decompose
+from .bowtie import BowTieDecomposition, decompose
 from .corpus import (
     DocumentRecord,
     IngestReport,
@@ -114,7 +114,6 @@ __all__ = [
     "clustering",
     "compare_with_null",
     "components",
-    "core_gc_series",
     "decompose",
     "degree_stats",
     "densification_fit",

@@ -18,6 +18,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import AnalysisError
 from .graph import LegislationGraph
+from .metrics import largest_label
 
 COMPONENT_NAMES = ("core", "in", "out", "tubes", "tendrils", "disconnected")
 
@@ -62,20 +63,6 @@ def _reach(step_matrix: csr_matrix, seeds: np.ndarray) -> np.ndarray:
     return visited
 
 
-def _largest_scc_label(labels: np.ndarray, ids: tuple[str, ...]) -> int:
-    sizes = np.bincount(labels)
-    candidates = np.flatnonzero(sizes == sizes.max())
-    if len(candidates) == 1:
-        return int(candidates[0])
-    # break size ties by the smallest contained document id
-    candidate_set = set(candidates.tolist())
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    for i in order:
-        if labels[i] in candidate_set:
-            return int(labels[i])
-    raise AssertionError("unreachable: no candidate component found")
-
-
 def decompose(graph: LegislationGraph) -> BowTieDecomposition:
     """Partition a sealed non-empty graph into bow-tie components."""
     n = graph.node_count
@@ -84,7 +71,7 @@ def decompose(graph: LegislationGraph) -> BowTieDecomposition:
     adj = graph.adjacency()
     adj_t = graph.adjacency(transpose=True)
     _, scc_labels = connected_components(adj, directed=True, connection="strong")
-    core = scc_labels == _largest_scc_label(scc_labels, graph.ids)
+    core = scc_labels == largest_label(scc_labels, graph.id_ranks())
 
     reached_from_core = _reach(adj_t, core)
     reaching_core = _reach(adj, core)
@@ -119,24 +106,3 @@ def decompose(graph: LegislationGraph) -> BowTieDecomposition:
         disconnected=frozenset(ids[disconnected]),
         fractions=fractions,
     )
-
-
-def core_gc_series(series: list[tuple[int, LegislationGraph]],
-                   ) -> list[tuple[int, float, float]]:
-    """Per-year fractions of the largest SCC and largest weak component.
-
-    Empty snapshots yield (year, 0.0, 0.0).
-    """
-    result = []
-    for year, graph in series:
-        n = graph.node_count
-        if n == 0:
-            result.append((year, 0.0, 0.0))
-            continue
-        adj = graph.adjacency()
-        _, strong = connected_components(adj, directed=True, connection="strong")
-        _, weak = connected_components(adj, directed=True, connection="weak")
-        scc_fraction = int(np.bincount(strong).max()) / n
-        gc_fraction = int(np.bincount(weak).max()) / n
-        result.append((year, scc_fraction, gc_fraction))
-    return result

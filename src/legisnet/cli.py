@@ -164,10 +164,11 @@ def _load_graph(args: argparse.Namespace) -> tuple[LegislationGraph, str]:
 
 
 def _corpus_years(graph: LegislationGraph) -> tuple[int, int]:
-    years = [doc.date_of_effect.year for doc in graph.documents()]
-    if not years:
+    if graph.node_count == 0:
         raise AnalysisError("corpus has no documents; no year range to analyze")
-    return min(years), max(years)
+    effect, _ = graph.date_ordinals()
+    return (date.fromordinal(int(effect.min())).year,
+            date.fromordinal(int(effect.max())).year)
 
 
 def _write_corpus(graph: LegislationGraph, destination: str) -> None:

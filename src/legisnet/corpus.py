@@ -20,18 +20,22 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import IO, Iterable, Iterator
 
-from .errors import CorpusError
+import numpy as np
+
+from .errors import CorpusError, ValidationError
 from .graph import (
     RECIPROCAL_TYPES,
     SENTINEL_EXPIRY,
-    LegalDocument,
     LegislationGraph,
-    Reference,
     RefType,
     Sector,
+    reftype_code,
+    reftype_from_code,
 )
 
 _TYPE_TOKENS = {kind.value: kind for kind in RefType}
+# rank of each type code in token order, the export's secondary sort key
+_TOKEN_RANK = np.argsort(np.argsort([kind.value for kind in RefType]))
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,11 @@ def parse_record(line: str, line_no: int = 0) -> DocumentRecord:
     expiry = None
     if expiry_raw is not None:
         expiry = _parse_date(expiry_raw, line_no, "date_of_expiry")
+    items = obj.get("references", [])
+    if not isinstance(items, list):
+        raise CorpusError(f"line {line_no}: references must be a list")
     refs = []
-    for item in obj.get("references", []):
+    for item in items:
         if not isinstance(item, dict):
             raise CorpusError(f"line {line_no}: reference entries must be objects")
         target = item.get("target")
@@ -156,56 +163,73 @@ def ingest(records: Iterable[DocumentRecord | str],
     """
     if mode not in ("strict", "lenient"):
         raise CorpusError(f"unknown ingest mode {mode!r}")
-    materialized: list[DocumentRecord] = []
-    for item in records:
-        if isinstance(item, str):
-            materialized.append(parse_record(item))
-        else:
-            materialized.append(item)
+    materialized = [parse_record(item) if isinstance(item, str) else item
+                    for item in records]
 
-    graph = LegislationGraph()
+    ids: list[str] = []
+    sector: list[int] = []
+    effect: list[int] = []
+    expiry: list[int] = []
+    index: dict[str, int] = {}
     for rec in materialized:
-        expiry = rec.date_of_expiry if rec.date_of_expiry is not None else SENTINEL_EXPIRY
-        graph.add_document(
-            LegalDocument(rec.id, Sector(rec.sector), rec.date_of_effect, expiry)
-        )
+        if rec.id in index:
+            raise ValidationError(f"duplicate document id {rec.id!r}")
+        until = (rec.date_of_expiry if rec.date_of_expiry is not None
+                 else SENTINEL_EXPIRY)
+        if rec.date_of_effect > until:
+            raise ValidationError(
+                f"document {rec.id!r}: date_of_effect {rec.date_of_effect} "
+                f"is after date_of_expiry {until}"
+            )
+        index[rec.id] = len(ids)
+        ids.append(rec.id)
+        sector.append(rec.sector)
+        effect.append(rec.date_of_effect.toordinal())
+        expiry.append(until.toordinal())
 
-    report = IngestReport()
+    src: list[int] = []
+    dst: list[int] = []
+    kind: list[int] = []
     stub_ids: list[str] = []
-    per_type = {kind.value: 0 for kind in RefType}
-    for rec in materialized:
+    for i, rec in enumerate(materialized):
         for ref in rec.references:
-            if ref.target not in graph:
+            j = index.get(ref.target)
+            if j is None:
                 if mode == "strict":
                     raise CorpusError(
                         f"document {rec.id!r} references unknown id {ref.target!r}"
                     )
-                graph.add_document(
-                    LegalDocument(ref.target, Sector.LEGISLATION,
-                                  rec.date_of_effect, SENTINEL_EXPIRY)
-                )
+                j = index[ref.target] = len(ids)
+                ids.append(ref.target)
+                sector.append(Sector.LEGISLATION.value)
+                effect.append(effect[i])
+                expiry.append(SENTINEL_EXPIRY.toordinal())
                 stub_ids.append(ref.target)
-            for edge in _with_reciprocal(rec.id, ref):
-                if graph.add_reference(edge):
-                    per_type[edge.kind.value] += 1
-                else:
-                    report.deduplicated += 1
+            if j == i:
+                raise ValidationError(
+                    f"self-reference on {rec.id!r} is excluded from the model"
+                )
+            src.append(i)
+            dst.append(j)
+            kind.append(reftype_code(ref.kind))
+            reciprocal = RECIPROCAL_TYPES.get(ref.kind)
+            if reciprocal is not None:
+                src.append(j)
+                dst.append(i)
+                kind.append(reftype_code(reciprocal))
 
-    graph.seal()
-    report.nodes = graph.node_count
-    report.edges = graph.edge_count
-    report.stubs = len(stub_ids)
-    report.stub_ids = tuple(stub_ids)
-    report.per_type_counts = per_type
+    graph = LegislationGraph.from_columns(ids, sector, effect, expiry,
+                                          src, dst, kind)
+    counts = np.bincount(graph.edge_arrays()[2], minlength=len(RefType))
+    report = IngestReport(
+        nodes=graph.node_count,
+        edges=graph.edge_count,
+        stubs=len(stub_ids),
+        deduplicated=len(src) - graph.edge_count,
+        per_type_counts={k.value: int(c) for k, c in zip(RefType, counts)},
+        stub_ids=tuple(stub_ids),
+    )
     return graph, report
-
-
-def _with_reciprocal(source: str, ref: RecordReference) -> list[Reference]:
-    edges = [Reference(source, ref.target, ref.kind)]
-    reciprocal = RECIPROCAL_TYPES.get(ref.kind)
-    if reciprocal is not None:
-        edges.append(Reference(ref.target, source, reciprocal))
-    return edges
 
 
 def export(graph: LegislationGraph) -> Iterator[DocumentRecord]:
@@ -217,18 +241,20 @@ def export(graph: LegislationGraph) -> Iterator[DocumentRecord]:
     """
     if not graph.sealed:
         raise CorpusError("export requires a sealed graph")
-    for doc in graph.documents():
-        refs = sorted(
-            (RecordReference(target, kind) for target, kind in graph.out_references(doc.id)),
-            key=lambda r: (r.target, r.kind.value),
-        )
-        yield DocumentRecord(
-            id=doc.id,
-            sector=doc.sector.value,
-            date_of_effect=doc.date_of_effect,
-            date_of_expiry=doc.date_of_expiry,
-            references=tuple(refs),
-        )
+    ids = graph.ids
+    src, dst, kind = graph.edge_arrays()
+    order = np.lexsort((_TOKEN_RANK[kind], graph.id_ranks()[dst], src))
+    targets = [ids[d] for d in dst[order].tolist()]
+    kinds = [reftype_from_code(k) for k in kind[order].tolist()]
+    ends = np.cumsum(np.bincount(src, minlength=len(ids))).tolist()
+    effect, expiry = ([date.fromordinal(day) for day in col.tolist()]
+                      for col in graph.date_ordinals())
+    rows = zip(ids, graph.sector_codes().tolist(), effect, expiry, ends)
+    start = 0
+    for doc_id, sector, since, until, end in rows:
+        refs = tuple(map(RecordReference, targets[start:end], kinds[start:end]))
+        yield DocumentRecord(doc_id, sector, since, until, refs)
+        start = end
 
 
 def export_text(graph: LegislationGraph) -> str:

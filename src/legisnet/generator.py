@@ -26,11 +26,10 @@ from .errors import ConfigError
 from .graph import (
     RECIPROCAL_TYPES,
     SENTINEL_EXPIRY,
-    LegalDocument,
     LegislationGraph,
-    Reference,
     RefType,
     Sector,
+    reftype_code,
 )
 
 _SECTORS = tuple(Sector)
@@ -127,15 +126,18 @@ def generate(config: GeneratorConfig) -> LegislationGraph:
     years = list(config.year_range())
     total_docs = sum(schedule)
 
-    docs: list[LegalDocument] = []
-    edges: list[Reference] = []
+    ids: list[str] = []
+    sector_codes: list[int] = []
+    effect_ords: list[int] = []
+    expiry_ords: list[int] = []
+    edges: list[tuple[int, int, int]] = []  # (source, target, type code)
     # preference pool: one entry per node plus one per received in-edge,
     # so uniform sampling over it is proportional to (in-degree + 1)
     pool: list[int] = []
     edges_emitted = 0
 
     for year, n_year in zip(years, schedule):
-        n_before = len(docs)
+        n_before = len(ids)
         sectors = np.searchsorted(sector_cum, rng.random(n_year))
         day_offsets = np.sort(rng.integers(0, _days_in_year(year), size=n_year))
         sunset_flags = rng.random(n_year) < config.sunset_probability
@@ -147,14 +149,16 @@ def generate(config: GeneratorConfig) -> LegislationGraph:
             expiry = (_add_years(effect, int(sunset_spans[local]))
                       if sunset_flags[local] else SENTINEL_EXPIRY)
             sector = _SECTORS[int(sectors[local])]
-            doc_id = f"{sector.value}{year}X{n_before + local:05d}"
-            docs.append(LegalDocument(doc_id, sector, effect, expiry))
+            ids.append(f"{sector.value}{year}X{n_before + local:05d}")
+            sector_codes.append(sector.value)
+            effect_ords.append(effect.toordinal())
+            expiry_ords.append(expiry.toordinal())
 
         target_total = int(round(config.citation_scale
                                  * (n_before + n_year) ** config.densification_exponent))
         budget = max(0, target_total - edges_emitted)
         budget = _emit_citations(
-            rng, config, docs, edges, pool,
+            rng, config, edges, pool,
             first_index=n_before, count=n_year, budget=budget,
             reftype_cum=reftype_cum,
         )
@@ -165,13 +169,10 @@ def generate(config: GeneratorConfig) -> LegislationGraph:
             )
         edges_emitted = len(edges)
 
-    assert len(docs) == total_docs
-    graph = LegislationGraph()
-    for doc in docs:
-        graph.add_document(doc)
-    for ref in edges:
-        graph.add_reference(ref)
-    return graph.seal()
+    assert len(ids) == total_docs
+    src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return LegislationGraph.from_columns(ids, sector_codes, effect_ords,
+                                         expiry_ords, src, dst, kind)
 
 
 def _citation_propensities(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -185,9 +186,9 @@ def _citation_propensities(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _emit_citations(rng: np.random.Generator, config: GeneratorConfig,
-                    docs: list[LegalDocument], edges: list[Reference],
-                    pool: list[int], first_index: int, count: int,
-                    budget: int, reftype_cum: np.ndarray) -> int:
+                    edges: list[tuple[int, int, int]], pool: list[int],
+                    first_index: int, count: int, budget: int,
+                    reftype_cum: np.ndarray) -> int:
     """Emit this year's citations; returns the unspent edge budget."""
     mixing = config.preferential_mixing
     weights = _citation_propensities(rng, count)
@@ -211,12 +212,12 @@ def _emit_citations(rng: np.random.Generator, config: GeneratorConfig,
                 # the backward half of an amendment pair is the amending
                 # act pointing at the act it amends
                 kind = RefType.AMENDMENT_TO
-            edges.append(Reference(docs[source].id, docs[target].id, kind))
+            edges.append((source, target, reftype_code(kind)))
             pool.append(target)  # target gained an in-edge
             emitted += 1
             reciprocal = RECIPROCAL_TYPES.get(kind)
             if reciprocal is not None:
-                edges.append(Reference(docs[target].id, docs[source].id, reciprocal))
+                edges.append((target, source, reftype_code(reciprocal)))
                 reciprocal_hits += 1
                 emitted += 1
         budget = max(0, budget - emitted)

@@ -6,13 +6,20 @@ between documents.  Multiple edges of different types may connect the
 same ordered pair of documents; the triple (source, target, type) is
 unique.
 
+The graph is stored as columns.  Node columns hold the id, the sector
+code and the effect/expiry date ordinals, in insertion order; edge
+columns hold the source index, the target index and the type code,
+ordered by source, then insertion.  ``document()``, ``documents()`` and
+``references()`` build ``LegalDocument`` and ``Reference`` objects from
+the columns on demand.
+
 The graph has a two-phase life cycle: a single-writer construction
 phase (``add_document`` / ``add_reference``) followed by ``seal()``,
-after which the graph is immutable and every analysis operation is a
-read-only, concurrency-safe query.  Sealing builds integer index
-arrays so the analysis modules can hand the topology to numpy and
-scipy directly; derived views (filters, snapshots) are assembled from
-those arrays without re-running per-edge validation.
+which turns the columns into numpy arrays and drops duplicate triples.
+After sealing the graph is immutable and every analysis operation is a
+read-only, concurrency-safe query.  Bulk builders (ingest, the
+generator, random nulls) and derived views (filters, snapshots) pass
+their columns to ``from_columns``, which seals them the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -118,40 +126,59 @@ class Reference:
 class LegislationGraph:
     """Typed temporal directed multigraph over legal documents.
 
-    Mutations are accepted only before :meth:`seal`.  After sealing,
-    the topology lives in integer edge arrays; per-node adjacency
-    lists are materialized lazily for id-level queries.
+    Nodes and edges are stored as columns in insertion order.  Mutations
+    are accepted only before :meth:`seal`, which turns the columns into
+    numpy arrays; every sealed graph is built by that one step.
     """
 
     def __init__(self) -> None:
-        self._docs: dict[str, LegalDocument] = {}
-        self._out: dict[str, list[tuple[str, RefType]]] | None = {}
-        self._in: dict[str, list[tuple[str, RefType]]] | None = {}
-        self._edge_keys: set[tuple[str, str, RefType]] | None = set()
-        self._edge_count = 0
+        # node columns: id, sector code, effect and expiry ordinals
+        self._ids: list[str] | tuple[str, ...] = []
+        self._sector: list[int] | np.ndarray = []
+        self._effect: list[int] | np.ndarray = []
+        self._expiry: list[int] | np.ndarray = []
+        # edge columns: source index, target index, type code
+        self._src: list[int] | np.ndarray = []
+        self._dst: list[int] | np.ndarray = []
+        self._kind: list[int] | np.ndarray = []
+        self._index: dict[str, int] | None = {}  # id -> node index
+        # (src, dst, kind) triples added so far, so add_reference can
+        # report duplicates; dropped at seal time
+        self._triples: set[tuple[int, int, int]] | None = set()
         self._sealed = False
-        # built at seal time
-        self._ids: tuple[str, ...] = ()
-        self._index: dict[str, int] = {}
-        self._src = np.empty(0, dtype=np.int64)
-        self._dst = np.empty(0, dtype=np.int64)
-        self._kind = np.empty(0, dtype=np.int8)
         self._csr_out: sparse.csr_matrix | None = None
         self._csr_in: sparse.csr_matrix | None = None
         self._projection: SimpleProjection | None = None
-        self._sectors: np.ndarray | None = None
-        self._effect_ord: np.ndarray | None = None
-        self._expiry_ord: np.ndarray | None = None
+        self._id_rank: np.ndarray | None = None
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], sector, effect, expiry,
+                     src, dst, kind) -> "LegislationGraph":
+        """Sealed graph from trusted columns; duplicate triples dropped.
+
+        Node columns are the id, the sector code and the effect and
+        expiry ordinals; edge columns are the source index, the target
+        index and the type code.  Nothing is validated: callers check
+        outside input before building the columns.
+        """
+        graph = cls()
+        graph._ids, graph._sector = ids, sector
+        graph._effect, graph._expiry = effect, expiry
+        graph._src, graph._dst, graph._kind = src, dst, kind
+        graph._index = None
+        return graph.seal()
 
     # -- construction phase -------------------------------------------------
 
     def add_document(self, doc: LegalDocument) -> None:
         self._require_unsealed()
-        if doc.id in self._docs:
+        if doc.id in self._index:
             raise ValidationError(f"duplicate document id {doc.id!r}")
-        self._docs[doc.id] = doc
-        self._out[doc.id] = []
-        self._in[doc.id] = []
+        self._index[doc.id] = len(self._ids)
+        self._ids.append(doc.id)
+        self._sector.append(doc.sector.value)
+        self._effect.append(doc.date_of_effect.toordinal())
+        self._expiry.append(doc.date_of_expiry.toordinal())
 
     def add_reference(self, ref: Reference) -> bool:
         """Store a typed edge; duplicate triples are dropped silently.
@@ -160,67 +187,46 @@ class LegislationGraph:
         """
         self._require_unsealed()
         for endpoint in (ref.source, ref.target):
-            if endpoint not in self._docs:
+            if endpoint not in self._index:
                 raise ValidationError(
                     f"reference {ref.source!r} -> {ref.target!r}: "
                     f"unknown document {endpoint!r}"
                 )
-        key = (ref.source, ref.target, ref.kind)
-        if key in self._edge_keys:
+        triple = (self._index[ref.source], self._index[ref.target],
+                  _REFTYPE_CODE[ref.kind])
+        if triple in self._triples:
             return False
-        self._edge_keys.add(key)
-        self._out[ref.source].append((ref.target, ref.kind))
-        self._in[ref.target].append((ref.source, ref.kind))
-        self._edge_count += 1
+        self._triples.add(triple)
+        self._src.append(triple[0])
+        self._dst.append(triple[1])
+        self._kind.append(triple[2])
         return True
 
     def seal(self) -> "LegislationGraph":
-        """Freeze the graph and build the integer-indexed topology."""
+        """Freeze the columns into arrays.
+
+        Duplicate (source, target, type) triples keep their first
+        occurrence, and edges are ordered by source index, then by
+        insertion order.
+        """
         if self._sealed:
             return self
         self._sealed = True
-        self._edge_keys = None  # dedup index no longer needed
-        self._ids = tuple(self._docs)
-        self._index = {doc_id: i for i, doc_id in enumerate(self._ids)}
-        m = self._edge_count
-        src = np.empty(m, dtype=np.int64)
-        dst = np.empty(m, dtype=np.int64)
-        kind = np.empty(m, dtype=np.int8)
-        pos = 0
-        for doc_id in self._ids:
-            i = self._index[doc_id]
-            for target, k in self._out[doc_id]:
-                src[pos] = i
-                dst[pos] = self._index[target]
-                kind[pos] = _REFTYPE_CODE[k]
-                pos += 1
-        assert pos == m
-        self._src, self._dst, self._kind = src, dst, kind
+        self._triples = None
+        self._ids = tuple(self._ids)
+        self._sector = np.asarray(self._sector, dtype=np.int8)
+        self._effect = np.asarray(self._effect, dtype=np.int64)
+        self._expiry = np.asarray(self._expiry, dtype=np.int64)
+        src = np.asarray(self._src, dtype=np.int64)
+        dst = np.asarray(self._dst, dtype=np.int64)
+        kind = np.asarray(self._kind, dtype=np.int8)
+        order = np.argsort(src, kind="stable")
+        codes = ((src[order] * len(self._ids) + dst[order]) * len(_REFTYPE_ORDER)
+                 + kind[order])
+        _, first = np.unique(codes, return_index=True)
+        keep = order[np.sort(first)]
+        self._src, self._dst, self._kind = src[keep], dst[keep], kind[keep]
         return self
-
-    @classmethod
-    def _from_arrays(cls, docs: list[LegalDocument], src: np.ndarray,
-                     dst: np.ndarray, kind: np.ndarray) -> "LegislationGraph":
-        """Sealed graph from pre-validated parts (internal fast path)."""
-        g = cls.__new__(cls)
-        g._docs = {doc.id: doc for doc in docs}
-        g._out = None
-        g._in = None
-        g._edge_keys = None
-        g._edge_count = len(src)
-        g._sealed = True
-        g._ids = tuple(g._docs)
-        g._index = {doc_id: i for i, doc_id in enumerate(g._ids)}
-        g._src = np.asarray(src, dtype=np.int64)
-        g._dst = np.asarray(dst, dtype=np.int64)
-        g._kind = np.asarray(kind, dtype=np.int8)
-        g._csr_out = None
-        g._csr_in = None
-        g._projection = None
-        g._sectors = None
-        g._effect_ord = None
-        g._expiry_ord = None
-        return g
 
     def _require_unsealed(self) -> None:
         if self._sealed:
@@ -230,18 +236,16 @@ class LegislationGraph:
         if not self._sealed:
             raise ValidationError("graph must be sealed before analysis")
 
-    def _ensure_adjacency(self) -> None:
-        if self._out is not None:
-            return
-        out: dict[str, list[tuple[str, RefType]]] = {i: [] for i in self._ids}
-        inc: dict[str, list[tuple[str, RefType]]] = {i: [] for i in self._ids}
-        ids = self._ids
-        for s, d, k in zip(self._src.tolist(), self._dst.tolist(),
-                           self._kind.tolist()):
-            kind = _REFTYPE_ORDER[k]
-            out[ids[s]].append((ids[d], kind))
-            inc[ids[d]].append((ids[s], kind))
-        self._out, self._in = out, inc
+    def _lookup(self) -> dict[str, int]:
+        if self._index is None:
+            self._index = {doc_id: i for i, doc_id in enumerate(self._ids)}
+        return self._index
+
+    def _position(self, doc_id: str) -> int:
+        try:
+            return self._lookup()[doc_id]
+        except KeyError:
+            raise ValidationError(f"unknown document id {doc_id!r}") from None
 
     # -- queries -------------------------------------------------------------
 
@@ -251,40 +255,39 @@ class LegislationGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._docs)
+        return len(self._ids)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._src)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
+        return doc_id in self._lookup()
 
     def document(self, doc_id: str) -> LegalDocument:
-        try:
-            return self._docs[doc_id]
-        except KeyError:
-            raise ValidationError(f"unknown document id {doc_id!r}") from None
+        """The document ``doc_id``, built from the node columns."""
+        i = self._position(doc_id)
+        return LegalDocument(doc_id, Sector(int(self._sector[i])),
+                             date.fromordinal(int(self._effect[i])),
+                             date.fromordinal(int(self._expiry[i])))
 
     def documents(self) -> Iterator[LegalDocument]:
-        """Documents in insertion order."""
-        return iter(self._docs.values())
+        """Documents in insertion order, built from the node columns."""
+        return map(self.document, self._ids)
 
     def references(self) -> Iterator[Reference]:
-        if self._sealed:
-            ids = self._ids
-            for s, d, k in zip(self._src.tolist(), self._dst.tolist(),
-                               self._kind.tolist()):
-                yield Reference(ids[s], ids[d], _REFTYPE_ORDER[k])
-        else:
-            for doc_id, targets in self._out.items():
-                for target, kind in targets:
-                    yield Reference(doc_id, target, kind)
+        """References in edge order (sealed: by source, then insertion)."""
+        ids = self._ids
+        src, dst, kind = (np.asarray(col).tolist()
+                          for col in (self._src, self._dst, self._kind))
+        for s, d, k in zip(src, dst, kind):
+            yield Reference(ids[s], ids[d], _REFTYPE_ORDER[k])
 
     def out_references(self, doc_id: str) -> list[tuple[str, RefType]]:
-        self.document(doc_id)
-        self._ensure_adjacency()
-        return list(self._out[doc_id])
+        hit = np.asarray(self._src) == self._position(doc_id)
+        targets = np.asarray(self._dst)[hit].tolist()
+        kinds = np.asarray(self._kind)[hit].tolist()
+        return [(self._ids[d], _REFTYPE_ORDER[k]) for d, k in zip(targets, kinds)]
 
     def degree(self, doc_id: str, direction: str = "total",
                scope: str = "typed") -> int:
@@ -295,20 +298,18 @@ class LegislationGraph:
         (neighbour count on the simple undirected projection, where
         direction is ignored).
         """
-        self.document(doc_id)
+        i = self._position(doc_id)
         if scope == "projection":
             self._require_sealed()
-            return self.simple_projection().degree(self._index[doc_id])
+            return self.simple_projection().degree(i)
         if scope != "typed":
             raise ValidationError(f"unknown degree scope {scope!r}")
-        self._ensure_adjacency()
-        if direction == "in":
-            return len(self._in[doc_id])
-        if direction == "out":
-            return len(self._out[doc_id])
-        if direction == "total":
-            return len(self._in[doc_id]) + len(self._out[doc_id])
-        raise ValidationError(f"unknown degree direction {direction!r}")
+        ins = int(np.count_nonzero(np.asarray(self._dst) == i))
+        outs = int(np.count_nonzero(np.asarray(self._src) == i))
+        counts = {"in": ins, "out": outs, "total": ins + outs}
+        if direction not in counts:
+            raise ValidationError(f"unknown degree direction {direction!r}")
+        return counts[direction]
 
     # -- sealed topology -----------------------------------------------------
 
@@ -319,8 +320,17 @@ class LegislationGraph:
 
     def index_of(self, doc_id: str) -> int:
         self._require_sealed()
-        self.document(doc_id)
-        return self._index[doc_id]
+        return self._position(doc_id)
+
+    def id_ranks(self) -> np.ndarray:
+        """Position of every node's id in ascending id order."""
+        self._require_sealed()
+        if self._id_rank is None:
+            order = sorted(range(self.node_count), key=self._ids.__getitem__)
+            rank = np.empty(self.node_count, dtype=np.int64)
+            rank[order] = np.arange(self.node_count)
+            self._id_rank = rank
+        return self._id_rank
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source index, target index, type code) arrays, one row per edge."""
@@ -343,24 +353,12 @@ class LegislationGraph:
     def sector_codes(self) -> np.ndarray:
         """Sector code of every node, in id-index order."""
         self._require_sealed()
-        if self._sectors is None:
-            self._sectors = np.fromiter(
-                (doc.sector.value for doc in self._docs.values()),
-                dtype=np.int8, count=self.node_count)
-        return self._sectors
+        return self._sector
 
     def date_ordinals(self) -> tuple[np.ndarray, np.ndarray]:
         """(effect, expiry) as proleptic-Gregorian ordinals per node."""
         self._require_sealed()
-        if self._effect_ord is None:
-            n = self.node_count
-            self._effect_ord = np.fromiter(
-                (doc.date_of_effect.toordinal() for doc in self._docs.values()),
-                dtype=np.int64, count=n)
-            self._expiry_ord = np.fromiter(
-                (doc.date_of_expiry.toordinal() for doc in self._docs.values()),
-                dtype=np.int64, count=n)
-        return self._effect_ord, self._expiry_ord
+        return self._effect, self._expiry
 
     def adjacency(self, transpose: bool = False) -> sparse.csr_matrix:
         """Boolean CSR adjacency of the directed structure (types merged)."""
@@ -398,11 +396,11 @@ class LegislationGraph:
         if edge_mask is not None:
             keep &= np.asarray(edge_mask, dtype=bool)
         new_index = np.cumsum(node_mask) - 1
-        docs = [doc for i, doc in enumerate(self._docs.values()) if node_mask[i]]
-        return LegislationGraph._from_arrays(
-            docs,
-            new_index[self._src[keep]],
-            new_index[self._dst[keep]],
+        return LegislationGraph.from_columns(
+            tuple(compress(self._ids, node_mask.tolist())),
+            self._sector[node_mask], self._effect[node_mask],
+            self._expiry[node_mask],
+            new_index[self._src[keep]], new_index[self._dst[keep]],
             self._kind[keep],
         )
 

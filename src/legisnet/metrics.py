@@ -228,16 +228,21 @@ def weak_component_labels(graph: LegislationGraph) -> tuple[int, np.ndarray]:
                                 connection="weak")
 
 
-def giant_component_mask(labels: np.ndarray) -> np.ndarray:
-    """Mask of the largest component; size ties go to the component
-    containing the smallest node index."""
-    if len(labels) == 0:
+def largest_label(labels: np.ndarray, id_rank: np.ndarray) -> int:
+    """Label of the largest component; size ties go to the component
+    holding the smallest document id (``id_rank`` from ``id_ranks()``)."""
+    sizes = np.bincount(labels)
+    tied = np.flatnonzero(sizes[labels] == sizes.max())
+    return int(labels[tied[np.argmin(id_rank[tied])]])
+
+
+def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
+    """Mask of the largest weakly connected component (ties: smallest id)."""
+    if graph.node_count == 0:
         return np.zeros(0, dtype=bool)
-    counts = np.bincount(labels)
-    candidates = np.flatnonzero(counts == counts.max())
-    # ties broken by the component containing the smallest node index
-    first = int(np.flatnonzero(np.isin(labels, candidates))[0])
-    return labels == labels[first]
+    _, labels = weak_component_labels(graph)
+    return labels == largest_label(labels, graph.id_ranks())
+
 
 def components(graph: LegislationGraph) -> ComponentReport:
     """Largest weakly connected component and isolated-node count."""
@@ -246,8 +251,7 @@ def components(graph: LegislationGraph) -> ComponentReport:
     n = graph.node_count
     if n == 0:
         return ComponentReport(frozenset(), 0.0, 0)
-    _, labels = weak_component_labels(graph)
-    mask = giant_component_mask(labels)
+    mask = giant_component_mask(graph)
     ids = frozenset(doc_id for doc_id, keep in zip(graph.ids, mask) if keep)
     isolated = int((graph.degree_array("total") == 0).sum())
     return ComponentReport(ids, len(ids) / n, isolated)
@@ -329,8 +333,7 @@ def path_metrics(graph: LegislationGraph, mode: str = "exact",
     """
     if not graph.sealed:
         raise ValidationError("path metrics require a sealed graph")
-    _, labels = weak_component_labels(graph)
-    mask = giant_component_mask(labels)
+    mask = giant_component_mask(graph)
     if int(mask.sum()) < 2:
         raise AnalysisError("giant component has fewer than 2 nodes")
     if directed:

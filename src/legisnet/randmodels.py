@@ -21,7 +21,6 @@ from scipy import sparse
 from .errors import AnalysisError, ConfigError
 from .graph import (
     SENTINEL_EXPIRY,
-    LegalDocument,
     LegislationGraph,
     RefType,
     Sector,
@@ -31,7 +30,6 @@ from .metrics import (
     clustering_profile_from_pairs,
     giant_component_mask,
     path_stats_from_csr,
-    weak_component_labels,
 )
 from .util import derive_seed, parallel_map
 
@@ -85,11 +83,6 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
             f"(max {n * (n - 1)})"
         )
     rng = np.random.default_rng(seed)
-    docs = [
-        LegalDocument(f"ER{i:07d}", Sector.LEGISLATION, _ER_EFFECT,
-                      SENTINEL_EXPIRY)
-        for i in range(n)
-    ]
     if m:
         codes = _sample_edge_codes(n, m, rng)
         src = codes // (n - 1)
@@ -100,7 +93,13 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
         dst = np.empty(0, dtype=np.int64)
     kind = np.full(len(src), reftype_code(RefType.INSTRUMENTS_CITED),
                    dtype=np.int8)
-    return LegislationGraph._from_arrays(docs, src, dst, kind)
+    return LegislationGraph.from_columns(
+        tuple(f"ER{i:07d}" for i in range(n)),
+        np.full(n, Sector.LEGISLATION.value),
+        np.full(n, _ER_EFFECT.toordinal()),
+        np.full(n, SENTINEL_EXPIRY.toordinal()),
+        src, dst, kind,
+    )
 
 
 def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
@@ -110,8 +109,7 @@ def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
 
     Returns None when the giant component is too small to measure.
     """
-    _, labels = weak_component_labels(graph)
-    mask = giant_component_mask(labels)
+    mask = giant_component_mask(graph)
     n_gc = int(mask.sum())
     if n_gc < 2:
         return None

@@ -129,17 +129,10 @@ def _random_repetition(rep: int, seed: int, pair_u: np.ndarray,
     return _curve_for_order(order, pair_u, pair_v, n, boundaries)
 
 
-def _id_ranks(graph: LegislationGraph) -> np.ndarray:
-    order = sorted(range(graph.node_count), key=graph.ids.__getitem__)
-    ranks = np.empty(graph.node_count, dtype=np.int64)
-    ranks[order] = np.arange(graph.node_count)
-    return ranks
-
-
 def _static_attack_order(graph: LegislationGraph) -> np.ndarray:
     degrees = graph.degree_array("total")
     # highest degree first, ties by smallest document id
-    return np.lexsort((_id_ranks(graph), -degrees))
+    return np.lexsort((graph.id_ranks(), -degrees))
 
 
 def _adaptive_attack_curve(graph: LegislationGraph, pair_u: np.ndarray,
@@ -147,7 +140,7 @@ def _adaptive_attack_curve(graph: LegislationGraph, pair_u: np.ndarray,
                            boundaries: list[int]) -> np.ndarray:
     n = graph.node_count
     src, dst, _ = graph.edge_arrays()
-    id_rank = _id_ranks(graph)
+    id_rank = graph.id_ranks()
     alive = np.ones(n, dtype=bool)
     rank = np.empty(n, dtype=np.int64)  # assembled removal order
     removed = 0

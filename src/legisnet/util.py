@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -59,8 +59,3 @@ def round_floats(obj: Any, significant: int = 9) -> Any:
 
 def format_float(x: float, significant: int = 9) -> str:
     return f"{float(x):.{significant}g}"
-
-
-def chunked(items: Sequence, size: int) -> Iterable[Sequence]:
-    for start in range(0, len(items), size):
-        yield items[start:start + size]

@@ -1,23 +1,17 @@
 from __future__ import annotations
 
 import time
-from datetime import date
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from legisnet import (
     AnalysisError,
-    GeneratorConfig,
     LegislationGraph,
     Reference,
     RefType,
-    annual_series,
     build_graph,
-    core_gc_series,
     decompose,
-    generate,
 )
 
 from conftest import doc, quick_graph
@@ -209,24 +203,3 @@ def test_million_edge_graph_decomposes_fast():
     assert sum(bt.sizes().values()) == 200_000
     assert elapsed < 60  # linear-time components, not minutes
 
-
-class TestCoreGcSeries:
-    def test_single_node_snapshot(self):
-        g = build_graph([doc("A", effect=date(1970, 1, 1))], [])
-        series = core_gc_series(annual_series(g, (1970, 1970)))
-        assert series == [(1970, 1.0, 1.0)]
-
-    def test_empty_snapshot(self):
-        g = build_graph([doc("A", effect=date(1970, 1, 1))], [])
-        assert core_gc_series(annual_series(g, (1950, 1950))) == [(1950, 0.0, 0.0)]
-
-    def test_amendments_grow_the_core(self):
-        g = generate(GeneratorConfig(
-            years=(1951, 2000), docs_per_year=40,
-            densification_exponent=1.15, preferential_mixing=0.7,
-            reftype_weights=(1, 1, 1, 2, 0.5, 0.5), seed=77))
-        series = core_gc_series(annual_series(g, (1951, 2000)))
-        years = [y for y, _, _ in series]
-        sccs = [s for _, s, _ in series]
-        rho = stats.spearmanr(years, sccs).statistic
-        assert rho > 0

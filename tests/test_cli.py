@@ -69,6 +69,15 @@ class TestIngest:
                      "--output-dir", str(tmp_path)]) == 3
         assert "legisnet ingest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("references", ["5", "null"])
+    def test_non_list_references_exit_3(self, tmp_path, capsys, references):
+        src = tmp_path / "bad.jsonl"
+        src.write_text('{"id": "A", "sector": 3, "date_of_effect":'
+                       f' "1990-01-01", "references": {references}}}\n')
+        assert main(["ingest", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 3
+        assert "references must be a list" in capsys.readouterr().err
+
     def test_strict_dangling_exit_3(self, tmp_path):
         src = tmp_path / "dangling.jsonl"
         src.write_text('{"id": "A", "sector": 3, "date_of_effect":'

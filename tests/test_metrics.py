@@ -16,6 +16,7 @@ from legisnet import (
     build_graph,
     clustering,
     components,
+    decompose,
     degree_stats,
     generate,
     gini_sorted,
@@ -341,6 +342,16 @@ class TestComponents:
         for _ in range(10):
             g = random_digraph(rng, int(rng.integers(5, 200)), 1.5)
             assert components(g).gc_size == union_find_components(g)
+
+    def test_size_tie_goes_to_smallest_id(self):
+        # two equal 2-cycles; the one inserted first holds the larger ids
+        g = build_graph(
+            [doc(x) for x in ("z1", "z2", "a1", "a2")],
+            [Reference(u, v, RefType.OTHER)
+             for u, v in (("z1", "z2"), ("z2", "z1"), ("a1", "a2"), ("a2", "a1"))],
+        )
+        assert components(g).giant_component_ids == {"a1", "a2"}
+        assert decompose(g).core == {"a1", "a2"}
 
 
 # -- assortativity -----------------------------------------------------------------

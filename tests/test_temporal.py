@@ -4,17 +4,21 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from legisnet import (
     AnalysisError,
     GeneratorConfig,
     RefType,
     Sector,
+    build_graph,
     densification_fit,
     evolution_series,
     generate,
 )
 from legisnet.temporal import SnapshotStat
+
+from conftest import doc
 
 
 def stat(year, n, e):
@@ -60,6 +64,26 @@ class TestEvolutionSeries:
         a = evolution_series(amendment_chain_graph, (1970, 1990))
         b = evolution_series(amendment_chain_graph, (1970, 1990))
         assert a == b
+
+    def test_single_node_snapshot(self):
+        g = build_graph([doc("A", effect=date(1970, 1, 1))], [])
+        [s] = evolution_series(g, (1970, 1970))
+        assert (s.scc_fraction, s.gc_fraction) == (1.0, 1.0)
+
+    def test_empty_snapshot(self):
+        g = build_graph([doc("A", effect=date(1970, 1, 1))], [])
+        [s] = evolution_series(g, (1950, 1950))
+        assert (s.scc_fraction, s.gc_fraction) == (0.0, 0.0)
+
+    def test_amendments_grow_the_core(self):
+        g = generate(GeneratorConfig(
+            years=(1951, 2000), docs_per_year=40,
+            densification_exponent=1.15, preferential_mixing=0.7,
+            reftype_weights=(1, 1, 1, 2, 0.5, 0.5), seed=77))
+        series = evolution_series(g, (1951, 2000))
+        rho = stats.spearmanr([s.year for s in series],
+                              [s.scc_fraction for s in series]).statistic
+        assert rho > 0
 
 
 class TestDensificationFit:
