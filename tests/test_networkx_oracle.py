@@ -20,7 +20,7 @@ nx = pytest.importorskip("networkx")
 
 
 def projection(graph):
-    """networkx view of the simple undirected projection, built from ids."""
+    """networkx copy of the simple undirected projection, with sectors."""
     undirected = nx.Graph()
     undirected.add_nodes_from((d.id, {"sector": d.sector})
                               for d in graph.documents())
