@@ -1,11 +1,29 @@
 """Command-line interface and machine-readable report emission.
 
 Every analysis subcommand reads a JSONL corpus (file or stdin), runs
-the corresponding module, and writes a JSON report (plus CSV side
-files for plot-ready data) into the output directory.  Reports embed a
-run manifest: the command, a content digest of the input, the resolved
+its analysis stage, and writes a JSON report (plus CSV side files for
+plot-ready data) into the output directory.  Reports embed a run
+manifest: the command, a content digest of the input, the resolved
 configuration, and the seed, so identical manifests (up to timestamps)
 imply identical report bodies.
+
+A subcommand writes ``<subcommand>.json``; ``report-all`` runs the
+same stages on one graph and nests their results in ``report.json``:
+
+    section     subcommand  subcommand CSVs          report-all CSVs
+    structure   metrics     metrics_<table>.csv      report_<table>.csv
+    bowtie      bowtie      bowtie_members.csv       (none)
+    powerlaw    powerlaw    powerlaw_ccdf_<dir>.csv  report_ccdf_in/out.csv
+    smallworld  smallworld  (none)                   (none)
+    temporal    temporal    temporal_snapshots.csv   report_snapshots.csv
+    resilience  resilience  resilience_curve.csv     report_resilience.csv
+
+``powerlaw`` holds both directions, keyed by direction; ``resilience``
+is the list of curves (random with its null, then targeted); ``bowtie``
+omits ``nodes`` and ``temporal`` omits ``network``.  A section whose
+analysis is undefined for the input holds ``{"error": message}``: the
+other sections and their CSVs are still written, each failure prints
+one line to stderr, and the command exits 4.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 compute.
 """
@@ -87,9 +105,8 @@ def _manifest(args: argparse.Namespace, input_digest: str,
     return {
         "command": args.command,
         "input_digest": input_digest,
-        "config": {key: str(value) if isinstance(value, Path) else value
-                   for key, value in config.items()},
-        "seed": getattr(args, "seed", None),
+        "config": config,
+        "seed": args.seed,
         "tool_version": __version__,
         "started": started,
         "finished": _now(),
@@ -100,24 +117,20 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_report(out_dir: Path, name: str, manifest: dict, results: dict) -> Path:
+def _write_report(out_dir: Path, name: str, manifest: dict, results: dict) -> None:
     payload = {"manifest": manifest, "results": round_floats(results)}
-    target = out_dir / name
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    return target
+    (out_dir / name).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_csv(out_dir: Path, name: str, header: list[str],
-               rows: list[list]) -> Path:
-    target = out_dir / name
-    with open(target, "w", newline="", encoding="utf-8") as fh:
+               rows: list[list]) -> None:
+    with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([format_float(v) if isinstance(v, float) else v
                              for v in row])
-    return target
 
 
 def _parse_date(raw: str) -> date:
@@ -135,6 +148,15 @@ def _parse_years(raw: str) -> tuple[int, int]:
         raise ConfigError(f"bad year range {raw!r}; expected START:END") from None
 
 
+def _parse_counts(raw: str) -> int | tuple[int, ...]:
+    try:
+        if "," not in raw:
+            return int(raw)
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"bad document count {raw!r}") from None
+
+
 def _parse_weights(raw: str) -> tuple[float, ...]:
     try:
         weights = tuple(float(w) for w in raw.split(","))
@@ -145,22 +167,26 @@ def _parse_weights(raw: str) -> tuple[float, ...]:
     return weights
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[LegislationGraph, str]:
-    """Read, ingest, and narrow the corpus per --network/--current."""
+def _ingest_input(args: argparse.Namespace) -> tuple:
+    """(graph, ingest report, input digest) of the --input corpus."""
     text = _read_input(args.input)
-    mode = "lenient" if getattr(args, "lenient", False) else "strict"
-    graph, _ = ingest(read_records(text.splitlines()), mode=mode)
-    preset = getattr(args, "network", "LN")
-    if preset == "RN":
+    mode = "lenient" if args.lenient else "strict"
+    graph, report = ingest(read_records(text.splitlines()), mode=mode)
+    return graph, report, _digest(text)
+
+
+def _load_graph(args: argparse.Namespace) -> tuple[LegislationGraph, str]:
+    """Ingest the corpus and narrow it per --network/--current."""
+    graph, _, digest = _ingest_input(args)
+    if args.network == "RN":
         graph = filter_sector(graph, Sector.LEGISLATION)
-    elif preset == "ICN":
+    elif args.network == "ICN":
         graph = filter_reftype(graph, RefType.INSTRUMENTS_CITED)
-    elif preset == "LBN":
+    elif args.network == "LBN":
         graph = filter_reftype(graph, RefType.LEGAL_BASIS)
-    current = getattr(args, "current", None)
-    if current:
-        graph = snapshot(graph, _parse_date(current))
-    return graph, _digest(text)
+    if args.current:
+        graph = snapshot(graph, _parse_date(args.current))
+    return graph, digest
 
 
 def _corpus_years(graph: LegislationGraph) -> tuple[int, int]:
@@ -179,7 +205,12 @@ def _write_corpus(graph: LegislationGraph, destination: str) -> None:
             write_records(export(graph), fh)
 
 
-# -- result serialization ----------------------------------------------------
+# -- analysis stages ---------------------------------------------------------
+#
+# A stage runs one analysis on a loaded graph and returns (results,
+# tables): the report body and its CSV tables, {key: (header, rows)}.
+# Stages call the analysis functions through this module's globals, so
+# whatever wraps those names (tracing, say) sees every run.
 
 
 def _path_metrics_dict(pm) -> dict:
@@ -188,8 +219,7 @@ def _path_metrics_dict(pm) -> dict:
     return d
 
 
-def _metrics_results(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
-    """(JSON results, CSV tables) for the metrics battery."""
+def _metrics_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
     comp = components(graph)
     stats = {d: degree_stats(graph, d) for d in ("in", "out")}
     lorenz = {d: lorenz_gini(graph, d) for d in ("in", "out")}
@@ -254,9 +284,21 @@ def _metrics_results(graph: LegislationGraph, args: argparse.Namespace) -> tuple
     return results, tables
 
 
-def _powerlaw_results(graph: LegislationGraph, direction: str,
-                      args: argparse.Namespace) -> tuple[dict, tuple]:
-    degrees = graph.degree_array(direction)
+def _bowtie_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
+    result = decompose(graph)
+    results = {"sizes": result.sizes(), "fractions": result.fractions,
+               "nodes": graph.node_count}
+    tables = {}
+    if args.dump_members:
+        rows = [[name, doc_id]
+                for name, ids in result.sets().items()
+                for doc_id in sorted(ids)]
+        tables["members"] = (["component", "id"], rows)
+    return results, tables
+
+
+def _powerlaw_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
+    degrees = graph.degree_array(args.direction)
     fit = fit_power_law(degrees, min_tail=args.min_tail)
     result = goodness_of_fit(degrees, fit, m=args.bootstrap, seed=args.seed,
                              min_tail=args.min_tail, n_jobs=args.threads)
@@ -273,7 +315,41 @@ def _powerlaw_results(graph: LegislationGraph, direction: str,
     rows = [[k, e, "" if np.isnan(f) else format_float(float(f))]
             for (k, e), f in zip(points, fitted)]
     table = (["degree", "empirical_ccdf", "fitted_ccdf"], rows)
-    return {"direction": direction, **asdict(result)}, table
+    return ({"direction": args.direction, **asdict(result)},
+            {f"ccdf_{args.direction}": table})
+
+
+def _smallworld_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
+    report = small_world_compare(
+        graph, replicas=args.replicas, seed=args.seed,
+        length_factor=args.length_factor,
+        clustering_factor=args.clustering_factor,
+        path_mode=args.path_mode, path_sources=args.path_sources,
+        n_jobs=args.threads,
+    )
+    return asdict(report), {}
+
+
+def _temporal_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
+    years = _parse_years(args.years) if args.years else _corpus_years(graph)
+    stats = evolution_series(graph, years)
+    fit = densification_fit(stats)
+    results = {"years": list(years), "network": args.network,
+               "densification": asdict(fit)}
+    header = (["year", "nodes", "edges"]
+              + [f"sector_{s.value}" for s in Sector]
+              + [f"reftype_{k.value}" for k in RefType]
+              + ["scc_fraction", "gc_fraction"])
+    rows = [[s.year, s.n, s.e]
+            + [s.per_sector.get(sec.value, 0) for sec in Sector]
+            + [s.per_reftype.get(k.value, 0) for k in RefType]
+            + [s.scc_fraction, s.gc_fraction]
+            for s in stats]
+    return results, {"snapshots": (header, rows)}
+
+
+POINT_FIELDS = ("fraction_removed", "gc_fraction_of_remaining",
+                "gc_fraction_of_original")
 
 
 def _resilience_curve_dict(curve) -> dict:
@@ -282,34 +358,86 @@ def _resilience_curve_dict(curve) -> dict:
         "degree_mode": curve.degree_mode,
         "averaged_over": curve.averaged_over,
         "area_under_curve": curve.area_under_curve(),
-        "points": [
-            {"fraction_removed": p[0], "gc_fraction_of_remaining": p[1],
-             "gc_fraction_of_original": p[2]}
-            for p in curve.points
-        ],
+        "points": [dict(zip(POINT_FIELDS, p)) for p in curve.points],
     }
 
 
-def _resilience_rows(label: str, curve) -> list[list]:
-    return [[label, p[0], p[1], p[2]] for p in curve.points]
+def _resilience_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
+    strategies = (["random", "targeted_by_degree"] if args.strategy == "both"
+                  else [args.strategy])
+    curves: list[dict] = []
+    rows: list[list] = []
+    for strategy in strategies:
+        config = ResilienceConfig(
+            strategy=strategy, step_fraction=args.step,
+            repetitions=args.reps, degree_mode=args.degree_mode,
+            seed=args.seed, stop_at=args.stop_at,
+        )
+        if args.with_null:
+            own, null = compare_with_null(graph, config, n_jobs=args.threads)
+            runs = [(strategy, own, {}),
+                    (f"{strategy}_null", null, {"null_model": True})]
+        else:
+            runs = [(strategy, simulate(graph, config, n_jobs=args.threads), {})]
+        for label, curve, extra in runs:
+            curves.append({**_resilience_curve_dict(curve), **extra})
+            rows += [[label, *point] for point in curve.points]
+    return {"curves": curves}, {"curve": (["strategy", *POINT_FIELDS], rows)}
 
 
-def _smallworld_dict(report) -> dict:
-    return asdict(report)
+STAGES = {
+    "metrics": _metrics_stage,
+    "bowtie": _bowtie_stage,
+    "powerlaw": _powerlaw_stage,
+    "smallworld": _smallworld_stage,
+    "temporal": _temporal_stage,
+    "resilience": _resilience_stage,
+}
 
 
-def _snapshot_rows(stats) -> tuple[list[str], list[list]]:
-    header = (["year", "nodes", "edges"]
-              + [f"sector_{s.value}" for s in Sector]
-              + [f"reftype_{k.value}" for k in RefType]
-              + ["scc_fraction", "gc_fraction"])
-    rows = []
-    for s in stats:
-        rows.append([s.year, s.n, s.e]
-                    + [s.per_sector.get(sec.value, 0) for sec in Sector]
-                    + [s.per_reftype.get(k.value, 0) for k in RefType]
-                    + [s.scc_fraction, s.gc_fraction])
-    return header, rows
+def _write_tables(out_dir: Path, prefix: str, tables: dict) -> None:
+    for key, (header, rows) in tables.items():
+        _write_csv(out_dir, f"{prefix}_{key}.csv", header, rows)
+
+
+def _report_sections(args: argparse.Namespace) -> tuple:
+    """report-all's sections: (name, subcommand, runs, body).
+
+    A run is the namespace the subcommand's stage sees: the subcommand's
+    defaults, overridden by report-all's flags of the same name, then by
+    the section's own settings.  ``body`` turns the runs' results into
+    the section.
+    """
+    parser = build_parser()
+
+    def run(command: str, **settings) -> argparse.Namespace:
+        defaults = vars(parser.parse_args([command]))
+        return argparse.Namespace(**{**defaults, **vars(args), **settings})
+
+    def without(key):
+        return lambda results: {k: v for k, v in results[0].items() if k != key}
+
+    return (
+        ("structure", "metrics", [run("metrics")], lambda results: results[0]),
+        ("bowtie", "bowtie", [run("bowtie")], without("nodes")),
+        ("powerlaw", "powerlaw",
+         [run("powerlaw", direction=d) for d in ("in", "out")],
+         lambda results: {r["direction"]: r for r in results}),
+        ("smallworld", "smallworld",
+         [run("smallworld", replicas=args.smallworld_replicas)],
+         lambda results: results[0]),
+        ("temporal", "temporal", [run("temporal")], without("network")),
+        ("resilience", "resilience",
+         [run("resilience", strategy="random", reps=args.resilience_reps,
+              with_null=True),
+          run("resilience", strategy="targeted_by_degree")],
+         lambda results: [c for r in results for c in r["curves"]]),
+    )
+
+
+# report-all writes report_<key>.csv, except that the resilience curve
+# is named after its section.
+REPORT_TABLE_KEYS = {"curve": "resilience"}
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -317,13 +445,9 @@ def _snapshot_rows(stats) -> tuple[list[str], list[list]]:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     started = _now()
-    text = _read_input(args.input)
-    mode = "lenient" if args.lenient else "strict"
-    graph, report = ingest(read_records(text.splitlines()), mode=mode)
-    out_dir = _output_dir(args)
-    manifest = _manifest(args, _digest(text), started)
-    _write_report(out_dir, "ingest_report.json", manifest,
-                  report.to_json_dict())
+    graph, report, digest = _ingest_input(args)
+    _write_report(_output_dir(args), "ingest_report.json",
+                  _manifest(args, digest, started), report.to_json_dict())
     if args.out:
         _write_corpus(graph, args.out)
     return 0
@@ -332,8 +456,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = GeneratorConfig(
         years=_parse_years(args.years),
-        docs_per_year=(int(args.docs_per_year) if "," not in args.docs_per_year
-                       else tuple(int(x) for x in args.docs_per_year.split(","))),
+        docs_per_year=_parse_counts(args.docs_per_year),
         densification_exponent=args.densification,
         preferential_mixing=args.mixing,
         sector_weights=_parse_weights(args.sector_weights),
@@ -360,167 +483,43 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_analysis(args: argparse.Namespace) -> int:
+    """One analysis subcommand: <command>.json plus <command>_<key>.csv."""
     started = _now()
     graph, digest = _load_graph(args)
-    results, tables = _metrics_results(graph, args)
+    results, tables = STAGES[args.command](graph, args)
     out_dir = _output_dir(args)
-    _write_report(out_dir, "metrics.json", _manifest(args, digest, started),
-                  results)
-    for name, (header, rows) in tables.items():
-        _write_csv(out_dir, f"metrics_{name}.csv", header, rows)
-    return 0
-
-
-def _cmd_bowtie(args: argparse.Namespace) -> int:
-    started = _now()
-    graph, digest = _load_graph(args)
-    result = decompose(graph)
-    out_dir = _output_dir(args)
-    results = {"sizes": result.sizes(), "fractions": result.fractions,
-               "nodes": graph.node_count}
-    _write_report(out_dir, "bowtie.json", _manifest(args, digest, started),
-                  results)
-    if args.dump_members:
-        rows = [[name, doc_id]
-                for name, ids in result.sets().items()
-                for doc_id in sorted(ids)]
-        _write_csv(out_dir, "bowtie_members.csv", ["component", "id"], rows)
-    return 0
-
-
-def _cmd_powerlaw(args: argparse.Namespace) -> int:
-    started = _now()
-    graph, digest = _load_graph(args)
-    results, (header, rows) = _powerlaw_results(graph, args.direction, args)
-    out_dir = _output_dir(args)
-    _write_report(out_dir, "powerlaw.json", _manifest(args, digest, started),
-                  results)
-    _write_csv(out_dir, f"powerlaw_ccdf_{args.direction}.csv", header, rows)
-    return 0
-
-
-def _cmd_smallworld(args: argparse.Namespace) -> int:
-    started = _now()
-    graph, digest = _load_graph(args)
-    report = small_world_compare(
-        graph, replicas=args.replicas, seed=args.seed,
-        length_factor=args.length_factor,
-        clustering_factor=args.clustering_factor,
-        path_mode=args.path_mode, path_sources=args.path_sources,
-        n_jobs=args.threads,
-    )
-    _write_report(_output_dir(args), "smallworld.json",
-                  _manifest(args, digest, started), _smallworld_dict(report))
-    return 0
-
-
-def _cmd_temporal(args: argparse.Namespace) -> int:
-    started = _now()
-    graph, digest = _load_graph(args)
-    years = _parse_years(args.years) if args.years else _corpus_years(graph)
-    stats = evolution_series(graph, years)
-    fit = densification_fit(stats)
-    out_dir = _output_dir(args)
-    results = {"years": list(years), "network": args.network,
-               "densification": asdict(fit)}
-    _write_report(out_dir, "temporal.json", _manifest(args, digest, started),
-                  results)
-    header, rows = _snapshot_rows(stats)
-    _write_csv(out_dir, "temporal_snapshots.csv", header, rows)
-    return 0
-
-
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    started = _now()
-    graph, digest = _load_graph(args)
-    strategies = (["random", "targeted_by_degree"] if args.strategy == "both"
-                  else [args.strategy])
-    out_dir = _output_dir(args)
-    results: dict = {"curves": []}
-    csv_rows: list[list] = []
-    for strategy in strategies:
-        config = ResilienceConfig(
-            strategy=strategy, step_fraction=args.step,
-            repetitions=args.reps, degree_mode=args.degree_mode,
-            seed=args.seed, stop_at=args.stop_at,
-        )
-        if args.with_null:
-            own, null = compare_with_null(graph, config, n_jobs=args.threads)
-            results["curves"].append(_resilience_curve_dict(own))
-            results["curves"].append(
-                {**_resilience_curve_dict(null), "null_model": True})
-            csv_rows += _resilience_rows(strategy, own)
-            csv_rows += _resilience_rows(f"{strategy}_null", null)
-        else:
-            curve = simulate(graph, config, n_jobs=args.threads)
-            results["curves"].append(_resilience_curve_dict(curve))
-            csv_rows += _resilience_rows(strategy, curve)
-    _write_report(out_dir, "resilience.json", _manifest(args, digest, started),
-                  results)
-    _write_csv(out_dir, "resilience_curve.csv",
-               ["strategy", "fraction_removed", "gc_fraction_of_remaining",
-                "gc_fraction_of_original"], csv_rows)
+    _write_report(out_dir, f"{args.command}.json",
+                  _manifest(args, digest, started), results)
+    _write_tables(out_dir, args.command, tables)
     return 0
 
 
 def _cmd_report_all(args: argparse.Namespace) -> int:
+    """Every stage into report.json; an undefined section holds its error."""
     started = _now()
     graph, digest = _load_graph(args)
     out_dir = _output_dir(args)
     report: dict = {"nodes": graph.node_count, "edges": graph.edge_count}
-
-    metrics_results, tables = _metrics_results(graph, args)
-    report["structure"] = metrics_results
-    for name, (header, rows) in tables.items():
-        _write_csv(out_dir, f"report_{name}.csv", header, rows)
-
-    bow = decompose(graph)
-    report["bowtie"] = {"sizes": bow.sizes(), "fractions": bow.fractions}
-
-    report["powerlaw"] = {}
-    for direction in ("in", "out"):
-        results, (header, rows) = _powerlaw_results(graph, direction, args)
-        report["powerlaw"][direction] = results
-        _write_csv(out_dir, f"report_ccdf_{direction}.csv", header, rows)
-
-    report["smallworld"] = _smallworld_dict(small_world_compare(
-        graph, replicas=args.smallworld_replicas, seed=args.seed,
-        path_mode=args.path_mode, path_sources=args.path_sources,
-        n_jobs=args.threads))
-
-    years = _parse_years(args.years) if args.years else _corpus_years(graph)
-    stats = evolution_series(graph, years)
-    report["temporal"] = {"years": list(years),
-                          "densification": asdict(densification_fit(stats))}
-    header, rows = _snapshot_rows(stats)
-    _write_csv(out_dir, "report_snapshots.csv", header, rows)
-
-    resilience_rows: list[list] = []
-    report["resilience"] = []
-    for strategy, reps in (("random", args.resilience_reps),
-                           ("targeted_by_degree", 1)):
-        config = ResilienceConfig(strategy=strategy, step_fraction=args.step,
-                                  repetitions=reps, seed=args.seed,
-                                  stop_at=args.stop_at)
-        if strategy == "random":
-            own, null = compare_with_null(graph, config, n_jobs=args.threads)
-            report["resilience"].append(_resilience_curve_dict(own))
-            report["resilience"].append(
-                {**_resilience_curve_dict(null), "null_model": True})
-            resilience_rows += _resilience_rows("random", own)
-            resilience_rows += _resilience_rows("random_null", null)
-        else:
-            curve = simulate(graph, config, n_jobs=args.threads)
-            report["resilience"].append(_resilience_curve_dict(curve))
-            resilience_rows += _resilience_rows(strategy, curve)
-    _write_csv(out_dir, "report_resilience.csv",
-               ["strategy", "fraction_removed", "gc_fraction_of_remaining",
-                "gc_fraction_of_original"], resilience_rows)
-
+    failed = False
+    for section, command, runs, body in _report_sections(args):
+        try:
+            outputs = [STAGES[command](graph, run) for run in runs]
+        except AnalysisError as exc:
+            _complain(args.command, exc)
+            report[section] = {"error": str(exc)}
+            failed = True
+            continue
+        report[section] = body([results for results, _ in outputs])
+        tables: dict = {}
+        for _, run_tables in outputs:
+            for key, (header, rows) in run_tables.items():
+                tables.setdefault(REPORT_TABLE_KEYS.get(key, key),
+                                  (header, []))[1].extend(rows)
+        _write_tables(out_dir, "report", tables)
     _write_report(out_dir, "report.json", _manifest(args, digest, started),
                   report)
-    return 0
+    return 4 if failed else 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -595,13 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="degree/inequality/clustering/path metrics")
     _add_common(p)
     _add_path_options(p)
-    p.set_defaults(handler=_cmd_metrics)
+    p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("bowtie", help="bow-tie macro-structure decomposition")
     _add_common(p)
     p.add_argument("--dump-members", action="store_true",
                    help="also write per-component id lists")
-    p.set_defaults(handler=_cmd_bowtie)
+    p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("powerlaw", help="discrete power-law tail fit")
     _add_common(p)
@@ -609,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M,
                    help="bootstrap replica count")
     p.add_argument("--min-tail", type=int, default=25)
-    p.set_defaults(handler=_cmd_powerlaw)
+    p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("smallworld", help="small-world comparison against nulls")
     _add_common(p)
@@ -619,13 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path-mode", choices=["auto", "exact", "sampled"],
                    default="auto")
     p.add_argument("--path-sources", type=int, default=1000)
-    p.set_defaults(handler=_cmd_smallworld)
+    p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("temporal", help="annual evolution and densification fit")
     _add_common(p)
     p.add_argument("--years", default=None, metavar="START:END",
                    help="year range (default: corpus effect-date span)")
-    p.set_defaults(handler=_cmd_temporal)
+    p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("resilience", help="node-removal tolerance simulation")
     _add_common(p)
@@ -641,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-at", type=float, default=0.99)
     p.add_argument("--with-null", action="store_true",
                    help="also run a size-matched random null")
-    p.set_defaults(handler=_cmd_resilience)
+    p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("report-all",
                        help="full analysis battery in one combined report")
@@ -673,22 +672,21 @@ def _origin_module(exc: BaseException) -> str:
     return origin
 
 
+def _complain(command: str, exc: LegisnetError) -> None:
+    print(f"legisnet {command} [{_origin_module(exc)}]: {exc}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"legisnet {args.command} [{_origin_module(exc)}]: {exc}",
-              file=sys.stderr)
-        return 2
-    except (CorpusError, ValidationError) as exc:
-        print(f"legisnet {args.command} [{_origin_module(exc)}]: {exc}",
-              file=sys.stderr)
-        return 3
     except LegisnetError as exc:
-        print(f"legisnet {args.command} [{_origin_module(exc)}]: {exc}",
-              file=sys.stderr)
+        _complain(args.command, exc)
+        if isinstance(exc, ConfigError):
+            return 2
+        if isinstance(exc, (CorpusError, ValidationError)):
+            return 3
         return 4
     except BrokenPipeError:
         return 0

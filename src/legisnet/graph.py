@@ -283,12 +283,6 @@ class LegislationGraph:
         for s, d, k in zip(src, dst, kind):
             yield Reference(ids[s], ids[d], _REFTYPE_ORDER[k])
 
-    def out_references(self, doc_id: str) -> list[tuple[str, RefType]]:
-        hit = np.asarray(self._src) == self._position(doc_id)
-        targets = np.asarray(self._dst)[hit].tolist()
-        kinds = np.asarray(self._kind)[hit].tolist()
-        return [(self._ids[d], _REFTYPE_ORDER[k]) for d, k in zip(targets, kinds)]
-
     def degree(self, doc_id: str, direction: str = "total",
                scope: str = "typed") -> int:
         """Degree of a node on the typed multigraph or its projection.

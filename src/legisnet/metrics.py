@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import AnalysisError, ValidationError
+from .errors import AnalysisError, ConfigError, ValidationError
 from .graph import LegislationGraph
 from .util import rng_for
 
@@ -292,6 +292,8 @@ def path_stats_from_csr(csr: csr_matrix, ids: tuple[str, ...] | None,
     from ``sources`` uniformly chosen distinct nodes, in which case the
     diameter is a lower bound.
     """
+    if mode == "sampled" and sources < 1:
+        raise ConfigError(f"sampled paths need >= 1 source, got {sources}")
     n = csr.shape[0]
     if n < 2:
         raise AnalysisError("path metrics require a component with >= 2 nodes")

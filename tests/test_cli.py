@@ -41,6 +41,12 @@ class TestGenerate:
     def test_bad_years_usage_error(self, capsys):
         assert main(["generate", "--years", "nope", "--out", "-"]) == 2
 
+    @pytest.mark.parametrize("count", ["abc", "10,x"])
+    def test_bad_docs_per_year_usage_error(self, capsys, count):
+        assert main(["generate", "--years", "1990:1991", "--docs-per-year",
+                     count, "--out", "-"]) == 2
+        assert "bad document count" in capsys.readouterr().err
+
     def test_infeasible_schedule_config_error(self, capsys):
         code = main(["generate", "--years", "1990:1990", "--docs-per-year",
                      "2", "--densification", "2.0", "--citation-scale", "10",
@@ -161,6 +167,17 @@ class TestMetrics:
         gini = json.loads(text)["results"]["lorenz_gini"]["in"]["gini"]
         assert gini == float(f"{gini:.9g}")
 
+    @pytest.mark.parametrize("command", ["metrics", "smallworld"])
+    @pytest.mark.parametrize("sources", ["-5", "0"])
+    def test_bad_path_sources_exit_2(self, tmp_path, capsys, corpus_path,
+                                     command, sources):
+        assert main([command, "--input", str(corpus_path), "--path-mode",
+                     "sampled", "--path-sources", sources,
+                     "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"legisnet {command} [legisnet.metrics]:" in err
+        assert "Traceback" not in err
+
     def test_compute_error_exit_4(self, tmp_path, capsys):
         src = tmp_path / "tiny.jsonl"
         src.write_text('{"id": "A", "sector": 3, "date_of_effect":'
@@ -232,6 +249,98 @@ class TestOtherCommands:
         side_files = {p.name for p in tmp_path.glob("report_*.csv")}
         assert "report_snapshots.csv" in side_files
         assert "report_resilience.csv" in side_files
+
+
+class TestReportAll:
+    FLAGS = ["--seed", "1", "--bootstrap", "10", "--path-mode", "sampled",
+             "--path-sources", "50"]
+
+    def test_sections_equal_subcommands(self, tmp_path, corpus_path):
+        report_dir = tmp_path / "report"
+        assert main(["report-all", "--input", str(corpus_path),
+                     "--output-dir", str(report_dir), *self.FLAGS,
+                     "--smallworld-replicas", "2",
+                     "--resilience-reps", "2"]) == 0
+        report = read_report(report_dir / "report.json")["results"]
+        paths = ["--path-mode", "sampled", "--path-sources", "50"]
+
+        def sub(name, *argv):
+            out = tmp_path / name
+            assert main([*argv, "--input", str(corpus_path), "--output-dir",
+                         str(out), "--seed", "1"]) == 0
+            return read_report(out / f"{argv[0]}.json")["results"]
+
+        def csv_bytes(name, file):
+            return (tmp_path / name / file).read_bytes()
+
+        def report_csv(key):
+            return (report_dir / f"report_{key}.csv").read_bytes()
+
+        assert report["structure"] == sub("metrics", "metrics", *paths)
+        for key in ("degree_histogram", "lorenz", "distances",
+                    "clustering_by_degree"):
+            assert report_csv(key) == csv_bytes("metrics", f"metrics_{key}.csv")
+
+        bowtie = sub("bowtie", "bowtie")
+        assert bowtie.pop("nodes") == report["nodes"]
+        assert report["bowtie"] == bowtie
+
+        for d in ("in", "out"):
+            assert report["powerlaw"][d] == sub(
+                f"powerlaw-{d}", "powerlaw", "--direction", d,
+                "--bootstrap", "10")
+            assert report_csv(f"ccdf_{d}") == csv_bytes(
+                f"powerlaw-{d}", f"powerlaw_ccdf_{d}.csv")
+
+        assert report["smallworld"] == sub(
+            "smallworld", "smallworld", "--replicas", "2", *paths)
+
+        temporal = sub("temporal", "temporal")
+        assert temporal.pop("network") == "LN"
+        assert report["temporal"] == temporal
+        assert report_csv("snapshots") == csv_bytes(
+            "temporal", "temporal_snapshots.csv")
+
+        # report-all's resilience: random with its null, then targeted
+        random = sub("random", "resilience", "--strategy", "random",
+                     "--reps", "2", "--with-null")
+        targeted = sub("targeted", "resilience", "--strategy",
+                       "targeted_by_degree")
+        assert report["resilience"] == random["curves"] + targeted["curves"]
+        targeted_rows = csv_bytes("targeted", "resilience_curve.csv")
+        assert report_csv("resilience") == (
+            csv_bytes("random", "resilience_curve.csv")
+            + targeted_rows.split(b"\r\n", 1)[1])
+
+    def test_undefined_sections_keep_the_rest(self, tmp_path, capsys):
+        corpus = tmp_path / "two-years.jsonl"
+        assert main(["generate", "--years", "1990:1991", "--docs-per-year",
+                     "60", "--mixing", "0.9", "--seed", "4",
+                     "--out", str(corpus)]) == 0
+        out = tmp_path / "out"
+        code = main(["report-all", "--input", str(corpus), "--output-dir",
+                     str(out), "--min-tail", "10", "--smallworld-replicas",
+                     "2", "--resilience-reps", "2", *self.FLAGS])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "legisnet report-all [legisnet.heavytail]: power-law fit needs"
+            " >= 50 positive observations, got 47",
+            "legisnet report-all [legisnet.temporal]: densification fit"
+            " needs >= 3 usable snapshots, got 2",
+        ]
+        report = read_report(out / "report.json")["results"]
+        assert report["temporal"] == {
+            "error": "densification fit needs >= 3 usable snapshots, got 2"}
+        assert set(report["powerlaw"]) == {"error"}
+        assert report["structure"]["nodes"] == report["nodes"] == 120
+        assert sum(report["bowtie"]["sizes"].values()) == 120
+        assert isinstance(report["smallworld"]["small_world_verdict"], bool)
+        assert len(report["resilience"]) == 3
+        assert {p.name for p in out.glob("report_*.csv")} == {
+            "report_degree_histogram.csv", "report_lorenz.csv",
+            "report_distances.csv", "report_clustering_by_degree.csv",
+            "report_resilience.csv"}
 
 
 class TestEnvironment:

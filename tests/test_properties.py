@@ -1,9 +1,11 @@
-"""Property tests over small generated corpora.
+"""Property tests over small generated corpora and graphs.
 
 Corpora have unsorted ids, duplicate reference triples, one- and
 two-sided amendment pairs, and dangling targets (ingested leniently).
 Every derived graph is checked against a recount from the parent's
-``documents()`` and ``references()``.
+``documents()`` and ``references()``.  Drawn digraphs check that the
+bow-tie classes partition the nodes and that resilience curves only
+fall.
 """
 
 from __future__ import annotations
@@ -11,18 +13,25 @@ from __future__ import annotations
 import json
 from datetime import date, timedelta
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legisnet import (
     RECIPROCAL_TYPES,
+    LegalDocument,
+    Reference,
     RefType,
+    ResilienceConfig,
     Sector,
+    build_graph,
+    decompose,
     export_text,
     filter_reftype,
     filter_sector,
     ingest,
     read_records,
+    simulate,
     snapshot,
 )
 
@@ -119,3 +128,74 @@ def test_ingest_report_counts(records):
     assert sum(report.per_type_counts.values()) == report.edges
     assert report.deduplicated == len(offered) - report.edges
     assert report.nodes == len(records) + report.stubs
+
+
+def digraph(n: int, pairs):
+    names = [f"d{i:02d}" for i in range(n)]
+    return build_graph(
+        (LegalDocument(name, Sector.LEGISLATION, START) for name in names),
+        (Reference(names[u], names[v], RefType.OTHER) for u, v in pairs))
+
+
+def extra_pairs(n: int, max_size: int):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda p: p[0] != p[1]), max_size=max_size)
+
+
+@st.composite
+def bowtie_digraphs(draw):
+    """A drawn bow-tie anatomy plus a few random extra edges.
+
+    Each IN node points into the core cycle, the core points at each OUT
+    node, a tube runs from an IN node to an OUT node, and a tendril
+    hangs off an IN node or leads into an OUT node.  Extra edges may
+    move nodes between classes; the partition must hold either way.
+    """
+    sizes = [draw(st.integers(1, 5))] + [draw(st.integers(0, 5))
+                                         for _ in range(5)]
+    bounds = np.cumsum([0] + sizes)
+    core, ins, outs, tubes, tendrils, _ = (
+        list(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    n = int(bounds[-1])
+
+    def pick(nodes):
+        return draw(st.sampled_from(nodes))
+
+    pairs = list(zip(core, core[1:] + core[:1]))
+    pairs += [(i, pick(core)) for i in ins] + [(pick(core), o) for o in outs]
+    if ins and outs:
+        for t in tubes:
+            pairs += [(pick(ins), t), (t, pick(outs))]
+    for t in tendrils if ins or outs else ():
+        from_in = ins and (not outs or draw(st.booleans()))
+        pairs.append((pick(ins), t) if from_in else (t, pick(outs)))
+    pairs += draw(extra_pairs(n, max_size=3))
+    return digraph(n, [(u, v) for u, v in pairs if u != v])
+
+
+@st.composite
+def random_digraphs(draw, min_nodes: int):
+    n = draw(st.integers(min_nodes, min_nodes + 30))
+    return digraph(n, draw(extra_pairs(n, max_size=3 * n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bowtie_digraphs())
+def test_bowtie_classes_partition_the_nodes(graph):
+    classes = list(decompose(graph).sets().values())
+    assert len(classes) == 6
+    assert sum(len(c) for c in classes) == graph.node_count
+    assert set().union(*classes) == set(graph.ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_digraphs(min_nodes=20),
+       st.sampled_from(["random", "targeted_by_degree"]),
+       st.sampled_from([0.05, 0.2, 0.5]), st.integers(0, 100))
+def test_resilience_curve_only_falls(graph, strategy, step, seed):
+    config = ResilienceConfig(strategy=strategy, step_fraction=step,
+                              repetitions=3, seed=seed)
+    curve = simulate(graph, config)
+    gc = curve.gc_of_original()
+    assert all(later <= earlier for earlier, later in zip(gc, gc[1:]))
+    assert all(0.0 <= value <= 1.0 for point in curve.points for value in point)
