@@ -25,6 +25,9 @@ analysis is undefined for the input holds ``{"error": message}``: the
 other sections and their CSVs are still written, each failure prints
 one line to stderr, and the command exits 4.
 
+A count flag (``COUNT_FLAGS``) below 1 exits 2 before any stage runs,
+and warnings print as one stderr line each.
+
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 compute.
 """
 
@@ -36,8 +39,10 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from datetime import date, datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +76,10 @@ from .temporal import densification_fit, evolution_series
 from .util import format_float, round_floats
 
 NETWORK_PRESETS = ("LN", "RN", "ICN", "LBN")
+
+# Replica, repetition and tail-size flags; each needs a value >= 1.
+COUNT_FLAGS = ("bootstrap", "min_tail", "replicas", "reps",
+               "smallworld_replicas", "resilience_reps")
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -676,11 +685,33 @@ def _complain(command: str, exc: LegisnetError) -> None:
     print(f"legisnet {command} [{_origin_module(exc)}]: {exc}", file=sys.stderr)
 
 
+def _warn(command: str, message, *_) -> None:
+    """``warnings.showwarning`` as one stderr line naming the module that
+    warned: the innermost legisnet frame on the stack."""
+    frame = sys._getframe(1)
+    while frame is not None and not frame.f_globals.get(
+            "__name__", "").startswith("legisnet"):
+        frame = frame.f_back
+    origin = frame.f_globals["__name__"] if frame is not None else "legisnet"
+    print(f"legisnet {command} [{origin}]: warning: {message}", file=sys.stderr)
+
+
+def _check_counts(args: argparse.Namespace) -> None:
+    for dest in COUNT_FLAGS:
+        value = vars(args).get(dest)
+        if value is not None and value < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        _check_counts(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = partial(_warn, args.command)
+            return args.handler(args)
     except LegisnetError as exc:
         _complain(args.command, exc)
         if isinstance(exc, ConfigError):

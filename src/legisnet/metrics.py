@@ -4,19 +4,31 @@ Degree statistics and connected components read the typed directed
 multigraph.  Clustering, path lengths, and assortativity are measured
 on the simple undirected projection; path metrics are restricted to
 the giant component.
+
+Path lengths come from a bit-parallel multi-source BFS (Then et al.,
+"The More the Merrier", VLDB 2015).  Sources traverse in chunks of at
+most 512, packed 64 to a uint64 word, and the histogram grows one BFS
+level at a time, so no distance matrix is ever built.  A chunk of w
+words holds the visited, frontier and reached bit rows (3 * n * w * 8
+bytes) plus the frontier words gathered over every stored edge
+(nnz * w * 8 bytes): about 31 MB at 50,000 nodes and 332,000 stored
+entries, where a 256 x n float64 distance block took 102 MB.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from .errors import AnalysisError, ConfigError, ValidationError
 from .graph import LegislationGraph
 from .util import rng_for
+
+CHUNK_WORDS = 8  # uint64 words of sources per BFS chunk: 512 sources
 
 
 @dataclass
@@ -260,27 +272,43 @@ def components(graph: LegislationGraph) -> ComponentReport:
 # -- path metrics ------------------------------------------------------------
 
 
-def distance_histogram(csr: csr_matrix, source_indices: np.ndarray,
-                       batch_size: int = 256) -> dict[int, int]:
+def distance_histogram(csr: csr_matrix, source_indices: np.ndarray) -> dict[int, int]:
     """Counts of finite shortest-path lengths from the given sources.
 
     Ordered pairs (source, target) with target != source; unreachable
-    pairs are skipped.
+    pairs are skipped.  Distances follow stored entries ``csr[u, v]``
+    as edges u -> v.  Source j of a chunk owns bit j of every node's
+    row of words; each BFS level ORs the frontier rows of a node's
+    in-neighbours, masks out visited bits and counts the new ones.
     """
-    hist = np.zeros(1, dtype=np.int64)
-    for start in range(0, len(source_indices), batch_size):
-        chunk = source_indices[start:start + batch_size]
-        dist = dijkstra(csr, directed=True, unweighted=True, indices=chunk)
-        dist = np.atleast_2d(dist)
-        finite = dist[np.isfinite(dist)].astype(np.int64)
-        finite = finite[finite > 0]
-        if len(finite) == 0:
-            continue
-        top = finite.max()
-        if top >= len(hist):
-            hist = np.concatenate([hist, np.zeros(top + 1 - len(hist), np.int64)])
-        hist += np.bincount(finite, minlength=len(hist))
-    return {int(d): int(c) for d, c in enumerate(hist) if c > 0}
+    sources = np.asarray(source_indices, dtype=np.int64)
+    n = csr.shape[0]
+    incoming = csr.T.tocsr()  # row v lists every u with an edge u -> v
+    rows = np.flatnonzero(np.diff(incoming.indptr))
+    if len(rows) == 0:
+        return {}
+    starts = incoming.indptr[rows]
+    hist = [0]
+    for start in range(0, len(sources), 64 * CHUNK_WORDS):
+        chunk = sources[start:start + 64 * CHUNK_WORDS]
+        bit = np.arange(len(chunk))
+        visited = np.zeros((n, -(-len(chunk) // 64)), dtype=np.uint64)
+        np.bitwise_or.at(visited, (chunk, bit // 64),
+                         np.uint64(1) << (bit % 64).astype(np.uint64))
+        frontier = visited.copy()
+        for level in itertools.count(1):
+            reached = np.zeros_like(visited)
+            reached[rows] = np.bitwise_or.reduceat(
+                frontier[incoming.indices], starts, axis=0)
+            frontier = reached & ~visited
+            found = int(np.bitwise_count(frontier).sum())
+            if not found:
+                break
+            if level == len(hist):
+                hist.append(0)
+            hist[level] += found
+            visited |= frontier
+    return {d: c for d, c in enumerate(hist) if c > 0}
 
 
 def path_stats_from_csr(csr: csr_matrix, ids: tuple[str, ...] | None,

@@ -196,14 +196,39 @@ class TestOtherCommands:
         members = (tmp_path / "bowtie_members.csv").read_bytes()
         assert members.count(b"\r\n") >= 400
 
-    def test_powerlaw(self, tmp_path, corpus_path):
+    def test_powerlaw(self, tmp_path, capsys, corpus_path):
         assert main(["powerlaw", "--input", str(corpus_path), "--direction",
                      "in", "--bootstrap", "20", "--output-dir",
                      str(tmp_path), "--seed", "5"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet powerlaw [legisnet.heavytail]: warning: bootstrap m=20"
+            " below 2500: p-value resolution is limited to 0.05"]
         report = read_report(tmp_path / "powerlaw.json")
         assert report["results"]["gamma"] > 1.0
         assert 0.0 <= report["results"]["p_value"] <= 1.0
         assert (tmp_path / "powerlaw_ccdf_in.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["powerlaw", "--bootstrap", "0"],
+        ["powerlaw", "--min-tail", "0"],
+        ["powerlaw", "--min-tail", "-1"],
+        ["smallworld", "--replicas", "0"],
+        ["resilience", "--reps", "0"],
+        ["report-all", "--bootstrap", "0"],
+        ["report-all", "--min-tail", "0"],
+        ["report-all", "--smallworld-replicas", "0"],
+        ["report-all", "--resilience-reps", "-3"],
+    ])
+    def test_count_below_one_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                      corpus_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(corpus_path),
+                     "--output-dir", str(out)]) == 2
+        command, flag, value = argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"legisnet {command} [legisnet.cli]: {flag} must be >= 1,"
+            f" got {value}"]
+        assert not out.exists()
 
     def test_smallworld(self, tmp_path, corpus_path):
         assert main(["smallworld", "--input", str(corpus_path), "--replicas",

@@ -5,7 +5,9 @@ two-sided amendment pairs, and dangling targets (ingested leniently).
 Every derived graph is checked against a recount from the parent's
 ``documents()`` and ``references()``.  Drawn digraphs check that the
 bow-tie classes partition the nodes and that resilience curves only
-fall.
+fall.  The two traversal kernels are checked against the algorithms
+they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
+per-boundary ``connected_components`` recount for resilience curves.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from datetime import date, timedelta
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from legisnet import (
     RECIPROCAL_TYPES,
@@ -34,6 +38,8 @@ from legisnet import (
     simulate,
     snapshot,
 )
+from legisnet.metrics import distance_histogram
+from legisnet.resilience import _curve_for_order, removal_boundaries
 
 DANGLING = ("~1", "~2")  # never drawn as document ids
 START = date(1950, 1, 1)
@@ -199,3 +205,75 @@ def test_resilience_curve_only_falls(graph, strategy, step, seed):
     gc = curve.gc_of_original()
     assert all(later <= earlier for earlier, later in zip(gc, gc[1:]))
     assert all(0.0 <= value <= 1.0 for point in curve.points for value in point)
+
+
+def dijkstra_histogram(csr, sources) -> dict[int, int]:
+    """Oracle: counts of finite nonzero unweighted dijkstra distances."""
+    if len(sources) == 0:
+        return {}
+    dist = dijkstra(csr, directed=True, unweighted=True, indices=sources)
+    finite = dist[np.isfinite(dist) & (dist > 0)].astype(np.int64)
+    lengths, counts = np.unique(finite, return_counts=True)
+    return dict(zip(lengths.tolist(), counts.tolist()))
+
+
+@st.composite
+def bfs_cases(draw):
+    """A sparse digraph (duplicate edges, isolated and unreachable nodes)
+    and sources whose count crosses the 64-bit word and 512-source chunk
+    boundaries; sources repeat when they outnumber the nodes."""
+    n = draw(st.integers(1, 30) | st.integers(500, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(0, 2 * n))
+    rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+    csr = sparse.csr_matrix((np.ones(m), (rows, cols)), shape=(n, n))
+    count = draw(st.sampled_from([0, 1, 63, 64, 65, 511, 512, 513, 1100])
+                 | st.integers(0, 1100))
+    sources = rng.choice(n, size=count, replace=count > n)
+    return csr, sources
+
+
+@settings(max_examples=60, deadline=None)
+@given(bfs_cases(), st.booleans())
+def test_bfs_histogram_equals_dijkstra(case, directed):
+    csr, sources = case
+    if not directed:
+        csr = (csr + csr.T).tocsr()
+    assert distance_histogram(csr, sources) == dijkstra_histogram(csr, sources)
+
+
+def recount_curve(order, pair_u, pair_v, n, boundaries) -> list[int]:
+    """Oracle: giant size among the nodes left at each boundary, by
+    connected_components on the surviving subgraph."""
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    sizes = []
+    for boundary in [0] + boundaries:
+        alive = rank >= boundary
+        if not alive.any():
+            sizes.append(0)
+            continue
+        keep = alive[pair_u] & alive[pair_v]
+        adj = sparse.csr_matrix(
+            (np.ones(int(keep.sum())), (pair_u[keep], pair_v[keep])),
+            shape=(n, n))
+        _, labels = connected_components(adj, directed=False)
+        sizes.append(int(np.bincount(labels[alive]).max()))
+    return sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+           st.just(n), st.permutations(range(n)),
+           st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    max_size=3 * n))),
+       st.sampled_from([0.05, 0.2, 0.5]), st.sampled_from([0.5, 0.99, 1.0]))
+def test_union_find_curve_equals_recount(drawn, step, stop_at):
+    n, order, drawn_pairs = drawn
+    pairs = sorted({(min(p), max(p)) for p in drawn_pairs if p[0] != p[1]})
+    pair_u = np.array([u for u, _ in pairs], dtype=np.int64)
+    pair_v = np.array([v for _, v in pairs], dtype=np.int64)
+    order = np.array(order, dtype=np.int64)
+    boundaries = removal_boundaries(n, step, stop_at)
+    curve = _curve_for_order(order, pair_u, pair_v, n, boundaries)
+    assert curve.tolist() == recount_curve(order, pair_u, pair_v, n, boundaries)
