@@ -64,7 +64,7 @@ def _reach(step_matrix: csr_matrix, seeds: np.ndarray) -> np.ndarray:
 
 
 def decompose(graph: LegislationGraph) -> BowTieDecomposition:
-    """Partition a sealed non-empty graph into bow-tie components."""
+    """Partition a non-empty graph into bow-tie components."""
     n = graph.node_count
     if n == 0:
         raise AnalysisError("bow-tie decomposition is undefined on an empty graph")

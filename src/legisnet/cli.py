@@ -670,11 +670,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _module_name(frame) -> str:
+    """Name of the module running ``frame``.  Under ``python -m`` its
+    ``__name__`` is ``__main__``; its spec keeps the dotted name."""
+    spec = frame.f_globals.get("__spec__")
+    return spec.name if spec is not None else frame.f_globals.get("__name__", "")
+
+
 def _origin_module(exc: BaseException) -> str:
     tb = exc.__traceback__
     origin = "legisnet"
     while tb is not None:
-        module = tb.tb_frame.f_globals.get("__name__", "")
+        module = _module_name(tb.tb_frame)
         if module.startswith("legisnet"):
             origin = module
         tb = tb.tb_next
@@ -689,10 +696,9 @@ def _warn(command: str, message, *_) -> None:
     """``warnings.showwarning`` as one stderr line naming the module that
     warned: the innermost legisnet frame on the stack."""
     frame = sys._getframe(1)
-    while frame is not None and not frame.f_globals.get(
-            "__name__", "").startswith("legisnet"):
+    while frame is not None and not _module_name(frame).startswith("legisnet"):
         frame = frame.f_back
-    origin = frame.f_globals["__name__"] if frame is not None else "legisnet"
+    origin = _module_name(frame) if frame is not None else "legisnet"
     print(f"legisnet {command} [{origin}]: warning: {message}", file=sys.stderr)
 
 

@@ -154,7 +154,7 @@ def write_records(records: Iterable[DocumentRecord], stream: IO[str]) -> None:
 
 def ingest(records: Iterable[DocumentRecord | str],
            mode: str = "strict") -> tuple[LegislationGraph, IngestReport]:
-    """Build a sealed graph from records.
+    """Build a graph from records.
 
     ``mode`` is ``strict`` (references to unknown ids abort) or
     ``lenient`` (unknown targets become stub documents: sector 3,
@@ -218,8 +218,7 @@ def ingest(records: Iterable[DocumentRecord | str],
                 dst.append(i)
                 kind.append(reftype_code(reciprocal))
 
-    graph = LegislationGraph.from_columns(ids, sector, effect, expiry,
-                                          src, dst, kind)
+    graph = LegislationGraph(ids, sector, effect, expiry, src, dst, kind)
     counts = np.bincount(graph.edge_arrays()[2], minlength=len(RefType))
     report = IngestReport(
         nodes=graph.node_count,
@@ -239,8 +238,6 @@ def export(graph: LegislationGraph) -> Iterator[DocumentRecord]:
     ingest/export cycles are byte-stable; ``ingest(export(g))``
     reproduces the node and typed-edge sets of ``g`` exactly.
     """
-    if not graph.sealed:
-        raise CorpusError("export requires a sealed graph")
     ids = graph.ids
     src, dst, kind = graph.edge_arrays()
     order = np.lexsort((_TOKEN_RANK[kind], graph.id_ranks()[dst], src))

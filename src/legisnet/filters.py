@@ -1,7 +1,7 @@
 """Sub-network extraction: sector filters, relation filters, snapshots.
 
-All three operations are pure functions on a sealed graph and return
-new sealed graphs, so they compose in any order and are safe to call
+All three operations are pure functions on an immutable graph and
+return new graphs, so they compose in any order and are safe to call
 concurrently.
 """
 
@@ -11,20 +11,17 @@ from datetime import date
 
 import numpy as np
 
-from .errors import ValidationError
 from .graph import LegislationGraph, RefType, Sector, reftype_code
 
 
 def filter_sector(graph: LegislationGraph, sector: Sector) -> LegislationGraph:
     """Keep only documents of ``sector`` and edges joining two survivors."""
-    _require_sealed(graph)
     mask = graph.sector_codes() == sector.value
     return graph.induced_subgraph(mask)
 
 
 def filter_reftype(graph: LegislationGraph, kind: RefType) -> LegislationGraph:
     """Keep every document but only edges of ``kind``."""
-    _require_sealed(graph)
     _, _, kinds = graph.edge_arrays()
     node_mask = np.ones(graph.node_count, dtype=bool)
     return graph.induced_subgraph(node_mask, kinds == reftype_code(kind))
@@ -32,7 +29,6 @@ def filter_reftype(graph: LegislationGraph, kind: RefType) -> LegislationGraph:
 
 def active_mask(graph: LegislationGraph, at: date) -> np.ndarray:
     """Boolean mask of documents whose validity interval contains ``at``."""
-    _require_sealed(graph)
     effect, expiry = graph.date_ordinals()
     when = at.toordinal()
     return (effect <= when) & (when <= expiry)
@@ -53,12 +49,6 @@ def annual_series(graph: LegislationGraph, years: tuple[int, int],
 
     An inverted range yields an empty list.
     """
-    _require_sealed(graph)
     start, end = years
     return [(year, snapshot(graph, date(year, 12, 31)))
             for year in range(start, end + 1)]
-
-
-def _require_sealed(graph: LegislationGraph) -> None:
-    if not graph.sealed:
-        raise ValidationError("filters require a sealed graph")

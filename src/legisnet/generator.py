@@ -117,7 +117,7 @@ def _cumulative(weights: Sequence[float]) -> np.ndarray:
 
 
 def generate(config: GeneratorConfig) -> LegislationGraph:
-    """Generate a sealed graph; byte-identical output for a fixed seed."""
+    """Generate a graph; byte-identical output for a fixed seed."""
     config.validate()
     rng = np.random.default_rng(config.seed)
     sector_cum = _cumulative(config.sector_weights)
@@ -171,8 +171,8 @@ def generate(config: GeneratorConfig) -> LegislationGraph:
 
     assert len(ids) == total_docs
     src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    return LegislationGraph.from_columns(ids, sector_codes, effect_ords,
-                                         expiry_ords, src, dst, kind)
+    return LegislationGraph(ids, sector_codes, effect_ords, expiry_ords,
+                            src, dst, kind)
 
 
 def _citation_propensities(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -32,6 +32,10 @@ from .util import parallel_map, rng_for
 DEFAULT_BOOTSTRAP_M = 2500
 MIN_OBSERVATIONS = 50
 MIN_TAIL = 25
+# PowerLawSampler's CDF table stops at this survival probability or
+# after this many values; draws beyond it bisect the survival function
+TABLE_FLOOR = 1e-6
+MAX_TABLE = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -163,20 +167,18 @@ def _exact_mle(tail_logsum: float, n_tail: int, x_min: int) -> float:
 class PowerLawSampler:
     """Inverse-CDF sampler for the discrete power law on x >= x_min.
 
-    A CDF table covers the bulk; the far tail (beyond ``table_floor``
+    A CDF table covers the bulk; the far tail (beyond ``TABLE_FLOOR``
     survival probability) falls back to bisection on the zeta-based
     survival function.
     """
 
-    def __init__(self, gamma: float, x_min: int, table_floor: float = 1e-6,
-                 max_table: int = 4_000_000) -> None:
+    def __init__(self, gamma: float, x_min: int) -> None:
         if gamma <= 1.0:
             raise ValidationError("power-law exponent must exceed 1")
         self.gamma = float(gamma)
         self.x_min = int(x_min)
-        span = (table_floor ** (-1.0 / (self.gamma - 1.0))
-                if self.gamma > 1.0 else max_table)
-        top = min(int(self.x_min * span) + 2, self.x_min + max_table)
+        span = TABLE_FLOOR ** (-1.0 / (self.gamma - 1.0))
+        top = min(int(self.x_min * span) + 2, self.x_min + MAX_TABLE)
         values = np.arange(self.x_min, top + 1, dtype=np.int64)
         self._norm = float(zeta(self.gamma, float(self.x_min)))
         survival = zeta(self.gamma, values + 1.0) / self._norm

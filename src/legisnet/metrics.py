@@ -29,6 +29,8 @@ from .graph import LegislationGraph
 from .util import rng_for
 
 CHUNK_WORDS = 8  # uint64 words of sources per BFS chunk: 512 sources
+# least number of nodes a degree needs to enter the C(k) log-log slope
+MIN_DEGREE_COUNT = 5
 
 
 @dataclass
@@ -189,8 +191,8 @@ def local_clustering_from_pairs(n: int, pair_u: np.ndarray,
     return local
 
 
-def clustering_profile_from_pairs(n: int, pair_u: np.ndarray, pair_v: np.ndarray,
-                                  min_count: int = 5) -> ClusteringProfile:
+def clustering_profile_from_pairs(n: int, pair_u: np.ndarray,
+                                  pair_v: np.ndarray) -> ClusteringProfile:
     if n == 0:
         return ClusteringProfile(0.0, {}, float("nan"))
     local = local_clustering_from_pairs(n, pair_u, pair_v)
@@ -203,14 +205,13 @@ def clustering_profile_from_pairs(n: int, pair_u: np.ndarray, pair_v: np.ndarray
         sel = degrees == k
         per_degree[int(k)] = float(local[sel].mean())
         counts[int(k)] = int(sel.sum())
-    slope = _loglog_slope(per_degree, counts, min_count)
+    slope = _loglog_slope(per_degree, counts)
     return ClusteringProfile(float(local.mean()), per_degree, slope)
 
 
-def _loglog_slope(per_degree: dict[int, float], counts: dict[int, int],
-                  min_count: int) -> float:
+def _loglog_slope(per_degree: dict[int, float], counts: dict[int, int]) -> float:
     ks = [k for k, c in per_degree.items()
-          if k >= 1 and c > 0 and counts[k] >= min_count]
+          if k >= 1 and c > 0 and counts[k] >= MIN_DEGREE_COUNT]
     if len(ks) < 2:
         return float("nan")
     x = np.log(np.array(ks, dtype=float))
@@ -219,15 +220,14 @@ def _loglog_slope(per_degree: dict[int, float], counts: dict[int, int],
     return float(slope)
 
 
-def clustering(graph: LegislationGraph, min_count: int = 5) -> ClusteringProfile:
+def clustering(graph: LegislationGraph) -> ClusteringProfile:
     """Clustering profile of the simple undirected projection.
 
     The log-log slope regresses log C(k) on log k over degrees with at
-    least ``min_count`` nodes and positive mean coefficient.
+    least ``MIN_DEGREE_COUNT`` nodes and positive mean coefficient.
     """
     proj = graph.simple_projection()
-    return clustering_profile_from_pairs(proj.n, proj.pair_u, proj.pair_v,
-                                         min_count=min_count)
+    return clustering_profile_from_pairs(proj.n, proj.pair_u, proj.pair_v)
 
 
 # -- components --------------------------------------------------------------
@@ -258,8 +258,6 @@ def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
 
 def components(graph: LegislationGraph) -> ComponentReport:
     """Largest weakly connected component and isolated-node count."""
-    if not graph.sealed:
-        raise ValidationError("components requires a sealed graph")
     n = graph.node_count
     if n == 0:
         return ComponentReport(frozenset(), 0.0, 0)
@@ -361,8 +359,6 @@ def path_metrics(graph: LegislationGraph, mode: str = "exact",
     same node set (the weak giant component) and average over ordered
     reachable pairs.
     """
-    if not graph.sealed:
-        raise ValidationError("path metrics require a sealed graph")
     mask = giant_component_mask(graph)
     if int(mask.sum()) < 2:
         raise AnalysisError("giant component has fewer than 2 nodes")

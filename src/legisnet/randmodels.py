@@ -35,6 +35,8 @@ from .util import derive_seed, parallel_map
 
 _ER_EFFECT = date(1951, 1, 1)
 _PERMUTATION_LIMIT = 2_000_000
+# giant components up to this size get exact path lengths in auto mode
+EXACT_BELOW = 2000
 
 
 @dataclass
@@ -93,7 +95,7 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
         dst = np.empty(0, dtype=np.int64)
     kind = np.full(len(src), reftype_code(RefType.INSTRUMENTS_CITED),
                    dtype=np.int8)
-    return LegislationGraph.from_columns(
+    return LegislationGraph(
         tuple(f"ER{i:07d}" for i in range(n)),
         np.full(n, Sector.LEGISLATION.value),
         np.full(n, _ER_EFFECT.toordinal()),
@@ -104,7 +106,7 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
 
 def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
                         path_sources: int, path_seed: int,
-                        exact_below: int) -> tuple[int, int, float, float] | None:
+                        ) -> tuple[int, int, float, float] | None:
     """(gc size, gc projection edges, C, L) of the giant component.
 
     Returns None when the giant component is too small to measure.
@@ -120,19 +122,17 @@ def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
     c_value = clustering_profile_from_pairs(n_gc, pair_u, pair_v).global_avg
     mode = path_mode
     if mode == "auto":
-        mode = "exact" if n_gc <= exact_below else "sampled"
+        mode = "exact" if n_gc <= EXACT_BELOW else "sampled"
     stats = path_stats_from_csr(sub, None, mode=mode, sources=path_sources,
                                 seed=path_seed)
     return n_gc, len(pair_u), c_value, stats.average_path_length
 
 
 def _null_measure(replica: int, n: int, m: int, seed: int, path_mode: str,
-                  path_sources: int, exact_below: int,
-                  ) -> tuple[float, float] | None:
+                  path_sources: int) -> tuple[float, float] | None:
     null = erdos_renyi(n, m, seed=derive_seed(seed, "er-null", replica))
     measured = _gc_path_clustering(null, path_mode, path_sources,
-                                   derive_seed(seed, "er-null-path", replica),
-                                   exact_below)
+                                   derive_seed(seed, "er-null-path", replica))
     if measured is None:
         return None
     _, _, c_value, l_value = measured
@@ -143,7 +143,6 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
                         seed: int = 0, length_factor: float = 1.5,
                         clustering_factor: float = 10.0,
                         path_mode: str = "auto", path_sources: int = 1000,
-                        exact_below: int = 2000,
                         n_jobs: int = 1) -> SmallWorldReport:
     """Compare clustering and path length against size-matched nulls.
 
@@ -155,14 +154,13 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
     if replicas < 1:
         raise ConfigError("at least one null replica is required")
     measured = _gc_path_clustering(graph, path_mode, path_sources,
-                                   derive_seed(seed, "net-path"), exact_below)
+                                   derive_seed(seed, "net-path"))
     if measured is None or measured[0] < 10:
         raise AnalysisError("giant component must have >= 10 nodes")
     n_gc, gc_edges, c_net, l_net = measured
 
     worker = partial(_null_measure, n=graph.node_count, m=graph.edge_count,
-                     seed=seed, path_mode=path_mode, path_sources=path_sources,
-                     exact_below=exact_below)
+                     seed=seed, path_mode=path_mode, path_sources=path_sources)
     rows = parallel_map(worker, list(range(replicas)), n_jobs=n_jobs)
     usable = [row for row in rows if row is not None]
     skipped = replicas - len(usable)

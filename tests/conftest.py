@@ -37,9 +37,7 @@ def random_digraph(rng: np.random.Generator, n: int,
                    edges_per_node: float) -> LegislationGraph:
     """Random directed graph with ~edges_per_node * n distinct edges."""
     m_target = int(edges_per_node * n)
-    g = LegislationGraph()
-    for i in range(n):
-        g.add_document(doc(f"n{i:04d}"))
+    refs = []
     seen = set()
     kinds = list(RefType)
     attempts = 0
@@ -52,22 +50,22 @@ def random_digraph(rng: np.random.Generator, n: int,
         if (u, v, kind) in seen:
             continue
         seen.add((u, v, kind))
-        g.add_reference(Reference(f"n{u:04d}", f"n{v:04d}", kind))
-    return g.seal()
+        refs.append(Reference(f"n{u:04d}", f"n{v:04d}", kind))
+    return build_graph((doc(f"n{i:04d}") for i in range(n)), refs)
 
 
 @pytest.fixture
 def amendment_chain_graph():
     """One directive amended twice: 3 nodes, 4 directed amendment edges."""
-    g = LegislationGraph()
-    g.add_document(doc("370L0220", effect=date(1970, 3, 20)))
-    g.add_document(doc("383L0351", effect=date(1983, 6, 16)))
-    g.add_document(doc("389L0491", effect=date(1989, 7, 17)))
-    g.add_reference(Reference("383L0351", "370L0220", RefType.AMENDMENT_TO))
-    g.add_reference(Reference("370L0220", "383L0351", RefType.AMENDED_BY))
-    g.add_reference(Reference("389L0491", "370L0220", RefType.AMENDMENT_TO))
-    g.add_reference(Reference("370L0220", "389L0491", RefType.AMENDED_BY))
-    return g.seal()
+    return build_graph(
+        [doc("370L0220", effect=date(1970, 3, 20)),
+         doc("383L0351", effect=date(1983, 6, 16)),
+         doc("389L0491", effect=date(1989, 7, 17))],
+        [Reference("383L0351", "370L0220", RefType.AMENDMENT_TO),
+         Reference("370L0220", "383L0351", RefType.AMENDED_BY),
+         Reference("389L0491", "370L0220", RefType.AMENDMENT_TO),
+         Reference("370L0220", "389L0491", RefType.AMENDED_BY)],
+    )
 
 
 AMENDMENT_CHAIN_JSONL = "\n".join([

@@ -7,7 +7,6 @@ import pytest
 
 from legisnet import (
     AnalysisError,
-    LegislationGraph,
     Reference,
     RefType,
     build_graph,
@@ -87,18 +86,16 @@ def oracle_for_graph(graph):
 
 def random_digraph_for_bowtie(rng, n, density):
     m = max(1, int(density * n))
-    g = LegislationGraph()
-    for i in range(n):
-        g.add_document(doc(f"n{i:04d}"))
+    refs = []
     seen = set()
     while len(seen) < m:
         u, v = int(rng.integers(n)), int(rng.integers(n))
         if u == v or (u, v) in seen:
             continue
         seen.add((u, v))
-        g.add_reference(Reference(f"n{u:04d}", f"n{v:04d}",
-                                  RefType.INSTRUMENTS_CITED))
-    return g.seal()
+        refs.append(Reference(f"n{u:04d}", f"n{v:04d}",
+                              RefType.INSTRUMENTS_CITED))
+    return build_graph((doc(f"n{i:04d}") for i in range(n)), refs)
 
 
 # -- hand-derived examples -----------------------------------------------------

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import legisnet
 from legisnet.cli import main
 
 
@@ -381,6 +385,18 @@ class TestEnvironment:
         with pytest.raises(SystemExit) as err:
             main(["metrics", "--frobnicate"])
         assert err.value.code == 2
+
+    def test_module_run_names_cli_module(self, tmp_path):
+        # under ``python -m`` the CLI module's __name__ is __main__
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-m", "legisnet.cli", "powerlaw", "--bootstrap",
+             "0", "--input", os.devnull],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            "legisnet powerlaw [legisnet.cli]: --bootstrap must be >= 1, got 0"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -178,7 +178,6 @@ class TestComposition:
         for sub in (filter_sector(g, Sector.LEGISLATION),
                     filter_reftype(g, RefType.LEGAL_BASIS),
                     snapshot(g, date(1993, 12, 31))):
-            assert sub.sealed
             assert sub.degree_array("in").sum() == sub.edge_count
             assert sub.degree_array("out").sum() == sub.edge_count
             ids = id_set(sub)

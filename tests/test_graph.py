@@ -8,7 +8,6 @@ import pytest
 from legisnet import (
     SENTINEL_EXPIRY,
     LegalDocument,
-    LegislationGraph,
     Reference,
     RefType,
     Sector,
@@ -20,19 +19,17 @@ from conftest import doc, quick_graph, random_digraph
 
 
 class TestDocuments:
-    def test_add_document(self):
-        g = LegislationGraph()
-        g.add_document(LegalDocument("370L0220", Sector.LEGISLATION,
-                                     date(1970, 3, 20), SENTINEL_EXPIRY))
+    def test_build_document(self):
+        g = build_graph([LegalDocument("370L0220", Sector.LEGISLATION,
+                                       date(1970, 3, 20), SENTINEL_EXPIRY)], [])
         assert "370L0220" in g
         assert g.node_count == 1
         assert g.document("370L0220").date_of_effect == date(1970, 3, 20)
 
     def test_duplicate_id_rejected(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        with pytest.raises(ValidationError, match="'A'"):
-            g.add_document(doc("A"))
+        with pytest.raises(ValidationError,
+                           match="^duplicate document id 'A'$"):
+            build_graph([doc("A"), doc("A")], [])
 
     def test_inverted_interval_rejected(self):
         with pytest.raises(ValidationError):
@@ -55,19 +52,15 @@ class TestReferences:
         assert amendment_chain_graph.node_count == 3
 
     def test_duplicate_triple_deduplicated(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        g.add_document(doc("B"))
-        assert g.add_reference(Reference("A", "B", RefType.LEGAL_BASIS))
-        assert not g.add_reference(Reference("A", "B", RefType.LEGAL_BASIS))
+        g = build_graph([doc("A"), doc("B")],
+                        [Reference("A", "B", RefType.LEGAL_BASIS),
+                         Reference("A", "B", RefType.LEGAL_BASIS)])
         assert g.edge_count == 1
 
     def test_same_pair_different_type_kept(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        g.add_document(doc("B"))
-        g.add_reference(Reference("A", "B", RefType.LEGAL_BASIS))
-        g.add_reference(Reference("A", "B", RefType.INSTRUMENTS_CITED))
+        g = build_graph([doc("A"), doc("B")],
+                        [Reference("A", "B", RefType.LEGAL_BASIS),
+                         Reference("A", "B", RefType.INSTRUMENTS_CITED)])
         assert g.edge_count == 2
 
     def test_self_loop_rejected(self):
@@ -75,65 +68,39 @@ class TestReferences:
             Reference("A", "A", RefType.INSTRUMENTS_CITED)
 
     def test_missing_endpoint_named(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        with pytest.raises(ValidationError, match="'B'"):
-            g.add_reference(Reference("A", "B", RefType.OTHER))
-
-
-class TestPhases:
-    def test_no_mutation_after_seal(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        g.seal()
-        with pytest.raises(ValidationError):
-            g.add_document(doc("B"))
-        with pytest.raises(ValidationError):
-            g.add_reference(Reference("A", "A2", RefType.OTHER))
-
-    def test_analysis_requires_seal(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        with pytest.raises(ValidationError):
-            g.edge_arrays()
-        with pytest.raises(ValidationError):
-            g.simple_projection()
-
-    def test_seal_idempotent(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        assert g.seal() is g.seal()
+        with pytest.raises(ValidationError, match="unknown document 'B'$"):
+            build_graph([doc("A")], [Reference("A", "B", RefType.OTHER)])
 
 
 class TestDegree:
     def test_star_in_degree(self):
         edges = [(f"s{i}", "hub") for i in range(5)]
         g = quick_graph(edges)
-        assert g.degree("hub", "in") == 5
-        assert g.degree("hub", "out") == 0
-        assert g.degree("hub", "total") == 5
+        hub = g.index_of("hub")
+        assert g.degree_array("in")[hub] == 5
+        assert g.degree_array("out")[hub] == 0
+        assert g.degree_array("total")[hub] == 5
 
     def test_parallel_types_typed_vs_projection(self):
         # one neighbour, three typed edges: typed total 3, projection 1
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        g.add_document(doc("B"))
-        for kind in (RefType.LEGAL_BASIS, RefType.INSTRUMENTS_CITED,
-                     RefType.OTHER):
-            g.add_reference(Reference("A", "B", kind))
-        g.seal()
-        assert g.degree("A", "total") == 3
-        assert g.degree("A", scope="projection") == 1
-        assert g.degree("B", scope="projection") == 1
+        g = build_graph([doc("A"), doc("B")],
+                        [Reference("A", "B", kind)
+                         for kind in (RefType.LEGAL_BASIS,
+                                      RefType.INSTRUMENTS_CITED,
+                                      RefType.OTHER)])
+        projected = g.simple_projection().degree_array()
+        assert g.degree_array("total")[g.index_of("A")] == 3
+        assert projected[g.index_of("A")] == 1
+        assert projected[g.index_of("B")] == 1
 
     def test_isolated_node(self):
         g = build_graph([doc("A")], [])
-        assert g.degree("A", "total") == 0
+        assert g.degree_array("total")[g.index_of("A")] == 0
 
     def test_unknown_id(self):
         g = build_graph([doc("A")], [])
         with pytest.raises(ValidationError):
-            g.degree("nope")
+            g.index_of("nope")
 
 
 class TestProjection:
@@ -142,27 +109,23 @@ class TestProjection:
         assert g.simple_projection().edge_count == 0
 
     def test_two_directions_collapse(self):
-        g = LegislationGraph()
-        g.add_document(doc("A"))
-        g.add_document(doc("B"))
-        g.add_reference(Reference("A", "B", RefType.LEGAL_BASIS))
-        g.add_reference(Reference("B", "A", RefType.INSTRUMENTS_CITED))
-        g.seal()
+        g = build_graph([doc("A"), doc("B")],
+                        [Reference("A", "B", RefType.LEGAL_BASIS),
+                         Reference("B", "A", RefType.INSTRUMENTS_CITED)])
         assert g.simple_projection().edge_count == 1
 
     def test_multilayer_collapse_hand_count(self):
         # 5 docs, 6 typed edges; collapsing parallel/antiparallel pairs
         # leaves exactly the 3 distinct undirected pairs counted by hand
-        g = LegislationGraph()
-        for name in "ABCDE":
-            g.add_document(doc(name))
-        g.add_reference(Reference("A", "B", RefType.LEGAL_BASIS))
-        g.add_reference(Reference("B", "A", RefType.INSTRUMENTS_CITED))
-        g.add_reference(Reference("A", "B", RefType.INSTRUMENTS_CITED))
-        g.add_reference(Reference("C", "D", RefType.LEGAL_BASIS))
-        g.add_reference(Reference("D", "E", RefType.INSTRUMENTS_CITED))
-        g.add_reference(Reference("E", "D", RefType.AMENDED_BY))
-        g.seal()
+        g = build_graph(
+            [doc(name) for name in "ABCDE"],
+            [Reference("A", "B", RefType.LEGAL_BASIS),
+             Reference("B", "A", RefType.INSTRUMENTS_CITED),
+             Reference("A", "B", RefType.INSTRUMENTS_CITED),
+             Reference("C", "D", RefType.LEGAL_BASIS),
+             Reference("D", "E", RefType.INSTRUMENTS_CITED),
+             Reference("E", "D", RefType.AMENDED_BY)],
+        )
         assert g.edge_count == 6
         assert g.simple_projection().edge_count == 3
 

@@ -3,9 +3,10 @@
 Corpora have unsorted ids, duplicate reference triples, one- and
 two-sided amendment pairs, and dangling targets (ingested leniently).
 Every derived graph is checked against a recount from the parent's
-``documents()`` and ``references()``.  Drawn digraphs check that the
-bow-tie classes partition the nodes and that resilience curves only
-fall.  The two traversal kernels are checked against the algorithms
+``documents()`` and ``references()``, and the graph constructor's edge
+columns against a pure-Python de-duplication.  Drawn digraphs check
+that the bow-tie classes partition the nodes and that resilience curves
+only fall.  The two traversal kernels are checked against the algorithms
 they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
 per-boundary ``connected_components`` recount for resilience curves.
 """
@@ -24,6 +25,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from legisnet import (
     RECIPROCAL_TYPES,
     LegalDocument,
+    LegislationGraph,
     Reference,
     RefType,
     ResilienceConfig,
@@ -134,6 +136,35 @@ def test_ingest_report_counts(records):
     assert sum(report.per_type_counts.values()) == report.edges
     assert report.deduplicated == len(offered) - report.edges
     assert report.nodes == len(records) + report.stubs
+
+
+@st.composite
+def edge_columns(draw):
+    """Node count and (src, dst, kind) triples, many of them repeated."""
+    n = draw(st.integers(1, 12))
+    drawn = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.integers(0, len(RefType) - 1)),
+                          max_size=25))
+    repeats = draw(st.lists(st.sampled_from(drawn), max_size=15)) if drawn else []
+    return n, draw(st.permutations(drawn + repeats))
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_columns())
+def test_constructor_keeps_first_triples_by_source(case):
+    n, edges = case
+    ids = [f"d{i:02d}" for i in range(n)]
+    src, dst, kind = ([edge[col] for edge in edges] for col in range(3))
+    day = START.toordinal()
+    graph = LegislationGraph(ids, [3] * n, [day] * n, [day] * n, src, dst, kind)
+    # first occurrence of each triple, then a stable sort by source
+    expected = sorted(dict.fromkeys(edges), key=lambda edge: edge[0])
+    got_src, got_dst, got_kind = graph.edge_arrays()
+    assert list(zip(got_src.tolist(), got_dst.tolist(),
+                    got_kind.tolist())) == expected
+    assert graph.ids == tuple(ids)
+    assert graph.edge_count == len(expected)
 
 
 def digraph(n: int, pairs):
