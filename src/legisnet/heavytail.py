@@ -14,6 +14,16 @@ fitted tail with resamples of the empirical body, each replica is
 refitted from scratch (threshold selection included), and the p-value
 is the fraction of replicas whose KS distance is at least the observed
 one.  The model is ruled out when p < 0.10.
+
+Refits dominate the bootstrap, so the threshold scan is vectorised.
+Tail sizes fall as the threshold rises, so the candidates (thresholds
+keeping at least ``min_tail`` observations) are a prefix of the unique
+values.  All candidates' exponents form one vector; every (candidate,
+tail value) pair goes through one elementwise ``zeta`` call, and one
+``np.maximum.reduceat`` gives each candidate's KS distance.  A pinned
+``x_min`` and ``method='exact'`` use the same scan.  Each replica makes
+exactly one ``fit_power_law`` call, looked up as this module's global,
+so wrapping that name counts replicas.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ MIN_TAIL = 25
 # after this many values; draws beyond it bisect the survival function
 TABLE_FLOOR = 1e-6
 MAX_TABLE = 4_000_000
+# fit_power_law scores at most this many (candidate, tail value) pairs
+# per zeta call, bounding its memory on samples with many unique values
+MAX_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,8 +90,9 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
 
     Zero degrees are excluded before fitting (their count is reported
     on the result).  Candidate thresholds are the unique observed
-    values whose tail holds at least ``min_tail`` observations; pass
-    ``x_min`` to pin the threshold instead.  ``method='exact'``
+    values whose tail holds at least ``min_tail`` observations (with
+    none, the fit is undefined); pass ``x_min`` to pin the threshold
+    instead.  Ties in KS go to the lowest threshold.  ``method='exact'``
     maximizes the zeta-function likelihood numerically rather than
     using the closed-form approximation.
     """
@@ -93,7 +107,10 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
     if method not in ("approx", "exact"):
         raise ValidationError(f"unknown fit method {method!r}")
 
-    uniq, counts = np.unique(xs, return_counts=True)
+    new_value = np.concatenate(([True], xs[1:] != xs[:-1]))  # xs is sorted
+    starts = np.flatnonzero(new_value)
+    uniq = xs[starts]
+    counts = np.diff(starts, append=n)
     cum_counts = np.cumsum(counts)                      # count of xs <= uniq[j]
     below = cum_counts - counts                         # count of xs <  uniq[j]
     tail_sizes = n - below
@@ -103,51 +120,80 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
     if x_min is not None:
         if x_min < 1:
             raise ValidationError("x_min must be a positive integer")
-        candidates = np.searchsorted(uniq, x_min, side="left")
-        if candidates >= len(uniq):
+        first = int(np.searchsorted(uniq, x_min, side="left"))
+        if first >= len(uniq):
             raise AnalysisError(f"no observations at or above x_min={x_min}")
-        candidate_idx = [int(candidates)]
-        thresholds = {int(candidates): int(x_min)}
+        thresholds = np.array([x_min], dtype=np.int64)
     else:
-        candidate_idx = [j for j in range(len(uniq)) if tail_sizes[j] >= min_tail]
-        if not candidate_idx:
-            candidate_idx = [0]
-        thresholds = {j: int(uniq[j]) for j in candidate_idx}
+        # tail sizes fall as the threshold rises: the candidates are a prefix
+        first = 0
+        thresholds = uniq[:int((tail_sizes >= min_tail).sum())]
+        if not len(thresholds):
+            raise AnalysisError(
+                f"no threshold keeps min_tail={min_tail} observations in its "
+                f"tail; the sample has {n} positive values"
+            )
 
-    best: tuple[float, float, int, int] | None = None   # (ks, gamma, x_min, n_tail)
-    for j in candidate_idx:
-        threshold = thresholds[j]
-        n_tail = int(tail_sizes[j])
-        if n_tail < 2:
-            continue
-        logsum = tail_logsums[j] - n_tail * np.log(threshold - 0.5)
-        if method == "exact":
-            gamma = _exact_mle(tail_logsums[j], n_tail, threshold)
-        else:
-            gamma = 1.0 + n_tail / logsum
-        ks = _ks_distance(uniq[j:], cum_counts[j:] - below[j], n_tail,
-                          gamma, threshold)
-        if not np.isfinite(ks):
-            continue
-        if best is None or ks < best[0]:
-            best = (float(ks), float(gamma), threshold, n_tail)
-    if best is None:
+    # candidate j's tail holds the observations >= values[j]
+    last = first + len(thresholds)
+    values = uniq[first:]
+    sizes = tail_sizes[first:last]
+    logsums = tail_logsums[first:last]
+    if method == "exact":
+        gammas = np.array([_exact_mle(s, int(t), int(x))
+                           for s, t, x in zip(logsums, sizes, thresholds)])
+    else:
+        # a log-sum that rounds to 0 gives gamma = inf, which the scan rejects
+        with np.errstate(divide="ignore"):
+            gammas = 1.0 + sizes / (logsums - sizes * np.log(thresholds - 0.5))
+    ks = _ks_distances(values, cum_counts[first:], below[first:last], sizes,
+                       gammas, thresholds)
+    ks[sizes < 2] = np.inf
+    best = int(np.argmin(ks))                           # first minimum
+    if not np.isfinite(ks[best]):
         raise AnalysisError("no usable power-law threshold candidate")
-    ks, gamma, threshold, n_tail = best
-    return TailFit(gamma, threshold, n_tail, ks, zeros_excluded=zeros)
+    return TailFit(float(gammas[best]), int(thresholds[best]), int(sizes[best]),
+                   float(ks[best]), zeros_excluded=zeros)
 
 
-def _ks_distance(tail_values: np.ndarray, tail_cum: np.ndarray, n_tail: int,
-                 gamma: float, x_min: int) -> float:
-    """Max |empirical - fitted| over the tail's unique values."""
-    empirical = tail_cum / n_tail
-    z_upper = zeta(gamma, tail_values + 1.0)
-    z_norm = z_upper[0] + float(x_min) ** (-gamma) if tail_values[0] == x_min \
-        else zeta(gamma, float(x_min))
-    if not np.isfinite(z_norm) or z_norm <= 0:
-        return float("inf")
-    fitted = 1.0 - z_upper / z_norm
-    return float(np.max(np.abs(empirical - fitted)))
+def _ks_distances(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
+                  sizes: np.ndarray, gammas: np.ndarray,
+                  thresholds: np.ndarray) -> np.ndarray:
+    """KS distance of each threshold candidate, inf where it is undefined.
+
+    Candidate j fits ``gammas[j]`` on x >= ``thresholds[j]`` to its
+    ``sizes[j]`` tail observations, ``cum[k] - below[j]`` of which are
+    at most ``values[k]`` (k >= j).  Every ``(j, k)`` pair goes through
+    one elementwise ``zeta`` call per block of at most ``MAX_PAIRS``
+    pairs, and each candidate's largest deviation is one ``reduceat``.
+    """
+    ks = np.empty(len(gammas))
+    lo = 0
+    while lo < len(gammas):
+        width = len(values) - lo                       # pairs in row lo
+        hi = min(len(gammas), lo + max(1, MAX_PAIRS // width))
+        rows, cols = np.triu_indices(hi - lo, m=width)
+        rows += lo
+        cols += lo
+        row_starts = np.concatenate(
+            ([0], np.cumsum(width - np.arange(hi - lo - 1))))
+        z_upper = zeta(gammas[rows], values[cols] + 1.0)
+        # norm = zeta(gamma, threshold), split off the first tail value when
+        # it is the threshold; the power stays a scalar per candidate,
+        # because numpy's array power can differ from it in the last place
+        norms = np.array([
+            z + float(t) ** -g if v == t else zeta(g, float(t))
+            for z, t, g, v in zip(z_upper[row_starts], thresholds[lo:hi],
+                                  gammas[lo:hi], values[lo:hi])
+        ])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fitted = 1.0 - z_upper / norms[rows - lo]
+        empirical = (cum[cols] - below[rows]) / sizes[rows]
+        deviation = np.maximum.reduceat(np.abs(empirical - fitted), row_starts)
+        ks[lo:hi] = np.where(np.isfinite(norms) & (norms > 0), deviation, np.inf)
+        lo = hi
+    ks[~np.isfinite(ks)] = np.inf
+    return ks
 
 
 def _exact_mle(tail_logsum: float, n_tail: int, x_min: int) -> float:
@@ -155,7 +201,7 @@ def _exact_mle(tail_logsum: float, n_tail: int, x_min: int) -> float:
         z = zeta(gamma, float(x_min))
         if not np.isfinite(z) or z <= 0:
             return np.inf
-        return n_tail * np.log(z) + gamma * tail_logsum / 1.0
+        return n_tail * np.log(z) + gamma * tail_logsum
 
     res = minimize_scalar(nll, bounds=(1.0 + 1e-6, 25.0), method="bounded")
     return float(res.x)

@@ -234,6 +234,16 @@ class TestOtherCommands:
             f" got {value}"]
         assert not out.exists()
 
+    def test_min_tail_above_every_tail_exits_4(self, tmp_path, capsys,
+                                               corpus_path):
+        assert main(["powerlaw", "--input", str(corpus_path), "--min-tail",
+                     "100000", "--output-dir", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet powerlaw [legisnet.heavytail]: no threshold keeps"
+            " min_tail=100000 observations in its tail; the sample has 285"
+            " positive values"]
+        assert not (tmp_path / "powerlaw.json").exists()
+
     def test_smallworld(self, tmp_path, corpus_path):
         assert main(["smallworld", "--input", str(corpus_path), "--replicas",
                      "2", "--output-dir", str(tmp_path)]) == 0

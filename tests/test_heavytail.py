@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 
 from legisnet import (
     AnalysisError,
+    FitResult,
     ValidationError,
     ccdf,
     fit_power_law,
@@ -188,3 +189,15 @@ class TestGoodnessOfFit:
         data = draw_pl_table(2.5, 5, 1_000, rng)
         with pytest.raises(ValidationError):
             goodness_of_fit(data, m=0)
+
+    def test_seeded_bootstrap_is_pinned(self):
+        # exact values of a seeded run; a change in the last place of any
+        # refit's gamma or KS distance moves the spreads or the p-value
+        data = np.random.default_rng(21).zipf(2.5, 2_000)
+        with pytest.warns(UserWarning, match="resolution"):
+            res = goodness_of_fit(data, m=200, seed=4)
+        assert res == FitResult(
+            gamma=2.367226489647588, gamma_spread=0.09694383687646584,
+            x_min=2, x_min_spread=1.0148768398185073, n_tail=521,
+            n_tail_spread=128.01280785530798, ks_statistic=0.03751494102623065,
+            p_value=0.205, bootstrap_m=200, zeros_excluded=0)

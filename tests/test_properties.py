@@ -8,22 +8,27 @@ columns against a pure-Python de-duplication.  Drawn digraphs check
 that the bow-tie classes partition the nodes and that resilience curves
 only fall.  The two traversal kernels are checked against the algorithms
 they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
-per-boundary ``connected_components`` recount for resilience curves.
+per-boundary ``connected_components`` recount for resilience curves,
+and the vectorised power-law threshold scan against the per-candidate
+loop it replaced, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from datetime import date, timedelta
+from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.special import zeta
 
 from legisnet import (
     RECIPROCAL_TYPES,
+    AnalysisError,
     LegalDocument,
     LegislationGraph,
     Reference,
@@ -35,11 +40,15 @@ from legisnet import (
     export_text,
     filter_reftype,
     filter_sector,
+    fit_power_law,
     ingest,
     read_records,
     simulate,
     snapshot,
 )
+from legisnet import heavytail
+from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, TailFit,
+                                _clean_degrees, _exact_mle)
 from legisnet.metrics import distance_histogram
 from legisnet.resilience import _curve_for_order, removal_boundaries
 
@@ -308,3 +317,121 @@ def test_union_find_curve_equals_recount(drawn, step, stop_at):
     boundaries = removal_boundaries(n, step, stop_at)
     curve = _curve_for_order(order, pair_u, pair_v, n, boundaries)
     assert curve.tolist() == recount_curve(order, pair_u, pair_v, n, boundaries)
+
+
+def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL,
+                      method="approx") -> TailFit:
+    """Oracle: the power-law threshold scan with one zeta call per
+    candidate, as ``fit_power_law`` ran it before the pairs were
+    vectorised.  It differs only where ``min_tail`` exceeds every tail,
+    which it rejects instead of fitting the whole sample."""
+    xs, zeros = _clean_degrees(degrees)
+    n = len(xs)
+    if n < MIN_OBSERVATIONS:
+        raise AnalysisError(f"power-law fit needs >= {MIN_OBSERVATIONS} "
+                            f"positive observations, got {n}")
+    if xs[0] == xs[-1]:
+        raise AnalysisError("degenerate input: all degree values are equal")
+    uniq, counts = np.unique(xs, return_counts=True)
+    cum_counts = np.cumsum(counts)
+    below = cum_counts - counts
+    tail_sizes = n - below
+    tail_logsums = (counts * np.log(uniq))[::-1].cumsum()[::-1]
+    if x_min is not None:
+        j = int(np.searchsorted(uniq, x_min))
+        if j >= len(uniq):
+            raise AnalysisError(f"no observations at or above x_min={x_min}")
+        candidates = [(j, int(x_min))]
+    else:
+        candidates = [(j, int(uniq[j])) for j in range(len(uniq))
+                      if tail_sizes[j] >= min_tail]
+        if not candidates:
+            raise AnalysisError(
+                f"no threshold keeps min_tail={min_tail} observations in its "
+                f"tail; the sample has {n} positive values")
+    best = None
+    for j, threshold in candidates:
+        n_tail = int(tail_sizes[j])
+        if n_tail < 2:
+            continue
+        if method == "exact":
+            gamma = _exact_mle(tail_logsums[j], n_tail, threshold)
+        else:
+            gamma = 1.0 + n_tail / (tail_logsums[j]
+                                    - n_tail * np.log(threshold - 0.5))
+        empirical = (cum_counts[j:] - below[j]) / n_tail
+        z_upper = zeta(gamma, uniq[j:] + 1.0)
+        z_norm = (z_upper[0] + float(threshold) ** (-gamma)
+                  if uniq[j] == threshold else zeta(gamma, float(threshold)))
+        if not np.isfinite(z_norm) or z_norm <= 0:
+            continue
+        ks = np.max(np.abs(empirical - (1.0 - z_upper / z_norm)))
+        if np.isfinite(ks) and (best is None or ks < best[0]):
+            best = (float(ks), float(gamma), threshold, n_tail)
+    if best is None:
+        raise AnalysisError("no usable power-law threshold candidate")
+    ks, gamma, threshold, n_tail = best
+    return TailFit(gamma, threshold, n_tail, ks, zeros_excluded=zeros)
+
+
+@st.composite
+def degree_samples(draw) -> np.ndarray:
+    """Zipf draws, heavily tied small ranges, two values, or three values
+    near 1e17 whose two lowest thresholds tie exactly at KS 0.5 (at that
+    size x_min**-gamma vanishes beside the zeta norm); plus some zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(40, 800))
+    shape = draw(st.sampled_from(["zipf", "ties", "two", "tied-ks"]))
+    if shape == "zipf":
+        xs = rng.zipf(draw(st.floats(1.3, 2.5)), n * draw(st.integers(1, 3)))
+    elif shape == "ties":
+        low = draw(st.integers(1, 500))
+        xs = rng.integers(low, low + draw(st.integers(2, 6)), n)
+    elif shape == "two":
+        pair = draw(st.lists(st.integers(1, 3000), min_size=2, max_size=2,
+                             unique=True))
+        xs = np.where(rng.random(n) < draw(st.floats(0.02, 0.98)), *pair)
+    else:
+        low = draw(st.integers(1, 9)) * 10**16
+        values = [low, low * draw(st.integers(5, 10)), low * 50]
+        xs = np.repeat(np.array(values, dtype=np.int64), [n // 2, n // 4, n // 4])
+    return np.concatenate([xs, np.zeros(draw(st.integers(0, 30)), dtype=np.int64)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_samples(), st.integers(1, 60), st.integers(-3, 2),
+       st.integers(0, 9), st.sampled_from([heavytail.MAX_PAIRS, 1, 50]))
+# a sample whose selected fit moves in the last place when x_min**-gamma
+# is an array power (as numpy's SIMD power rounds on AVX-512 hosts), and
+# one whose two lowest thresholds tie
+@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, 1, heavytail.MAX_PAIRS)
+@example(np.repeat(np.array([1, 6, 50], dtype=np.int64) * 10**16, [100, 50, 50]),
+         25, 0, 1, heavytail.MAX_PAIRS)
+def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exact,
+                                                  max_pairs):
+    """Equal TailFits or equal AnalysisErrors: selected by KS over all
+    candidates, near a min_tail of n, and pinned at every observed value,
+    at an unobserved value below each and above the maximum."""
+    positive = xs[xs > 0]
+    seen = sorted(set(positive.tolist()))
+    unseen = sorted({x - 1 for x in seen if x > 1} - set(seen)
+                    | {max(seen, default=0) + 1})
+    runs = [{"min_tail": min_tail}, {"min_tail": max(len(positive) + past_n, 1)}]
+    pinned = [{"x_min": x} for x in seen + unseen]
+    if draw_exact == 0:     # a numerical MLE per candidate: keep it short
+        runs = [{**run, "method": "exact"} for run in runs + pinned[:4]]
+    else:
+        runs += pinned
+
+    def outcome(fit, kwargs):
+        try:
+            return fit(xs, **kwargs)
+        except AnalysisError as exc:
+            return str(exc)
+
+    # small pair blocks split the scan into several zeta calls
+    with patch.object(heavytail, "MAX_PAIRS", max_pairs), \
+            np.errstate(divide="ignore"):
+        for kwargs in runs:
+            assert outcome(fit_power_law, kwargs) == \
+                outcome(per_candidate_fit, kwargs), kwargs
