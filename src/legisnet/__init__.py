@@ -9,9 +9,7 @@ resilience simulation.
 
 from .bowtie import BowTieDecomposition, decompose
 from .corpus import (
-    DocumentRecord,
     IngestReport,
-    RecordReference,
     export,
     export_text,
     ingest,
@@ -85,7 +83,6 @@ __all__ = [
     "CorpusError",
     "DegreeStats",
     "DensificationFit",
-    "DocumentRecord",
     "FitResult",
     "GeneratorConfig",
     "IngestReport",
@@ -95,7 +92,6 @@ __all__ = [
     "LorenzGini",
     "PathMetrics",
     "RECIPROCAL_TYPES",
-    "RecordReference",
     "Reference",
     "RefType",
     "ResilienceConfig",

@@ -85,17 +85,18 @@ COUNT_FLAGS = ("bootstrap", "min_tail", "replicas", "reps",
 # -- plumbing ----------------------------------------------------------------
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+def _read_input(path: str) -> tuple[str, str]:
+    """(text, digest) of the --input corpus, which must be UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = (sys.stdin.read() if path == "-"
+                else Path(path).read_text(encoding="utf-8"))
+        # stdin may decode undecodable bytes to lone surrogates instead
+        data = text.encode("utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read input {path!r}: {exc}") from None
-
-
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    except UnicodeError:
+        raise CorpusError(f"input {path!r} is not valid UTF-8") from None
+    return text, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _output_dir(args: argparse.Namespace) -> Path:
@@ -178,10 +179,10 @@ def _parse_weights(raw: str) -> tuple[float, ...]:
 
 def _ingest_input(args: argparse.Namespace) -> tuple:
     """(graph, ingest report, input digest) of the --input corpus."""
-    text = _read_input(args.input)
+    text, digest = _read_input(args.input)
     mode = "lenient" if args.lenient else "strict"
     graph, report = ingest(read_records(text.splitlines()), mode=mode)
-    return graph, report, _digest(text)
+    return graph, report, digest
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[LegislationGraph, str]:

@@ -6,18 +6,30 @@ One document per line, UTF-8:
      "date_of_expiry": "1989-07-17",
      "references": [{"target": "383L0351", "type": "amended_by"}]}
 
-``date_of_expiry`` is omitted for documents without a sunset clause and
-maps to the 9999-12-31 sentinel.  Amendment references are reciprocal:
-ingesting either orientation materializes both directed edges, and
-duplicates are deduplicated, so a corpus may carry one or both sides.
+Dates are ``YYYY-MM-DD``.  ``date_of_expiry`` is omitted for documents
+without a sunset clause and maps to the 9999-12-31 sentinel.  Amendment
+references are reciprocal: ingesting either orientation materializes
+both directed edges, and duplicates are deduplicated, so a corpus may
+carry one or both sides.
+
+In memory a record is a plain row, ``(id, sector, effect, expiry,
+targets, kinds)``: the two dates as proleptic-Gregorian ordinals (the
+sentinel's when the expiry is omitted), the referenced ids, and their
+reference type codes (``graph.reftype_code``).  ``read_records`` parses
+lines into rows, ``ingest`` builds a graph's columns from rows,
+``export`` reads rows off a graph's columns and ``write_records`` turns
+rows back into lines.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -30,29 +42,18 @@ from .graph import (
     RefType,
     Sector,
     reftype_code,
-    reftype_from_code,
 )
 
-_TYPE_TOKENS = {kind.value: kind for kind in RefType}
+Row = tuple[str, int, int, int, list[str], list[int]]
+
+_TYPE_CODES = {kind.value: reftype_code(kind) for kind in RefType}
 # rank of each type code in token order, the export's secondary sort key
 _TOKEN_RANK = np.argsort(np.argsort([kind.value for kind in RefType]))
-
-
-@dataclass(frozen=True)
-class RecordReference:
-    target: str
-    kind: RefType
-
-
-@dataclass(frozen=True)
-class DocumentRecord:
-    """One corpus line: a document plus its outgoing references."""
-
-    id: str
-    sector: int
-    date_of_effect: date
-    date_of_expiry: date | None = None  # None -> sentinel
-    references: tuple[RecordReference, ...] = ()
+# code of each type's reciprocal; a type without one maps to itself
+_RECIPROCAL = np.array([reftype_code(RECIPROCAL_TYPES.get(kind, kind))
+                        for kind in RefType], dtype=np.int8)
+_SENTINEL = SENTINEL_EXPIRY.toordinal()
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass
@@ -76,85 +77,93 @@ class IngestReport:
         }
 
 
-def _parse_date(raw: object, line_no: int, fieldname: str) -> date:
+def _new_day(days: dict[str, int], raw: object, line_no: int,
+             fieldname: str) -> int:
+    """Ordinal of a date string missing from ``days``, which it joins."""
     if not isinstance(raw, str):
         raise CorpusError(f"line {line_no}: {fieldname} must be an ISO date string")
+    if not _ISO_DATE.fullmatch(raw):
+        raise CorpusError(f"line {line_no}: bad {fieldname} {raw!r}: "
+                          "expected YYYY-MM-DD")
     try:
-        return date.fromisoformat(raw)
+        day = days[raw] = date.fromisoformat(raw).toordinal()
     except ValueError as exc:
         raise CorpusError(f"line {line_no}: bad {fieldname} {raw!r}: {exc}") from None
+    return day
 
 
-def parse_record(line: str, line_no: int = 0) -> DocumentRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"line {line_no}: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise CorpusError(f"line {line_no}: record must be a JSON object")
-    doc_id = obj.get("id")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusError(f"line {line_no}: missing or empty id")
-    sector = obj.get("sector")
-    if not isinstance(sector, int) or isinstance(sector, bool) or not 1 <= sector <= 6:
-        raise CorpusError(f"line {line_no}: sector must be an integer in 1..6")
-    effect = _parse_date(obj.get("date_of_effect"), line_no, "date_of_effect")
-    expiry_raw = obj.get("date_of_expiry")
-    expiry = None
-    if expiry_raw is not None:
-        expiry = _parse_date(expiry_raw, line_no, "date_of_expiry")
-    items = obj.get("references", [])
-    if not isinstance(items, list):
-        raise CorpusError(f"line {line_no}: references must be a list")
-    refs = []
-    for item in items:
-        if not isinstance(item, dict):
-            raise CorpusError(f"line {line_no}: reference entries must be objects")
-        target = item.get("target")
-        if not isinstance(target, str) or not target:
-            raise CorpusError(f"line {line_no}: reference missing target id")
-        token = item.get("type")
-        kind = _TYPE_TOKENS.get(token) if isinstance(token, str) else None
-        if kind is None:
-            raise CorpusError(
-                f"line {line_no}: unknown reference type {token!r}; "
-                f"expected one of {sorted(_TYPE_TOKENS)}"
-            )
-        refs.append(RecordReference(target, kind))
-    return DocumentRecord(doc_id, sector, effect, expiry, tuple(refs))
-
-
-def read_records(stream: IO[str] | Iterable[str]) -> Iterator[DocumentRecord]:
-    """Parse a JSONL stream, skipping blank lines."""
+def read_records(stream: IO[str] | Iterable[str]) -> Iterator[Row]:
+    """Parse a JSONL stream into rows, skipping blank lines."""
+    days: dict[str, int] = {}  # each distinct date string is checked once
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
-        yield parse_record(line, line_no)
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"line {line_no}: invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {line_no}: record must be a JSON object")
+        doc_id = obj.get("id")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusError(f"line {line_no}: missing or empty id")
+        sector = obj.get("sector")
+        if type(sector) is not int or not 1 <= sector <= 6:
+            raise CorpusError(f"line {line_no}: sector must be an integer in 1..6")
+        raw = obj.get("date_of_effect")
+        try:
+            effect = days[raw]
+        except (KeyError, TypeError):
+            effect = _new_day(days, raw, line_no, "date_of_effect")
+        raw = obj.get("date_of_expiry")
+        try:
+            expiry = _SENTINEL if raw is None else days[raw]
+        except (KeyError, TypeError):
+            expiry = _new_day(days, raw, line_no, "date_of_expiry")
+        items = obj.get("references", [])
+        if not isinstance(items, list):
+            raise CorpusError(f"line {line_no}: references must be a list")
+        targets = []
+        kinds = []
+        for item in items:
+            if not isinstance(item, dict):
+                raise CorpusError(f"line {line_no}: reference entries must be objects")
+            target = item.get("target")
+            if not isinstance(target, str) or not target:
+                raise CorpusError(f"line {line_no}: reference missing target id")
+            token = item.get("type")
+            code = _TYPE_CODES.get(token) if isinstance(token, str) else None
+            if code is None:
+                raise CorpusError(
+                    f"line {line_no}: unknown reference type {token!r}; "
+                    f"expected one of {sorted(_TYPE_CODES)}"
+                )
+            targets.append(target)
+            kinds.append(code)
+        yield doc_id, sector, effect, expiry, targets, kinds
 
 
-def record_to_json(record: DocumentRecord) -> str:
-    obj: dict = {
-        "id": record.id,
-        "sector": record.sector,
-        "date_of_effect": record.date_of_effect.isoformat(),
-    }
-    if record.date_of_expiry is not None and record.date_of_expiry != SENTINEL_EXPIRY:
-        obj["date_of_expiry"] = record.date_of_expiry.isoformat()
-    obj["references"] = [
-        {"target": ref.target, "type": ref.kind.value} for ref in record.references
-    ]
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+def write_records(records: Iterable[Row], stream: IO[str]) -> None:
+    """Write rows as JSONL lines, escaping each distinct id and date once.
+
+    Ids go through ``json.dumps``, so every line equals ``json.dumps``
+    of the record's dict with compact separators.
+    """
+    quoted = functools.cache(json.dumps)
+    day = functools.cache(lambda ordinal: f'"{date.fromordinal(ordinal)}"')
+    tail = [f',"type":"{kind.value}"}}' for kind in RefType]  # by type code
+    for doc_id, sector, effect, expiry, targets, kinds in records:
+        until = "" if expiry == _SENTINEL else f',"date_of_expiry":{day(expiry)}'
+        refs = ",".join([f'{{"target":{quoted(target)}{tail[kind]}'
+                         for target, kind in zip(targets, kinds)])
+        stream.write(f'{{"id":{quoted(doc_id)},"sector":{sector},'
+                     f'"date_of_effect":{day(effect)}{until},'
+                     f'"references":[{refs}]}}\n')
 
 
-def write_records(records: Iterable[DocumentRecord], stream: IO[str]) -> None:
-    for record in records:
-        stream.write(record_to_json(record))
-        stream.write("\n")
-
-
-def ingest(records: Iterable[DocumentRecord | str],
+def ingest(records: Iterable[Row],
            mode: str = "strict") -> tuple[LegislationGraph, IngestReport]:
-    """Build a graph from records.
+    """Build a graph from rows.
 
     ``mode`` is ``strict`` (references to unknown ids abort) or
     ``lenient`` (unknown targets become stub documents: sector 3,
@@ -163,60 +172,51 @@ def ingest(records: Iterable[DocumentRecord | str],
     """
     if mode not in ("strict", "lenient"):
         raise CorpusError(f"unknown ingest mode {mode!r}")
-    materialized = [parse_record(item) if isinstance(item, str) else item
-                    for item in records]
-
-    ids: list[str] = []
-    sector: list[int] = []
-    effect: list[int] = []
-    expiry: list[int] = []
+    columns = list(zip(*records)) or [()] * 6
+    ids, sector, effect, expiry = (list(col) for col in columns[:4])
     index: dict[str, int] = {}
-    for rec in materialized:
-        if rec.id in index:
-            raise ValidationError(f"duplicate document id {rec.id!r}")
-        until = (rec.date_of_expiry if rec.date_of_expiry is not None
-                 else SENTINEL_EXPIRY)
-        if rec.date_of_effect > until:
+    for doc_id, since, until in zip(ids, effect, expiry):
+        if doc_id in index:
+            raise ValidationError(f"duplicate document id {doc_id!r}")
+        if since > until:
             raise ValidationError(
-                f"document {rec.id!r}: date_of_effect {rec.date_of_effect} "
-                f"is after date_of_expiry {until}"
+                f"document {doc_id!r}: date_of_effect {date.fromordinal(since)} "
+                f"is after date_of_expiry {date.fromordinal(until)}"
             )
-        index[rec.id] = len(ids)
-        ids.append(rec.id)
-        sector.append(rec.sector)
-        effect.append(rec.date_of_effect.toordinal())
-        expiry.append(until.toordinal())
+        index[doc_id] = len(index)
 
-    src: list[int] = []
-    dst: list[int] = []
-    kind: list[int] = []
+    targets = list(chain.from_iterable(columns[4]))
+    src = np.repeat(np.arange(len(ids)), [len(refs) for refs in columns[4]])
+    dst = np.array([index.get(target, -1) for target in targets], dtype=np.int64)
+    kind = np.fromiter(chain.from_iterable(columns[5]), dtype=np.int8,
+                       count=len(targets))
+    # the first faulty reference in input order names the error
+    faults = np.flatnonzero((src == dst) | ((dst < 0) & (mode == "strict")))
+    if len(faults):
+        at = faults[0]
+        if dst[at] < 0:
+            raise CorpusError(f"document {ids[src[at]]!r} references unknown "
+                              f"id {targets[at]!r}")
+        raise ValidationError(f"self-reference on {ids[src[at]]!r} "
+                              "is excluded from the model")
     stub_ids: list[str] = []
-    for i, rec in enumerate(materialized):
-        for ref in rec.references:
-            j = index.get(ref.target)
-            if j is None:
-                if mode == "strict":
-                    raise CorpusError(
-                        f"document {rec.id!r} references unknown id {ref.target!r}"
-                    )
-                j = index[ref.target] = len(ids)
-                ids.append(ref.target)
-                sector.append(Sector.LEGISLATION.value)
-                effect.append(effect[i])
-                expiry.append(SENTINEL_EXPIRY.toordinal())
-                stub_ids.append(ref.target)
-            if j == i:
-                raise ValidationError(
-                    f"self-reference on {rec.id!r} is excluded from the model"
-                )
-            src.append(i)
-            dst.append(j)
-            kind.append(reftype_code(ref.kind))
-            reciprocal = RECIPROCAL_TYPES.get(ref.kind)
-            if reciprocal is not None:
-                src.append(j)
-                dst.append(i)
-                kind.append(reftype_code(reciprocal))
+    for at in np.flatnonzero(dst < 0).tolist():
+        target = targets[at]
+        if target not in index:
+            index[target] = len(ids)
+            ids.append(target)
+            sector.append(Sector.LEGISLATION.value)
+            effect.append(effect[src[at]])
+            expiry.append(_SENTINEL)
+            stub_ids.append(target)
+        dst[at] = index[target]
+
+    # each reciprocal edge directly follows the reference it mirrors
+    twin = _RECIPROCAL[kind] != kind
+    mirror = np.cumsum(1 + twin)[twin] - 1
+    src, dst, kind = (np.repeat(col, 1 + twin) for col in (src, dst, kind))
+    src[mirror], dst[mirror], kind[mirror] = (dst[mirror], src[mirror],
+                                              _RECIPROCAL[kind[mirror]])
 
     graph = LegislationGraph(ids, sector, effect, expiry, src, dst, kind)
     counts = np.bincount(graph.edge_arrays()[2], minlength=len(RefType))
@@ -231,8 +231,8 @@ def ingest(records: Iterable[DocumentRecord | str],
     return graph, report
 
 
-def export(graph: LegislationGraph) -> Iterator[DocumentRecord]:
-    """Emit one record per document, in insertion order.
+def export(graph: LegislationGraph) -> Iterator[Row]:
+    """Emit one row per document, in insertion order.
 
     References are sorted by (target, type) so repeated
     ingest/export cycles are byte-stable; ``ingest(export(g))``
@@ -242,15 +242,13 @@ def export(graph: LegislationGraph) -> Iterator[DocumentRecord]:
     src, dst, kind = graph.edge_arrays()
     order = np.lexsort((_TOKEN_RANK[kind], graph.id_ranks()[dst], src))
     targets = [ids[d] for d in dst[order].tolist()]
-    kinds = [reftype_from_code(k) for k in kind[order].tolist()]
+    kinds = kind[order].tolist()
     ends = np.cumsum(np.bincount(src, minlength=len(ids))).tolist()
-    effect, expiry = ([date.fromordinal(day) for day in col.tolist()]
-                      for col in graph.date_ordinals())
+    effect, expiry = (col.tolist() for col in graph.date_ordinals())
     rows = zip(ids, graph.sector_codes().tolist(), effect, expiry, ends)
     start = 0
     for doc_id, sector, since, until, end in rows:
-        refs = tuple(map(RecordReference, targets[start:end], kinds[start:end]))
-        yield DocumentRecord(doc_id, sector, since, until, refs)
+        yield doc_id, sector, since, until, targets[start:end], kinds[start:end]
         start = end
 
 

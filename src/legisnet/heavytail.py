@@ -118,7 +118,7 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
     tail_logsums = log_weighted[::-1].cumsum()[::-1]    # sum of ln x over tail
 
     if x_min is not None:
-        if x_min < 1:
+        if not (x_min >= 1 and float(x_min).is_integer()):
             raise ValidationError("x_min must be a positive integer")
         first = int(np.searchsorted(uniq, x_min, side="left"))
         if first >= len(uniq):

@@ -88,6 +88,39 @@ class TestIngest:
                      "--output-dir", str(tmp_path)]) == 3
         assert "references must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        (b'{"id": "A\xff", "sector": 3, "date_of_effect": "1990-01-01"}\n',
+         "[legisnet.cli]: input '{path}' is not valid UTF-8"),
+        (b"[" * 100_000 + b"\n",
+         "[legisnet.corpus]: line 1: invalid JSON: maximum recursion depth "
+         "exceeded while decoding a JSON array from a unicode string"),
+        (b'{"id": "A", "sector": ' + b"1" * 4301 + b"}\n",
+         "[legisnet.corpus]: line 1: invalid JSON: Exceeds the limit (4300 "
+         "digits) for integer string conversion: value has 4301 digits; use "
+         "sys.set_int_max_str_digits() to increase the limit"),
+        (b'{"id": "A", "sector": 3, "date_of_effect": "1990-W01-1"}\n',
+         "[legisnet.corpus]: line 1: bad date_of_effect '1990-W01-1': "
+         "expected YYYY-MM-DD"),
+    ], ids=["not-utf8", "deep-nesting", "long-integer", "week-date"])
+    def test_malformed_input_exit_3(self, tmp_path, capsys, data, message):
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(data)
+        assert main(["ingest", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet ingest " + message.format(path=src)]
+
+    def test_non_utf8_stdin_exit_3(self, tmp_path):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-m", "legisnet.cli", "ingest", "--input", "-"],
+            input=b'{"id": "\xe9", "sector": 3, "date_of_effect": "1990-01-01"}\n',
+            cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert run.returncode == 3
+        assert run.stderr.decode().splitlines() == [
+            "legisnet ingest [legisnet.cli]: input '-' is not valid UTF-8"]
+
     def test_strict_dangling_exit_3(self, tmp_path):
         src = tmp_path / "dangling.jsonl"
         src.write_text('{"id": "A", "sector": 3, "date_of_effect":'

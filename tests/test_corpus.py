@@ -10,6 +10,7 @@ import pytest
 from legisnet import (
     CorpusError,
     GeneratorConfig,
+    SENTINEL_EXPIRY,
     RefType,
     export,
     export_text,
@@ -18,7 +19,6 @@ from legisnet import (
     read_records,
     write_records,
 )
-from legisnet.corpus import parse_record
 
 
 def edge_set(graph):
@@ -30,13 +30,17 @@ def doc_set(graph):
             for d in graph.documents()}
 
 
+def parse(line: str, line_no: int = 1):
+    """The row of one line, numbered ``line_no``."""
+    return list(read_records([""] * (line_no - 1) + [line]))[0]
+
+
 class TestParsing:
     def test_minimal_record(self):
-        rec = parse_record('{"id": "X", "sector": 3,'
-                           ' "date_of_effect": "1970-03-20"}')
-        assert rec.id == "X"
-        assert rec.date_of_expiry is None
-        assert rec.references == ()
+        row = parse('{"id": "X", "sector": 3,'
+                    ' "date_of_effect": "1970-03-20"}')
+        assert row == ("X", 3, date(1970, 3, 20).toordinal(),
+                       SENTINEL_EXPIRY.toordinal(), [], [])
 
     def test_bad_json_names_line(self):
         with pytest.raises(CorpusError, match="line 3"):
@@ -48,19 +52,79 @@ class TestParsing:
 
     def test_bad_sector(self):
         with pytest.raises(CorpusError, match="sector"):
-            parse_record('{"id": "X", "sector": 9,'
-                         ' "date_of_effect": "1970-03-20"}', 4)
+            parse('{"id": "X", "sector": 9,'
+                  ' "date_of_effect": "1970-03-20"}', 4)
 
     def test_bad_date(self):
         with pytest.raises(CorpusError, match="date_of_effect"):
-            parse_record('{"id": "X", "sector": 3,'
-                         ' "date_of_effect": "1970-13-01"}', 1)
+            parse('{"id": "X", "sector": 3,'
+                  ' "date_of_effect": "1970-13-01"}', 1)
 
     def test_unknown_reference_token(self):
         with pytest.raises(CorpusError, match="cited_by"):
-            parse_record('{"id": "X", "sector": 3, "date_of_effect":'
-                         ' "1970-03-20", "references":'
-                         ' [{"target": "Y", "type": "cited_by"}]}', 2)
+            parse('{"id": "X", "sector": 3, "date_of_effect":'
+                  ' "1970-03-20", "references":'
+                  ' [{"target": "Y", "type": "cited_by"}]}', 2)
+
+
+GOOD_LINE = '{"id": "A", "sector": 1, "date_of_effect": "1970-01-01"}'
+TOKENS = ("['affected_by_case', 'amended_by', 'amendment_to', "
+          "'instruments_cited', 'legal_basis', 'other']")
+DOC = '"id": "X", "sector": 3, "date_of_effect": "1970-01-01"'
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{nope", "invalid JSON: Expecting property name enclosed in double "
+              "quotes: line 1 column 2 (char 1)"),
+    ("[1]", "record must be a JSON object"),
+    ('"A"', "record must be a JSON object"),
+    ('{"sector": 3}', "missing or empty id"),
+    ('{"id": ""}', "missing or empty id"),
+    ('{"id": 7}', "missing or empty id"),
+    ('{"id": "X", "sector": 9}', "sector must be an integer in 1..6"),
+    ('{"id": "X", "sector": "3"}', "sector must be an integer in 1..6"),
+    ('{"id": "X", "sector": true}', "sector must be an integer in 1..6"),
+    ('{"id": "X", "sector": 3.0}', "sector must be an integer in 1..6"),
+    ('{"id": "X", "sector": 3}', "date_of_effect must be an ISO date string"),
+    ('{"id": "X", "sector": 3, "date_of_effect": 19700101}',
+     "date_of_effect must be an ISO date string"),
+    ('{"id": "X", "sector": 3, "date_of_effect": "1970-13-01"}',
+     "bad date_of_effect '1970-13-01': month must be in 1..12"),
+    ('{%s, "date_of_expiry": "1970-02-30"}' % DOC,
+     "bad date_of_expiry '1970-02-30': day is out of range for month"),
+    ('{%s, "date_of_expiry": 5}' % DOC,
+     "date_of_expiry must be an ISO date string"),
+    ('{%s, "date_of_expiry": [1]}' % DOC,
+     "date_of_expiry must be an ISO date string"),
+    ('{%s, "references": {}}' % DOC, "references must be a list"),
+    ('{%s, "references": ["Y"]}' % DOC, "reference entries must be objects"),
+    ('{%s, "references": [{"type": "other"}]}' % DOC,
+     "reference missing target id"),
+    ('{%s, "references": [{"target": "", "type": "other"}]}' % DOC,
+     "reference missing target id"),
+    ('{%s, "references": [{"target": "Y", "type": "cited_by"}]}' % DOC,
+     f"unknown reference type 'cited_by'; expected one of {TOKENS}"),
+    ('{%s, "references": [{"target": "Y", "type": [1]}]}' % DOC,
+     f"unknown reference type [1]; expected one of {TOKENS}"),
+    ('{%s, "references": [{"target": "Y", "type": "other"}, 5]}' % DOC,
+     "reference entries must be objects"),
+])
+def test_parse_error_names_line(line, message):
+    with pytest.raises(CorpusError) as err:
+        list(read_records([GOOD_LINE, "", line, GOOD_LINE]))
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("raw", ["1970-W01-1", "19700101", "1970-001",
+                                 "1970-1-01", "1970-01-01T00:00",
+                                 "\u0661\u0669\u0667\u0660-01-01"])
+@pytest.mark.parametrize("fieldname", ["date_of_effect", "date_of_expiry"])
+def test_only_yyyy_mm_dd_dates(raw, fieldname):
+    record = {"id": "X", "sector": 3, "date_of_effect": "1970-01-01",
+              fieldname: raw}
+    with pytest.raises(CorpusError) as err:
+        list(read_records([json.dumps(record)]))
+    assert str(err.value) == f"line 1: bad {fieldname} {raw!r}: expected YYYY-MM-DD"
 
 
 class TestIngest:
@@ -171,4 +235,4 @@ class TestWriteRecords:
         buf = io.StringIO()
         write_records(export(g), buf)
         again = list(read_records(io.StringIO(buf.getvalue())))
-        assert {r.id for r in again} == {"370L0220", "383L0351", "389L0491"}
+        assert {row[0] for row in again} == {"370L0220", "383L0351", "389L0491"}

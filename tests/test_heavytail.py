@@ -107,6 +107,13 @@ class TestFit:
         assert fit.zeros_excluded == 321
         assert fit.gamma == pytest.approx(fit_power_law(data).gamma)
 
+    def test_non_integral_x_min_rejected(self):
+        data = np.random.default_rng(3).zipf(2.5, 2000)
+        with pytest.raises(ValidationError,
+                           match="^x_min must be a positive integer$"):
+            fit_power_law(data, x_min=5.5)
+        assert fit_power_law(data, x_min=5.0) == fit_power_law(data, x_min=5)
+
     def test_too_few_observations(self):
         with pytest.raises(AnalysisError):
             fit_power_law(np.arange(1, 40))

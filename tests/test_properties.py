@@ -28,6 +28,7 @@ from scipy.special import zeta
 
 from legisnet import (
     RECIPROCAL_TYPES,
+    SENTINEL_EXPIRY,
     AnalysisError,
     LegalDocument,
     LegislationGraph,
@@ -37,6 +38,7 @@ from legisnet import (
     Sector,
     build_graph,
     decompose,
+    export,
     export_text,
     filter_reftype,
     filter_sector,
@@ -53,12 +55,15 @@ from legisnet.metrics import distance_histogram
 from legisnet.resilience import _curve_for_order, removal_boundaries
 
 DANGLING = ("~1", "~2")  # never drawn as document ids
+# quotes, backslashes, control, non-ASCII and lone-surrogate characters
+# all need escaping in the written corpus
+ID_ALPHABET = 'abcxyz019"\\\x1f\u00e9\u2028\U0001d11e\ud800'
 START = date(1950, 1, 1)
 
 
 @st.composite
 def corpora(draw) -> list[dict]:
-    ids = draw(st.lists(st.text("abcxyz019", min_size=1, max_size=3),
+    ids = draw(st.lists(st.text(ID_ALPHABET, min_size=1, max_size=3),
                         min_size=1, max_size=8, unique=True))
     records = []
     for doc_id in ids:
@@ -90,6 +95,18 @@ def lines(records: list[dict]) -> list[str]:
     return [json.dumps(record) for record in records]
 
 
+def record_to_json(row) -> str:
+    """A row's corpus line through a dict and ``json.dumps``: the oracle."""
+    doc_id, sector, effect, expiry, targets, kinds = row
+    obj = {"id": doc_id, "sector": sector,
+           "date_of_effect": date.fromordinal(effect).isoformat()}
+    if expiry != SENTINEL_EXPIRY.toordinal():
+        obj["date_of_expiry"] = date.fromordinal(expiry).isoformat()
+    obj["references"] = [{"target": target, "type": list(RefType)[kind].value}
+                         for target, kind in zip(targets, kinds)]
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def triples(graph) -> list[tuple]:
     return [(r.source, r.target, r.kind) for r in graph.references()]
 
@@ -103,6 +120,14 @@ def test_export_ingest_export_is_byte_stable(records):
     assert list(again.documents()) == list(graph.documents())
     assert set(triples(again)) == set(triples(graph))
     assert export_text(again) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora())
+def test_writer_matches_json_dumps_oracle(records):
+    graph, _ = ingest(read_records(lines(records)), mode="lenient")
+    assert export_text(graph).splitlines() == list(map(record_to_json,
+                                                       export(graph)))
 
 
 @settings(max_examples=80, deadline=None)
