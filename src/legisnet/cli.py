@@ -181,7 +181,9 @@ def _ingest_input(args: argparse.Namespace) -> tuple:
     """(graph, ingest report, input digest) of the --input corpus."""
     text, digest = _read_input(args.input)
     mode = "lenient" if args.lenient else "strict"
-    graph, report = ingest(read_records(text.splitlines()), mode=mode)
+    # JSON strings may hold raw U+2028, U+2029 and U+0085, at which
+    # str.splitlines would break a line; newlines are already universal
+    graph, report = ingest(read_records(text.split("\n")), mode=mode)
     return graph, report, digest
 
 

@@ -46,9 +46,9 @@ MIN_TAIL = 25
 # after this many values; draws beyond it bisect the survival function
 TABLE_FLOOR = 1e-6
 MAX_TABLE = 4_000_000
-# fit_power_law scores at most this many (candidate, tail value) pairs
-# per zeta call, bounding its memory on samples with many unique values
-MAX_PAIRS = 1 << 18
+# fit_power_law bounds each threshold candidate's KS distance by its
+# first PREFIX tail values before finishing only those that can still win
+PREFIX = 6
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,6 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
             gammas = 1.0 + sizes / (logsums - sizes * np.log(thresholds - 0.5))
     ks = _ks_distances(values, cum_counts[first:], below[first:last], sizes,
                        gammas, thresholds)
-    ks[sizes < 2] = np.inf
     best = int(np.argmin(ks))                           # first minimum
     if not np.isfinite(ks[best]):
         raise AnalysisError("no usable power-law threshold candidate")
@@ -159,40 +158,48 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
 def _ks_distances(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
                   sizes: np.ndarray, gammas: np.ndarray,
                   thresholds: np.ndarray) -> np.ndarray:
-    """KS distance of each threshold candidate, inf where it is undefined.
+    """KS distance of each candidate that can be the minimum, else inf.
 
     Candidate j fits ``gammas[j]`` on x >= ``thresholds[j]`` to its
     ``sizes[j]`` tail observations, ``cum[k] - below[j]`` of which are
-    at most ``values[k]`` (k >= j).  Every ``(j, k)`` pair goes through
-    one elementwise ``zeta`` call per block of at most ``MAX_PAIRS``
-    pairs, and each candidate's largest deviation is one ``reduceat``.
+    at most ``values[k]`` (k >= j).  One ``zeta`` call scores every
+    candidate's first ``PREFIX`` tail values; their largest deviation is
+    a lower bound on its KS distance.  Candidates are then finished in
+    ascending bound order, one ``zeta`` call each, until a bound exceeds
+    the least distance found.  Pruned candidates score inf: their
+    distance exceeds the minimum, so the first minimum is unchanged.
     """
-    ks = np.empty(len(gammas))
-    lo = 0
-    while lo < len(gammas):
-        width = len(values) - lo                       # pairs in row lo
-        hi = min(len(gammas), lo + max(1, MAX_PAIRS // width))
-        rows, cols = np.triu_indices(hi - lo, m=width)
-        rows += lo
-        cols += lo
-        row_starts = np.concatenate(
-            ([0], np.cumsum(width - np.arange(hi - lo - 1))))
-        z_upper = zeta(gammas[rows], values[cols] + 1.0)
-        # norm = zeta(gamma, threshold), split off the first tail value when
-        # it is the threshold; the power stays a scalar per candidate,
-        # because numpy's array power can differ from it in the last place
-        norms = np.array([
-            z + float(t) ** -g if v == t else zeta(g, float(t))
-            for z, t, g, v in zip(z_upper[row_starts], thresholds[lo:hi],
-                                  gammas[lo:hi], values[lo:hi])
-        ])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fitted = 1.0 - z_upper / norms[rows - lo]
-        empirical = (cum[cols] - below[rows]) / sizes[rows]
-        deviation = np.maximum.reduceat(np.abs(empirical - fitted), row_starts)
-        ks[lo:hi] = np.where(np.isfinite(norms) & (norms > 0), deviation, np.inf)
-        lo = hi
-    ks[~np.isfinite(ks)] = np.inf
+    # the row of candidate j starts at its own tail value j; rows shorter
+    # than PREFIX repeat their last value, which leaves the maximum alone
+    head = np.minimum(np.arange(len(gammas))[:, None] + np.arange(PREFIX),
+                      len(values) - 1)
+    z_head = zeta(gammas[:, None], values[head] + 1.0)
+    # norm = zeta(gamma, threshold), split off the first tail value when
+    # it is the threshold; the power stays a scalar per candidate,
+    # because numpy's array power can differ from it in the last place
+    norms = np.array([
+        z + float(t) ** -g if v == t else zeta(g, float(t))
+        for z, t, g, v in zip(z_head[:, 0], thresholds, gammas, values)
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fitted = 1.0 - z_head / norms[:, None]
+        empirical = (cum[head] - below[:, None]) / sizes[:, None]
+        bounds = np.abs(empirical - fitted).max(axis=1)  # NaN stays NaN
+    ks = np.full(len(gammas), np.inf)
+    usable = np.flatnonzero(np.isfinite(norms) & (norms > 0)
+                            & np.isfinite(bounds) & (sizes >= 2))
+    best = np.inf
+    for j in usable[np.argsort(bounds[usable], kind="stable")]:
+        if bounds[j] > best:
+            break
+        rest = slice(j + PREFIX, None)
+        fitted = 1.0 - zeta(gammas[j], values[rest] + 1.0) / norms[j]
+        empirical = (cum[rest] - below[j]) / sizes[j]
+        # np.max keeps a NaN deviation, which makes the candidate unusable
+        dist = np.abs(empirical - fitted).max(initial=bounds[j])
+        if np.isfinite(dist):
+            ks[j] = dist
+            best = min(best, dist)
     return ks
 
 

@@ -110,6 +110,22 @@ class TestIngest:
         assert capsys.readouterr().err.splitlines() == [
             "legisnet ingest " + message.format(path=src)]
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                             ids=["line-separator", "paragraph-separator",
+                                  "next-line"])
+    def test_unicode_line_breaks_inside_strings(self, tmp_path, char):
+        doc_id = f"A{char}B"
+        src = tmp_path / "in.jsonl"
+        src.write_text(json.dumps({"id": doc_id, "sector": 3,
+                                   "date_of_effect": "1990-01-01"},
+                                  ensure_ascii=False) + "\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--input", str(src), "--out", str(out),
+                     "--output-dir", str(tmp_path)]) == 0
+        assert [json.loads(line)["id"]
+                for line in out.read_text(encoding="utf-8").split("\n")
+                if line] == [doc_id]
+
     def test_non_utf8_stdin_exit_3(self, tmp_path):
         env = {**os.environ,
                "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}

@@ -9,8 +9,8 @@ that the bow-tie classes partition the nodes and that resilience curves
 only fall.  The two traversal kernels are checked against the algorithms
 they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
 per-boundary ``connected_components`` recount for resilience curves,
-and the vectorised power-law threshold scan against the per-candidate
-loop it replaced, bit for bit.
+and the bound-and-prune power-law threshold scan against the
+per-candidate loop it replaced, bit for bit.
 """
 
 from __future__ import annotations
@@ -425,18 +425,28 @@ def degree_samples(draw) -> np.ndarray:
 
 @settings(max_examples=300, deadline=None)
 @given(degree_samples(), st.integers(1, 60), st.integers(-3, 2),
-       st.integers(0, 9), st.sampled_from([heavytail.MAX_PAIRS, 1, 50]))
+       st.integers(0, 9), st.sampled_from([heavytail.PREFIX, 1, 2, None]))
 # a sample whose selected fit moves in the last place when x_min**-gamma
 # is an array power (as numpy's SIMD power rounds on AVX-512 hosts), and
 # one whose two lowest thresholds tie
-@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, 1, heavytail.MAX_PAIRS)
+@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, 1, heavytail.PREFIX)
 @example(np.repeat(np.array([1, 6, 50], dtype=np.int64) * 10**16, [100, 50, 50]),
-         25, 0, 1, heavytail.MAX_PAIRS)
+         25, 0, 1, heavytail.PREFIX)
+# the selected threshold's largest deviation is at its 28th of 29 tail values
+@example(np.random.default_rng(18).zipf(2.0, 400), 25, 0, 1, heavytail.PREFIX)
+# a bound equal to the best KS: 2**60 and 2**60 + 1 are one float, so
+# x_min = 2**60 (bound 0.45 over one value) reaches KS 0.5 at its second
+# value and is finished first; x_min = 2**59 has bound and KS 0.5, and
+# as the first minimum it must still be finished
+@example(np.repeat(np.array([2**59, 2**60, 2**60 + 1, 2**62], dtype=np.int64),
+                   [100, 45, 5, 50]), 60, 0, 1, 1)
 def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exact,
-                                                  max_pairs):
+                                                  prefix):
     """Equal TailFits or equal AnalysisErrors: selected by KS over all
     candidates, near a min_tail of n, and pinned at every observed value,
-    at an unobserved value below each and above the maximum."""
+    at an unobserved value below each and above the maximum.  The bound
+    phase scores the first ``prefix`` tail values of each row, or whole
+    rows when ``prefix`` is None."""
     positive = xs[xs > 0]
     seen = sorted(set(positive.tolist()))
     unseen = sorted({x - 1 for x in seen if x > 1} - set(seen)
@@ -447,6 +457,8 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exa
         runs = [{**run, "method": "exact"} for run in runs + pinned[:4]]
     else:
         runs += pinned
+    if prefix is None:
+        prefix = len(seen) + 1
 
     def outcome(fit, kwargs):
         try:
@@ -454,8 +466,7 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exa
         except AnalysisError as exc:
             return str(exc)
 
-    # small pair blocks split the scan into several zeta calls
-    with patch.object(heavytail, "MAX_PAIRS", max_pairs), \
+    with patch.object(heavytail, "PREFIX", prefix), \
             np.errstate(divide="ignore"):
         for kwargs in runs:
             assert outcome(fit_power_law, kwargs) == \
