@@ -88,8 +88,9 @@ COUNT_FLAGS = ("bootstrap", "min_tail", "replicas", "reps",
 def _read_input(path: str) -> tuple[str, str]:
     """(text, digest) of the --input corpus, which must be UTF-8."""
     try:
-        text = (sys.stdin.read() if path == "-"
-                else Path(path).read_text(encoding="utf-8"))
+        # read_text translates line ends to "\n"; stdin on POSIX does not
+        text = (sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
+                if path == "-" else Path(path).read_text(encoding="utf-8"))
         # stdin may decode undecodable bytes to lone surrogates instead
         data = text.encode("utf-8")
     except OSError as exc:
@@ -182,7 +183,7 @@ def _ingest_input(args: argparse.Namespace) -> tuple:
     text, digest = _read_input(args.input)
     mode = "lenient" if args.lenient else "strict"
     # JSON strings may hold raw U+2028, U+2029 and U+0085, at which
-    # str.splitlines would break a line; newlines are already universal
+    # str.splitlines would break a line; line ends are already "\n"
     graph, report = ingest(read_records(text.split("\n")), mode=mode)
     return graph, report, digest
 

@@ -15,12 +15,16 @@ refitted from scratch (threshold selection included), and the p-value
 is the fraction of replicas whose KS distance is at least the observed
 one.  The model is ruled out when p < 0.10.
 
-Refits dominate the bootstrap, so the threshold scan is vectorised.
-Tail sizes fall as the threshold rises, so the candidates (thresholds
-keeping at least ``min_tail`` observations) are a prefix of the unique
-values.  All candidates' exponents form one vector; every (candidate,
-tail value) pair goes through one elementwise ``zeta`` call, and one
-``np.maximum.reduceat`` gives each candidate's KS distance.  A pinned
+Refits dominate the bootstrap, so the threshold scan bounds and
+prunes.  Tail sizes fall as the threshold rises, so the candidates
+(thresholds keeping at least ``min_tail`` observations) are a prefix of
+the unique values, and their exponents form one vector.  One
+elementwise ``zeta`` call scores every candidate's first ``PREFIX``
+tail values, whose largest deviation is a lower bound on its KS
+distance.  Candidates are finished in ascending bound order, one
+``zeta`` call each, until a bound exceeds the least distance found;
+only the minimum is used, and the candidates left cannot reach it.  Memory
+is O(K * PREFIX + U) for K candidates and U tail values.  A pinned
 ``x_min`` and ``method='exact'`` use the same scan.  Each replica makes
 exactly one ``fit_power_law`` call, looked up as this module's global,
 so wrapping that name counts replicas.

@@ -126,6 +126,24 @@ class TestIngest:
                 for line in out.read_text(encoding="utf-8").split("\n")
                 if line] == [doc_id]
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_alike_from_file_and_stdin(self, tmp_path,
+                                                      monkeypatch, end):
+        text = end.join(json.dumps({"id": doc_id, "sector": 3,
+                                    "date_of_effect": "1990-01-01"})
+                        for doc_id in "AB") + end
+        src = tmp_path / "in.jsonl"
+        src.write_bytes(text.encode())
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))  # untranslated
+        reports = []
+        for source in (str(src), "-"):
+            out_dir = tmp_path / str(len(reports))
+            assert main(["ingest", "--input", source,
+                         "--output-dir", str(out_dir)]) == 0
+            reports.append(read_report(out_dir / "ingest_report.json"))
+        assert [r["results"]["nodes"] for r in reports] == [2, 2]
+        assert len({r["manifest"]["input_digest"] for r in reports}) == 1
+
     def test_non_utf8_stdin_exit_3(self, tmp_path):
         env = {**os.environ,
                "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}
