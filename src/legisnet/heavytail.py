@@ -18,20 +18,28 @@ one.  The model is ruled out when p < 0.10.
 Refits dominate the bootstrap, so the threshold scan bounds and
 prunes.  Tail sizes fall as the threshold rises, so the candidates
 (thresholds keeping at least ``min_tail`` observations) are a prefix of
-the unique values, and their exponents form one vector.  One
-elementwise ``zeta`` call scores every candidate's first ``PREFIX``
-tail values, whose largest deviation is a lower bound on its KS
-distance.  Candidates are finished in ascending bound order, one
-``zeta`` call each, until a bound exceeds the least distance found;
-only the minimum is used, and the candidates left cannot reach it.  Memory
-is O(K * PREFIX + U) for K candidates and U tail values.  A pinned
-``x_min`` and ``method='exact'`` use the same scan.  Each replica makes
-exactly one ``fit_power_law`` call, looked up as this module's global,
-so wrapping that name counts replicas.
+the unique values, and their exponents form one vector.  Each candidate
+needs zeta(g, t + 1) for its norm, and the Hurwitz identity
+
+    zeta(g, v + 1) = zeta(g, t + 1) - sum(x**(-g) for t < x <= v)
+
+turns that one value into the fitted CDF at every tail value v within
+``WIDTH`` of the threshold t: the running sums of a K x ``WIDTH`` grid
+of powers cover all K candidates at once.  The largest deviation over
+those values, each lowered by ``MARGIN`` for rounding (the first,
+computed exactly, is not), is a lower bound on the candidate's KS
+distance; values beyond the grid add nothing to it.  Candidates are
+finished in ascending bound order, one exact ``zeta`` row each, until a
+bound exceeds the least distance found; only the minimum is used, and
+the candidates left cannot reach it.  Memory is O(K * WIDTH + U) for U
+tail values.  A pinned ``x_min`` and ``method='exact'`` use the same
+scan.  Each replica makes exactly one ``fit_power_law`` call, looked up
+as this module's global, so wrapping that name counts replicas.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -50,9 +58,16 @@ MIN_TAIL = 25
 # after this many values; draws beyond it bisect the survival function
 TABLE_FLOOR = 1e-6
 MAX_TABLE = 4_000_000
+INT64_MAX = int(np.iinfo(np.int64).max)
 # fit_power_law bounds each threshold candidate's KS distance by its
-# first PREFIX tail values before finishing only those that can still win
-PREFIX = 6
+# tail values within WIDTH of the threshold.  Those deviations come from
+# power sums and are lowered by MARGIN, far above their rounding error
+# (a few units in the last place of a CDF value).  Below about 1e-300
+# scipy's zeta loses relative precision (3e-11 near 2e-307, percents
+# among subnormals), so a norm under ZETA_FLOOR gives no bound.
+WIDTH = 16
+MARGIN = 1e-9
+ZETA_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -81,11 +96,20 @@ class FitResult:
 
 
 def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
-    xs = np.asarray(degrees, dtype=np.int64).ravel()
-    if np.any(xs < 0):
+    """The positive degrees, sorted, as int64, and the count of zeros."""
+    xs = np.asarray(degrees).ravel()
+    if xs.dtype.kind not in "biu":
+        # NaN, infinities, fractions and values past int64 change in the cast
+        with np.errstate(invalid="ignore"):
+            ints = xs.astype(np.int64)
+        if not np.array_equal(ints, xs):
+            raise ValidationError("degrees must be non-negative integers")
+        xs = ints
+    xs = np.sort(xs.astype(np.int64, copy=False))
+    if len(xs) and xs[0] < 0:
         raise ValidationError("degrees must be non-negative integers")
-    zeros = int((xs == 0).sum())
-    return np.sort(xs[xs > 0]), zeros
+    zeros = int(np.searchsorted(xs, 1))
+    return xs[zeros:], zeros
 
 
 def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
@@ -111,14 +135,12 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
     if method not in ("approx", "exact"):
         raise ValidationError(f"unknown fit method {method!r}")
 
-    new_value = np.concatenate(([True], xs[1:] != xs[:-1]))  # xs is sorted
-    starts = np.flatnonzero(new_value)
-    uniq = xs[starts]
-    counts = np.diff(starts, append=n)
-    cum_counts = np.cumsum(counts)                      # count of xs <= uniq[j]
-    below = cum_counts - counts                         # count of xs <  uniq[j]
-    tail_sizes = n - below
-    log_weighted = counts * np.log(uniq)
+    # xs is sorted: a value's run starts after every smaller observation
+    below = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    uniq = xs[below]
+    cum_counts = np.append(below[1:], n)                # count of xs <= uniq[j]
+    tail_sizes = n - below                              # count of xs >= uniq[j]
+    log_weighted = (cum_counts - below) * np.log(uniq)
     tail_logsums = log_weighted[::-1].cumsum()[::-1]    # sum of ln x over tail
 
     if x_min is not None:
@@ -143,15 +165,16 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
     values = uniq[first:]
     sizes = tail_sizes[first:last]
     logsums = tail_logsums[first:last]
-    if method == "exact":
-        gammas = np.array([_exact_mle(s, int(t), int(x))
-                           for s, t, x in zip(logsums, sizes, thresholds)])
-    else:
-        # a log-sum that rounds to 0 gives gamma = inf, which the scan rejects
-        with np.errstate(divide="ignore"):
+    # a log-sum that rounds to 0 (or below) gives gamma = inf (or <= 1),
+    # whose powers and zeta values the scan rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if method == "exact":
+            gammas = np.array([_exact_mle(s, int(t), int(x))
+                               for s, t, x in zip(logsums, sizes, thresholds)])
+        else:
             gammas = 1.0 + sizes / (logsums - sizes * np.log(thresholds - 0.5))
-    ks = _ks_distances(values, cum_counts[first:], below[first:last], sizes,
-                       gammas, thresholds)
+        ks = _ks_distances(values, cum_counts[first:], below[first:last], sizes,
+                           gammas, thresholds)
     best = int(np.argmin(ks))                           # first minimum
     if not np.isfinite(ks[best]):
         raise AnalysisError("no usable power-law threshold candidate")
@@ -166,45 +189,72 @@ def _ks_distances(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
 
     Candidate j fits ``gammas[j]`` on x >= ``thresholds[j]`` to its
     ``sizes[j]`` tail observations, ``cum[k] - below[j]`` of which are
-    at most ``values[k]`` (k >= j).  One ``zeta`` call scores every
-    candidate's first ``PREFIX`` tail values; their largest deviation is
-    a lower bound on its KS distance.  Candidates are then finished in
-    ascending bound order, one ``zeta`` call each, until a bound exceeds
-    the least distance found.  Pruned candidates score inf: their
-    distance exceeds the minimum, so the first minimum is unchanged.
+    at most ``values[k]`` (k >= j).  Candidates are finished in
+    ascending order of their ``_ks_bounds``, one ``zeta`` row each,
+    until a bound exceeds the least distance found.  Pruned candidates
+    score inf: their distance exceeds the minimum, so the first minimum
+    is unchanged.
     """
-    # the row of candidate j starts at its own tail value j; rows shorter
-    # than PREFIX repeat their last value, which leaves the maximum alone
-    head = np.minimum(np.arange(len(gammas))[:, None] + np.arange(PREFIX),
-                      len(values) - 1)
-    z_head = zeta(gammas[:, None], values[head] + 1.0)
-    # norm = zeta(gamma, threshold), split off the first tail value when
-    # it is the threshold; the power stays a scalar per candidate,
-    # because numpy's array power can differ from it in the last place
-    norms = np.array([
-        z + float(t) ** -g if v == t else zeta(g, float(t))
-        for z, t, g, v in zip(z_head[:, 0], thresholds, gammas, values)
-    ])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fitted = 1.0 - z_head / norms[:, None]
-        empirical = (cum[head] - below[:, None]) / sizes[:, None]
-        bounds = np.abs(empirical - fitted).max(axis=1)  # NaN stays NaN
+    z_first = zeta(gammas, thresholds + 1.0)            # zeta(g, t + 1)
+    if values[0] == thresholds[0]:
+        # norm = zeta(g, t), with the threshold's own term split off;
+        # the power stays a scalar per candidate, because numpy's array
+        # power can differ from it in the last place.  gamma > 1 always
+        # holds exactly, so a rounded gamma <= 1 has no norm.
+        norms = z_first + np.array([
+            float(t) ** -g if g > 1.0 else np.inf
+            for t, g in zip(thresholds.tolist(), gammas.tolist())])
+    else:       # a pinned x_min that is not observed
+        norms = zeta(gammas, thresholds.astype(float))
+    bounds = _ks_bounds(values, cum, below, sizes, gammas, thresholds,
+                        z_first, norms)
     ks = np.full(len(gammas), np.inf)
-    usable = np.flatnonzero(np.isfinite(norms) & (norms > 0)
-                            & np.isfinite(bounds) & (sizes >= 2))
+    usable = np.flatnonzero(np.isfinite(norms) & (norms > 0) & (sizes >= 2))
     best = np.inf
-    for j in usable[np.argsort(bounds[usable], kind="stable")]:
+    for j in usable[np.argsort(bounds[usable], kind="stable")].tolist():
         if bounds[j] > best:
             break
-        rest = slice(j + PREFIX, None)
-        fitted = 1.0 - zeta(gammas[j], values[rest] + 1.0) / norms[j]
-        empirical = (cum[rest] - below[j]) / sizes[j]
+        fitted = 1.0 - zeta(gammas[j], values[j:] + 1.0) / norms[j]
+        empirical = (cum[j:] - below[j]) / sizes[j]
         # np.max keeps a NaN deviation, which makes the candidate unusable
-        dist = np.abs(empirical - fitted).max(initial=bounds[j])
+        dist = np.abs(empirical - fitted).max()
         if np.isfinite(dist):
             ks[j] = dist
             best = min(best, dist)
     return ks
+
+
+def _ks_bounds(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
+               sizes: np.ndarray, gammas: np.ndarray, thresholds: np.ndarray,
+               z_first: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """A lower bound on each candidate's KS distance, -inf where none.
+
+    ``z_first`` holds zeta(g, t + 1) and ``norms`` zeta(g, t).  A tail
+    value v with 0 < v - t <= ``WIDTH`` gets zeta(g, v + 1) as
+    ``z_first`` minus the running sum of x**(-g) over t < x <= v, and
+    its deviation, lowered by ``MARGIN``, enters the bound; the value at
+    the threshold enters exactly.
+    """
+    k = len(gammas)
+    sums = np.zeros((k, WIDTH + 1))                     # column d: t < x <= t + d
+    sums[:, 1:] = (thresholds + 1.0)[:, None] + np.arange(WIDTH)
+    sums[:, 1:] **= -gammas[:, None]
+    np.cumsum(sums, axis=1, out=sums)
+    # the tail values within WIDTH of t are among its first WIDTH + 1;
+    # rows shorter than that repeat their last value
+    head = np.minimum(np.arange(k)[:, None] + np.arange(WIDTH + 1),
+                      len(values) - 1)
+    gaps = values[head] - thresholds[:, None]
+    near = np.minimum(gaps, WIDTH)
+    z_near = z_first[:, None] - np.take_along_axis(sums, near, axis=1)
+    deviation = np.abs((cum[head] - below[:, None]) / sizes[:, None]
+                       - (1.0 - z_near / norms[:, None]))
+    deviation[gaps > 0] -= MARGIN
+    deviation[gaps > WIDTH] = -np.inf
+    bounds = deviation.max(axis=1)
+    # a bound that is not finite, or rests on a norm under ZETA_FLOOR, never prunes
+    bounds[~np.isfinite(bounds) | ~(norms >= ZETA_FLOOR)] = -np.inf
+    return bounds
 
 
 def _exact_mle(tail_logsum: float, n_tail: int, x_min: int) -> float:
@@ -226,37 +276,44 @@ class PowerLawSampler:
 
     A CDF table covers the bulk; the far tail (beyond ``TABLE_FLOOR``
     survival probability) falls back to bisection on the zeta-based
-    survival function.
+    survival function.  A draw past the int64 range raises
+    ``AnalysisError``.
     """
 
     def __init__(self, gamma: float, x_min: int) -> None:
         if gamma <= 1.0:
             raise ValidationError("power-law exponent must exceed 1")
+        if not (x_min >= 1 and float(x_min).is_integer()):
+            raise ValidationError("x_min must be a positive integer")
         self.gamma = float(gamma)
         self.x_min = int(x_min)
-        span = TABLE_FLOOR ** (-1.0 / (self.gamma - 1.0))
-        top = min(int(self.x_min * span) + 2, self.x_min + MAX_TABLE)
-        values = np.arange(self.x_min, top + 1, dtype=np.int64)
+        # the table spans x_min * TABLE_FLOOR ** (-1 / (gamma - 1)) values,
+        # at most MAX_TABLE; near gamma = 1 the span overflows a float, so
+        # it is compared with MAX_TABLE in log space first
+        if math.log(TABLE_FLOOR) / (1.0 - self.gamma) < math.log(MAX_TABLE):
+            span = TABLE_FLOOR ** (-1.0 / (self.gamma - 1.0))
+            top = min(int(self.x_min * span) + 2, self.x_min + MAX_TABLE)
+        else:
+            top = self.x_min + MAX_TABLE
+        self._top = min(top, INT64_MAX)
+        values = np.arange(self._top - self.x_min + 1) + self.x_min
         self._norm = float(zeta(self.gamma, float(self.x_min)))
         survival = zeta(self.gamma, values + 1.0) / self._norm
-        self._values = values
         self._cdf = 1.0 - survival          # P(X <= value), ascending
-        self._cdf_top = float(self._cdf[-1])
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(size)
         idx = np.searchsorted(self._cdf, u, side="left")
-        out = np.empty(size, dtype=np.int64)
-        in_table = idx < len(self._values)
-        out[in_table] = self._values[idx[in_table]]
-        for pos in np.flatnonzero(~in_table):
+        out = idx + self.x_min              # the table holds x_min, x_min + 1, ...
+        for pos in np.flatnonzero(idx == len(self._cdf)):
             out[pos] = self._far_tail(u[pos])
         return out
 
     def _far_tail(self, u: float) -> int:
-        lo = int(self._values[-1])
+        lo = self._top
         hi = lo * 2
-        while 1.0 - zeta(self.gamma, hi + 1.0) / self._norm < u:
+        # past the int64 range the bisection below ends at hi, which is refused
+        while hi <= INT64_MAX and 1.0 - zeta(self.gamma, hi + 1.0) / self._norm < u:
             lo, hi = hi, hi * 2
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -264,6 +321,11 @@ class PowerLawSampler:
                 hi = mid
             else:
                 lo = mid
+        if hi > INT64_MAX:
+            raise AnalysisError(
+                f"the fitted power-law tail (gamma={self.gamma:.6g}, "
+                f"x_min={self.x_min}) reaches past the int64 range and "
+                f"cannot be sampled")
         return hi
 
 
@@ -280,12 +342,12 @@ def _gof_replica(replica: int, seed: int, n: int, p_tail: float,
                  min_tail: int, sampler: PowerLawSampler) -> tuple[float, ...]:
     rng = rng_for(seed, "gof-replica", replica)
     n_tail_draw = int(rng.binomial(n, p_tail))
-    parts = []
+    synthetic = np.empty(n, dtype=np.int64)
     if n_tail_draw:
-        parts.append(sampler.draw(n_tail_draw, rng))
+        synthetic[:n_tail_draw] = sampler.draw(n_tail_draw, rng)
     if n - n_tail_draw:
-        parts.append(body[rng.integers(0, len(body), size=n - n_tail_draw)])
-    synthetic = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        synthetic[n_tail_draw:] = body[rng.integers(0, len(body),
+                                                    size=n - n_tail_draw)]
     try:
         refit = fit_power_law(synthetic, min_tail=min_tail)
     except AnalysisError:

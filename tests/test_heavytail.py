@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -14,7 +16,8 @@ from legisnet import (
     goodness_of_fit,
     sample_power_law,
 )
-from legisnet.heavytail import PowerLawSampler
+from legisnet.heavytail import (DEFAULT_BOOTSTRAP_M, MAX_TABLE, PowerLawSampler,
+                                TailFit)
 
 
 def draw_pl_table(gamma, x_min, size, rng):
@@ -126,6 +129,21 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit_power_law(np.array([-1] * 100))
 
+    def test_non_integral_degrees_rejected(self):
+        data = np.random.default_rng(3).zipf(2.5, 2000)
+        message = "^degrees must be non-negative integers$"
+        for bad in (data + 0.7, np.append(data, np.nan), np.append(data, np.inf),
+                    np.append(data, 1e19)):
+            # rejected before any cast, so no RuntimeWarning either
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=message):
+                    fit_power_law(bad)
+            with pytest.raises(ValidationError, match=message):
+                goodness_of_fit(bad, m=DEFAULT_BOOTSTRAP_M)
+        assert fit_power_law(data.astype(float)) == fit_power_law(data)
+        assert fit_power_law(data.tolist()) == fit_power_law(data)
+
 
 class TestSampler:
     def test_matches_theoretical_pmf(self):
@@ -150,6 +168,20 @@ class TestSampler:
     def test_rejects_flat_exponent(self):
         with pytest.raises(ValidationError):
             PowerLawSampler(1.0, 5)
+
+    def test_rejects_x_min_below_one_or_fractional(self):
+        rng = np.random.default_rng(1)
+        for x_min in (0, -3, 2.5):
+            with pytest.raises(ValidationError,
+                               match="^x_min must be a positive integer$"):
+                sample_power_law(2.5, x_min, 4, rng)
+        assert sample_power_law(2.5, 3.0, 4, rng).min() >= 3
+
+    def test_near_one_exponent_caps_the_table(self):
+        # the table span TABLE_FLOOR ** (-1 / 0.019) overflows a float
+        sampler = PowerLawSampler(1.019, 2)
+        assert sampler._top == 2 + MAX_TABLE
+        assert len(sampler._cdf) == MAX_TABLE + 1
 
 
 class TestGoodnessOfFit:
@@ -196,6 +228,18 @@ class TestGoodnessOfFit:
         data = draw_pl_table(2.5, 5, 1_000, rng)
         with pytest.raises(ValidationError):
             goodness_of_fit(data, m=0)
+
+    def test_tail_past_int64_cannot_be_sampled(self):
+        data = np.random.default_rng(21).zipf(2.5, 2_000)
+        message = "^the fitted power-law tail .* past the int64 range"
+        with pytest.warns(UserWarning, match="resolution"), \
+                pytest.raises(AnalysisError, match=message):
+            goodness_of_fit(data, TailFit(1.02, 2, 500, 0.05), m=2)
+        wide = [1] * 60 + [2**62] * 60
+        fit = fit_power_law(wide, method="exact")
+        with pytest.warns(UserWarning, match="resolution"), \
+                pytest.raises(AnalysisError, match=message):
+            goodness_of_fit(wide, fit, m=2)
 
     def test_seeded_bootstrap_is_pinned(self):
         # exact values of a seeded run; a change in the last place of any

@@ -16,6 +16,7 @@ per-candidate loop it replaced, bit for bit.
 from __future__ import annotations
 
 import json
+import warnings
 from datetime import date, timedelta
 from unittest.mock import patch
 
@@ -43,6 +44,7 @@ from legisnet import (
     filter_reftype,
     filter_sector,
     fit_power_law,
+    goodness_of_fit,
     ingest,
     read_records,
     simulate,
@@ -423,30 +425,45 @@ def degree_samples(draw) -> np.ndarray:
     return np.concatenate([xs, np.zeros(draw(st.integers(0, 30)), dtype=np.int64)])
 
 
+# the widest power-sum grid the property draws: 4,096 values per candidate
+WHOLE_ROW = 4096
+STEEP = np.repeat(np.array([1, 240, 242]), [50, 31, 69])
+SUBNORMAL_NORM = np.repeat(
+    np.array([1, 291, 292, 293, 294, 295, 296, 297, 298, 299, 300, 302, 303, 306]),
+    [22, 60, 45, 17, 19, 12, 6, 10, 7, 3, 2, 3, 1, 1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(degree_samples(), st.integers(1, 60), st.integers(-3, 2),
-       st.integers(0, 9), st.sampled_from([heavytail.PREFIX, 1, 2, None]))
+       st.integers(0, 9), st.sampled_from([heavytail.WIDTH, 1, 2, None]))
 # a sample whose selected fit moves in the last place when x_min**-gamma
 # is an array power (as numpy's SIMD power rounds on AVX-512 hosts), and
 # one whose two lowest thresholds tie
-@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, 1, heavytail.PREFIX)
+@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, 1, heavytail.WIDTH)
 @example(np.repeat(np.array([1, 6, 50], dtype=np.int64) * 10**16, [100, 50, 50]),
-         25, 0, 1, heavytail.PREFIX)
+         25, 0, 1, heavytail.WIDTH)
 # the selected threshold's largest deviation is at its 28th of 29 tail values
-@example(np.random.default_rng(18).zipf(2.0, 400), 25, 0, 1, heavytail.PREFIX)
+@example(np.random.default_rng(18).zipf(2.0, 400), 25, 0, 1, heavytail.WIDTH)
 # a bound equal to the best KS: 2**60 and 2**60 + 1 are one float, so
 # x_min = 2**60 (bound 0.45 over one value) reaches KS 0.5 at its second
 # value and is finished first; x_min = 2**59 has bound and KS 0.5, and
 # as the first minimum it must still be finished
 @example(np.repeat(np.array([2**59, 2**60, 2**60 + 1, 2**62], dtype=np.int64),
                    [100, 45, 5, 50]), 60, 0, 1, 1)
+# x_min = 3 is 37 below the next value, past the power-sum grid
+@example(np.repeat(np.array([2, 3, 40, 41, 45, 300]), [60, 30, 30, 20, 20, 20]),
+         10, 0, 1, heavytail.WIDTH)
+# gamma = 129 at x_min = 240, where x**-gamma turns subnormal from 245 on
+@example(STEEP, 10, 0, 1, heavytail.WIDTH)
+# the winner's norm is subnormal, and scipy's zeta is off by percents there
+@example(SUBNORMAL_NORM, 26, 0, 1, heavytail.WIDTH)
 def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exact,
-                                                  prefix):
+                                                  width):
     """Equal TailFits or equal AnalysisErrors: selected by KS over all
     candidates, near a min_tail of n, and pinned at every observed value,
     at an unobserved value below each and above the maximum.  The bound
-    phase scores the first ``prefix`` tail values of each row, or whole
-    rows when ``prefix`` is None."""
+    phase covers tail values within ``width`` of each threshold, or the
+    whole value range (up to WHOLE_ROW) when ``width`` is None."""
     positive = xs[xs > 0]
     seen = sorted(set(positive.tolist()))
     unseen = sorted({x - 1 for x in seen if x > 1} - set(seen)
@@ -457,8 +474,8 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exa
         runs = [{**run, "method": "exact"} for run in runs + pinned[:4]]
     else:
         runs += pinned
-    if prefix is None:
-        prefix = len(seen) + 1
+    if width is None:
+        width = min(max(max(seen) - min(seen), 1), WHOLE_ROW)
 
     def outcome(fit, kwargs):
         try:
@@ -466,8 +483,62 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exa
         except AnalysisError as exc:
             return str(exc)
 
-    with patch.object(heavytail, "PREFIX", prefix), \
+    with patch.object(heavytail, "WIDTH", width), \
             np.errstate(divide="ignore"):
         for kwargs in runs:
             assert outcome(fit_power_law, kwargs) == \
                 outcome(per_candidate_fit, kwargs), kwargs
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_samples(), st.integers(1, 60),
+       st.sampled_from([heavytail.WIDTH, 1, 2, WHOLE_ROW]))
+@example(STEEP, 10, heavytail.WIDTH)
+@example(SUBNORMAL_NORM, 26, heavytail.WIDTH)
+def test_power_sum_bounds_are_lower_bounds(xs, min_tail, width):
+    """Every candidate's bound is at most its exact KS distance, as the
+    finishing phase computes it, whether or not the scan finishes it."""
+    seen = []
+
+    def spy(values, cum, below, sizes, gammas, thresholds, z_first, norms):
+        bounds = bound(values, cum, below, sizes, gammas, thresholds,
+                       z_first, norms)
+        seen.append((values, cum, below, sizes, gammas, norms, bounds))
+        return bounds
+
+    bound = heavytail._ks_bounds
+    with patch.object(heavytail, "_ks_bounds", spy), \
+            patch.object(heavytail, "WIDTH", width), np.errstate(all="ignore"):
+        try:
+            fit_power_law(xs, min_tail=min_tail)
+        except AnalysisError:
+            pass
+        for values, cum, below, sizes, gammas, norms, bounds in seen:
+            for j in range(len(gammas)):
+                fitted = 1.0 - zeta(gammas[j], values[j:] + 1.0) / norms[j]
+                dist = np.abs((cum[j:] - below[j]) / sizes[j] - fitted).max()
+                if np.isfinite(dist):
+                    assert bounds[j] <= dist, (j, bounds[j], dist)
+
+
+@settings(max_examples=25, deadline=None)
+@given(degree_samples(), st.integers(1, 5), st.integers(0, 2**16))
+def test_bootstrap_equals_bootstrap_of_per_candidate_fits(xs, m, seed):
+    """goodness_of_fit gives the same result, or the same AnalysisError,
+    when every fit, its refits included, is the per-candidate loop.  The
+    sampler's table is cut to 10,000 values to keep near-1 exponents
+    quick; draws past it bisect the same survival function."""
+
+    def outcome():
+        try:
+            return goodness_of_fit(xs, m=m, seed=seed)
+        except AnalysisError as exc:
+            return str(exc)
+
+    with warnings.catch_warnings(), np.errstate(divide="ignore"), \
+            patch.object(heavytail, "MAX_TABLE", 10_000):
+        warnings.simplefilter("ignore", UserWarning)
+        vectorised = outcome()
+        with patch.object(heavytail, "fit_power_law", per_candidate_fit):
+            assert outcome() == vectorised
+
