@@ -10,7 +10,9 @@ only fall.  The two traversal kernels are checked against the algorithms
 they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
 per-boundary ``connected_components`` recount for resilience curves,
 and the bound-and-prune power-law threshold scan against the
-per-candidate loop it replaced, bit for bit.
+per-candidate loop it replaced, bit for bit, in single fits and in the
+bootstrap.  The scan's power-sum bounds are checked against each
+candidate's exact KS distance.
 """
 
 from __future__ import annotations
@@ -453,7 +455,7 @@ SUBNORMAL_NORM = np.repeat(
 # x_min = 3 is 37 below the next value, past the power-sum grid
 @example(np.repeat(np.array([2, 3, 40, 41, 45, 300]), [60, 30, 30, 20, 20, 20]),
          10, 0, 1, heavytail.WIDTH)
-# gamma = 129 at x_min = 240, where x**-gamma turns subnormal from 245 on
+# gamma = 129 at x_min = 240, where x**-gamma turns subnormal from 243 on
 @example(STEEP, 10, 0, 1, heavytail.WIDTH)
 # the winner's norm is subnormal, and scipy's zeta is off by percents there
 @example(SUBNORMAL_NORM, 26, 0, 1, heavytail.WIDTH)
