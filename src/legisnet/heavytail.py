@@ -200,7 +200,8 @@ def _ks_distances(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
         # norm = zeta(g, t), with the threshold's own term split off;
         # the power stays a scalar per candidate, because numpy's array
         # power can differ from it in the last place.  gamma > 1 always
-        # holds exactly, so a rounded gamma <= 1 has no norm.
+        # holds exactly; a rounded gamma <= 1 gets no norm (its zeta is
+        # not finite either), as a Python float power would overflow.
         norms = z_first + np.array([
             float(t) ** -g if g > 1.0 else np.inf
             for t, g in zip(thresholds.tolist(), gammas.tolist())])
