@@ -2,7 +2,7 @@
 
 All three operations are pure functions on an immutable graph and
 return new graphs, so they compose in any order and are safe to call
-concurrently.
+concurrently.  The annual series returns node masks, not graphs.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ def snapshot(graph: LegislationGraph, at: date) -> LegislationGraph:
 
 
 def annual_series(graph: LegislationGraph, years: tuple[int, int],
-                  ) -> list[tuple[int, LegislationGraph]]:
-    """One snapshot per year, evaluated at December 31, ascending.
+                  ) -> list[tuple[int, np.ndarray]]:
+    """One active-document mask per December 31, ascending (none if inverted).
 
-    An inverted range yields an empty list.
+    A year is a mask over the parent's columns, with components on the
+    sliced parent CSR; ``graph.induced_subgraph(mask)`` is its snapshot.
     """
     start, end = years
-    return [(year, snapshot(graph, date(year, 12, 31)))
+    return [(year, active_mask(graph, date(year, 12, 31)))
             for year in range(start, end + 1)]

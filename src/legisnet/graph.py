@@ -79,10 +79,6 @@ def reftype_code(kind: RefType) -> int:
     return _REFTYPE_CODE[kind]
 
 
-def reftype_from_code(code: int) -> RefType:
-    return _REFTYPE_ORDER[code]
-
-
 @dataclass(frozen=True)
 class LegalDocument:
     """A node: one legal document with its validity interval."""

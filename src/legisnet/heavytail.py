@@ -95,8 +95,8 @@ class FitResult:
     zeros_excluded: int = 0
 
 
-def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
-    """The positive degrees, sorted, as int64, and the count of zeros."""
+def _sorted_degrees(degrees) -> np.ndarray:
+    """Sorted int64 degrees; raises unless all are non-negative integers."""
     xs = np.asarray(degrees).ravel()
     if xs.dtype.kind not in "biu":
         # NaN, infinities, fractions and values past int64 change in the cast
@@ -108,6 +108,12 @@ def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
     xs = np.sort(xs.astype(np.int64, copy=False))
     if len(xs) and xs[0] < 0:
         raise ValidationError("degrees must be non-negative integers")
+    return xs
+
+
+def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
+    """The positive degrees, sorted, as int64, and the count of zeros."""
+    xs = _sorted_degrees(degrees)
     zeros = int(np.searchsorted(xs, 1))
     return xs[zeros:], zeros
 
@@ -411,7 +417,7 @@ def ccdf(degrees) -> list[tuple[int, float]]:
     One point per unique observed value, ascending; the first point is
     the minimum degree with fraction 1.
     """
-    xs = np.asarray(degrees, dtype=np.int64).ravel()
+    xs = _sorted_degrees(degrees)
     if len(xs) == 0:
         raise AnalysisError("ccdf of an empty degree multiset is undefined")
     uniq, counts = np.unique(xs, return_counts=True)

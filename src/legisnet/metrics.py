@@ -233,13 +233,6 @@ def clustering(graph: LegislationGraph) -> ClusteringProfile:
 # -- components --------------------------------------------------------------
 
 
-def weak_component_labels(graph: LegislationGraph) -> tuple[int, np.ndarray]:
-    if graph.node_count == 0:
-        return 0, np.empty(0, dtype=np.int32)
-    return connected_components(graph.adjacency(), directed=True,
-                                connection="weak")
-
-
 def largest_label(labels: np.ndarray, id_rank: np.ndarray) -> int:
     """Label of the largest component; size ties go to the component
     holding the smallest document id (``id_rank`` from ``id_ranks()``)."""
@@ -252,7 +245,8 @@ def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
     """Mask of the largest weakly connected component (ties: smallest id)."""
     if graph.node_count == 0:
         return np.zeros(0, dtype=bool)
-    _, labels = weak_component_labels(graph)
+    _, labels = connected_components(graph.adjacency(), directed=True,
+                                     connection="weak")
     return labels == largest_label(labels, graph.id_ranks())
 
 

@@ -1,9 +1,10 @@
 """Annual evolution series and densification power-law fitting.
 
 The yearly series counts only active nodes and edges (point-in-time
-snapshots at December 31).  Densification regresses ln E on ln N by
-ordinary least squares over the usable snapshots; the slope is the
-densification exponent.
+snapshots at December 31).  A year is a node mask over the parent's
+columns, with components on the sliced parent CSR; no graph is built
+per year.  Densification regresses ln E on ln N by ordinary least
+squares over the usable snapshots; the slope is the exponent.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import AnalysisError
 from .filters import annual_series
-from .graph import LegislationGraph, RefType, Sector, reftype_from_code
+from .graph import LegislationGraph, RefType, Sector
 
 
 @dataclass
@@ -38,30 +39,31 @@ class DensificationFit:
     points_excluded: int = 0
 
 
-def snapshot_stat(year: int, graph: LegislationGraph) -> SnapshotStat:
-    n = graph.node_count
-    per_sector = {sector.value: 0 for sector in Sector}
-    for code, count in zip(*np.unique(graph.sector_codes(), return_counts=True)):
-        per_sector[int(code)] = int(count)
-    _, _, kinds = graph.edge_arrays()
-    per_reftype = {kind.value: 0 for kind in RefType}
-    for code, count in zip(*np.unique(kinds, return_counts=True)):
-        per_reftype[reftype_from_code(int(code)).value] = int(count)
+def snapshot_stat(year: int, graph: LegislationGraph,
+                  mask: np.ndarray) -> SnapshotStat:
+    """Counts and component fractions of the nodes in ``mask``."""
+    n = int(mask.sum())
+    src, dst, kinds = graph.edge_arrays()
+    live = mask[src] & mask[dst]
+    sectors = np.bincount(graph.sector_codes()[mask], minlength=len(Sector) + 1)
+    per_sector = {sector.value: int(sectors[sector.value]) for sector in Sector}
+    types = np.bincount(kinds[live], minlength=len(RefType))
+    per_reftype = {kind.value: int(count) for kind, count in zip(RefType, types)}
     scc_fraction = gc_fraction = 0.0
     if n > 0:
-        adj = graph.adjacency()
+        adj = graph.adjacency()[mask][:, mask]
         _, strong = connected_components(adj, directed=True, connection="strong")
         _, weak = connected_components(adj, directed=True, connection="weak")
         scc_fraction = int(np.bincount(strong).max()) / n
         gc_fraction = int(np.bincount(weak).max()) / n
-    return SnapshotStat(year, n, graph.edge_count, per_sector, per_reftype,
+    return SnapshotStat(year, n, int(live.sum()), per_sector, per_reftype,
                         scc_fraction, gc_fraction)
 
 
 def evolution_series(graph: LegislationGraph,
                      years: tuple[int, int]) -> list[SnapshotStat]:
     """One SnapshotStat per year-end snapshot, ascending."""
-    return [snapshot_stat(year, sub) for year, sub in annual_series(graph, years)]
+    return [snapshot_stat(y, graph, m) for y, m in annual_series(graph, years)]
 
 
 def densification_fit(series: list[SnapshotStat]) -> DensificationFit:

@@ -162,7 +162,8 @@ def test_criterion_05_snapshot_semantics():
             sunset_horizon_years=int(rng.integers(1, 6)),
             seed=trial,
         ))
-        for year, sub in annual_series(g, (1985, 1996)):
+        for year, mask in annual_series(g, (1985, 1996)):
+            sub = g.induced_subgraph(mask)
             active, edges = brute_force_snapshot(g, date(year, 12, 31))
             ids = {d.id for d in sub.documents()}
             got_edges = {(r.source, r.target, r.kind)

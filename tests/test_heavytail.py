@@ -56,6 +56,20 @@ class TestCcdf:
         with pytest.raises(AnalysisError):
             ccdf([])
 
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], [1.5, 2.7, 3], [2, np.inf],
+                                     [-1, 2], [-1.0, 2.0]])
+    def test_non_integral_or_negative_rejected(self, bad):
+        # rejected before any cast, so no RuntimeWarning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="^degrees must be non-negative integers$"):
+                ccdf(np.array(bad))
+
+    def test_integral_floats_and_zeros_kept(self):
+        assert ccdf(np.array([0.0, 0.0, 3.0])) == ccdf([0, 0, 3]) == [
+            (0, 1.0), (3, pytest.approx(1 / 3))]
+
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

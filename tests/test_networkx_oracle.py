@@ -1,20 +1,28 @@
-"""Projection metrics against networkx on random directed graphs."""
+"""Graph metrics against networkx on random and generated directed graphs."""
 
 from __future__ import annotations
+
+from datetime import date
 
 import numpy as np
 import pytest
 
 from legisnet import (
+    GeneratorConfig,
+    RefType,
     Sector,
     assortativity,
     build_graph,
     clustering,
     components,
+    evolution_series,
+    filter_reftype,
+    generate,
     path_metrics,
 )
 
 from conftest import doc, random_digraph
+from test_filters import brute_force_snapshot
 
 nx = pytest.importorskip("networkx")
 
@@ -65,3 +73,29 @@ def test_sector_assortativity():
         assert assortativity(g, "sector") == pytest.approx(
             nx.attribute_assortativity_coefficient(projection(g), "sector"),
             abs=1e-9)
+
+
+@pytest.mark.parametrize("network", ["LN", "ICN"])
+def test_evolution_component_fractions(network):
+    g = generate(GeneratorConfig(years=(1980, 1992), docs_per_year=25,
+                                 sunset_probability=0.5,
+                                 sunset_horizon_years=3, seed=12))
+    if network == "ICN":
+        g = filter_reftype(g, RefType.INSTRUMENTS_CITED)
+    actives = []
+    for stat in evolution_series(g, (1979, 1998)):
+        active, edges = brute_force_snapshot(g, date(stat.year, 12, 31))
+        actives.append(active)
+        year_graph = nx.DiGraph()
+        year_graph.add_nodes_from(active)
+        year_graph.add_edges_from((s, t) for s, t, _ in edges)
+        n = len(active)
+        strong = max(map(len, nx.strongly_connected_components(year_graph)),
+                     default=0)
+        weak = max(map(len, nx.weakly_connected_components(year_graph)),
+                   default=0)
+        assert stat.n == n
+        assert stat.scc_fraction == (strong / n if n else 0.0)
+        assert stat.gc_fraction == (weak / n if n else 0.0)
+    # documents leave mid-series, so some year drops a document
+    assert any(before - after for before, after in zip(actives, actives[1:]))
