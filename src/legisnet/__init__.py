@@ -28,13 +28,9 @@ from .generator import GeneratorConfig, generate
 from .graph import (
     RECIPROCAL_TYPES,
     SENTINEL_EXPIRY,
-    LegalDocument,
     LegislationGraph,
-    Reference,
     RefType,
     Sector,
-    SimpleProjection,
-    build_graph,
 )
 from .heavytail import (
     FitResult,
@@ -86,26 +82,22 @@ __all__ = [
     "FitResult",
     "GeneratorConfig",
     "IngestReport",
-    "LegalDocument",
     "LegisnetError",
     "LegislationGraph",
     "LorenzGini",
     "PathMetrics",
     "RECIPROCAL_TYPES",
-    "Reference",
     "RefType",
     "ResilienceConfig",
     "ResilienceCurve",
     "SENTINEL_EXPIRY",
     "Sector",
-    "SimpleProjection",
     "SmallWorldReport",
     "SnapshotStat",
     "TailFit",
     "ValidationError",
     "annual_series",
     "assortativity",
-    "build_graph",
     "ccdf",
     "clustering",
     "compare_with_null",

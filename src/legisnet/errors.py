@@ -11,7 +11,7 @@ class LegisnetError(Exception):
 
 
 class ValidationError(LegisnetError):
-    """A document, reference, or graph mutation violates an invariant."""
+    """A document, reference or argument value violates an invariant."""
 
 
 class CorpusError(LegisnetError):

@@ -9,26 +9,22 @@ unique.
 The graph is stored as columns.  Node columns hold the id, the sector
 code and the effect/expiry date ordinals, in input order; edge
 columns hold the source index, the target index and the type code,
-ordered by source, then input order.  ``document()``, ``documents()`` and
-``references()`` build ``LegalDocument`` and ``Reference`` objects from
-the columns on demand.
+ordered by source, then input order.  Dates are proleptic-Gregorian
+ordinals and reference types are ``reftype_code`` values.
 
 A graph is immutable from construction, so every analysis operation is
 a read-only, concurrency-safe query.  The constructor takes the seven
 columns, turns them into numpy arrays and drops duplicate triples.
-Bulk builders (ingest, the generator, random nulls) and derived
-views (filters, snapshots) pass their columns to it directly;
-``build_graph`` builds the columns from ``LegalDocument`` and
-``Reference`` objects.
+Builders (ingest, the generator, random nulls) and derived views
+(filters, snapshots) pass their columns to it directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -79,46 +75,6 @@ def reftype_code(kind: RefType) -> int:
     return _REFTYPE_CODE[kind]
 
 
-@dataclass(frozen=True)
-class LegalDocument:
-    """A node: one legal document with its validity interval."""
-
-    id: str
-    sector: Sector
-    date_of_effect: date
-    date_of_expiry: date = SENTINEL_EXPIRY
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("document id must be a non-empty string")
-        if self.date_of_effect > self.date_of_expiry:
-            raise ValidationError(
-                f"document {self.id!r}: date_of_effect {self.date_of_effect} "
-                f"is after date_of_expiry {self.date_of_expiry}"
-            )
-
-    def active_at(self, when: date) -> bool:
-        """True when ``when`` falls inside the closed validity interval."""
-        return self.date_of_effect <= when <= self.date_of_expiry
-
-
-@dataclass(frozen=True)
-class Reference:
-    """A typed directed edge from one document to another."""
-
-    source: str
-    target: str
-    kind: RefType
-
-    def __post_init__(self) -> None:
-        if not self.source or not self.target:
-            raise ValidationError("reference endpoints must be non-empty ids")
-        if self.source == self.target:
-            raise ValidationError(
-                f"self-reference on {self.source!r} is excluded from the model"
-            )
-
-
 class LegislationGraph:
     """Typed temporal directed multigraph over legal documents.
 
@@ -128,7 +84,7 @@ class LegislationGraph:
     them into arrays, keeps the first occurrence of each (source,
     target, type) triple and orders edges by source index, then input
     order.  Nothing is validated: callers check outside input before
-    building the columns, or use :func:`build_graph`.
+    building the columns.
     """
 
     def __init__(self, ids: Sequence[str], sector, effect, expiry,
@@ -146,16 +102,10 @@ class LegislationGraph:
         _, first = np.unique(codes, return_index=True)
         keep = order[np.sort(first)]
         self._src, self._dst, self._kind = src[keep], dst[keep], kind[keep]
-        self._index: dict[str, int] | None = None  # id -> node index, lazy
         self._csr_out: sparse.csr_matrix | None = None
         self._csr_in: sparse.csr_matrix | None = None
         self._projection: SimpleProjection | None = None
         self._id_rank: np.ndarray | None = None
-
-    def _lookup(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = {doc_id: i for i, doc_id in enumerate(self._ids)}
-        return self._index
 
     # -- queries -------------------------------------------------------------
 
@@ -167,39 +117,11 @@ class LegislationGraph:
     def edge_count(self) -> int:
         return len(self._src)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._lookup()
-
-    def document(self, doc_id: str) -> LegalDocument:
-        """The document ``doc_id``, built from the node columns."""
-        i = self.index_of(doc_id)
-        return LegalDocument(doc_id, Sector(int(self._sector[i])),
-                             date.fromordinal(int(self._effect[i])),
-                             date.fromordinal(int(self._expiry[i])))
-
-    def documents(self) -> Iterator[LegalDocument]:
-        """Documents in input order, built from the node columns."""
-        return map(self.document, self._ids)
-
-    def references(self) -> Iterator[Reference]:
-        """References in edge order: by source, then input order."""
-        ids = self._ids
-        src, dst, kind = (col.tolist()
-                          for col in (self._src, self._dst, self._kind))
-        for s, d, k in zip(src, dst, kind):
-            yield Reference(ids[s], ids[d], _REFTYPE_ORDER[k])
-
     # -- topology ------------------------------------------------------------
 
     @property
     def ids(self) -> tuple[str, ...]:
         return self._ids
-
-    def index_of(self, doc_id: str) -> int:
-        try:
-            return self._lookup()[doc_id]
-        except KeyError:
-            raise ValidationError(f"unknown document id {doc_id!r}") from None
 
     def id_ranks(self) -> np.ndarray:
         """Position of every node's id in ascending id order."""
@@ -315,33 +237,3 @@ class SimpleProjection:
 
     def degree_array(self) -> np.ndarray:
         return np.diff(self.csr().indptr)
-
-
-def build_graph(documents: Iterable[LegalDocument],
-                references: Iterable[Reference]) -> LegislationGraph:
-    """Graph from document and reference objects; duplicate edges dropped.
-
-    Raises ``ValidationError`` for a repeated document id or a reference
-    to a document not among ``documents``.
-    """
-    index: dict[str, int] = {}
-    sector, effect, expiry = [], [], []
-    for doc in documents:
-        if doc.id in index:
-            raise ValidationError(f"duplicate document id {doc.id!r}")
-        index[doc.id] = len(index)
-        sector.append(doc.sector.value)
-        effect.append(doc.date_of_effect.toordinal())
-        expiry.append(doc.date_of_expiry.toordinal())
-    src, dst, kind = [], [], []
-    for ref in references:
-        for endpoint in (ref.source, ref.target):
-            if endpoint not in index:
-                raise ValidationError(
-                    f"reference {ref.source!r} -> {ref.target!r}: "
-                    f"unknown document {endpoint!r}"
-                )
-        src.append(index[ref.source])
-        dst.append(index[ref.target])
-        kind.append(_REFTYPE_CODE[ref.kind])
-    return LegislationGraph(tuple(index), sector, effect, expiry, src, dst, kind)

@@ -32,9 +32,9 @@ distance; values beyond the grid add nothing to it.  Candidates are
 finished in ascending bound order, one exact ``zeta`` row each, until a
 bound exceeds the least distance found; only the minimum is used, and
 the candidates left cannot reach it.  Memory is O(K * WIDTH + U) for U
-tail values.  A pinned ``x_min`` and ``method='exact'`` use the same
-scan.  Each replica makes exactly one ``fit_power_law`` call, looked up
-as this module's global, so wrapping that name counts replicas.
+tail values.  A pinned ``x_min`` uses the same scan.  Each replica
+makes exactly one ``fit_power_law`` call, looked up as this module's
+global, so wrapping that name counts replicas.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from .errors import AnalysisError, ValidationError
@@ -118,17 +117,15 @@ def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
     return xs[zeros:], zeros
 
 
-def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
-                  method: str = "approx") -> TailFit:
+def fit_power_law(degrees, x_min: int | None = None,
+                  min_tail: int = MIN_TAIL) -> TailFit:
     """Fit the discrete power-law tail, selecting x_min by minimum KS.
 
     Zero degrees are excluded before fitting (their count is reported
     on the result).  Candidate thresholds are the unique observed
     values whose tail holds at least ``min_tail`` observations (with
     none, the fit is undefined); pass ``x_min`` to pin the threshold
-    instead.  Ties in KS go to the lowest threshold.  ``method='exact'``
-    maximizes the zeta-function likelihood numerically rather than
-    using the closed-form approximation.
+    instead.  Ties in KS go to the lowest threshold.
     """
     xs, zeros = _clean_degrees(degrees)
     n = len(xs)
@@ -138,8 +135,6 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
         )
     if xs[0] == xs[-1]:
         raise AnalysisError("degenerate input: all degree values are equal")
-    if method not in ("approx", "exact"):
-        raise ValidationError(f"unknown fit method {method!r}")
 
     # xs is sorted: a value's run starts after every smaller observation
     below = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
@@ -174,11 +169,7 @@ def fit_power_law(degrees, x_min: int | None = None, min_tail: int = MIN_TAIL,
     # a log-sum that rounds to 0 (or below) gives gamma = inf (or <= 1),
     # whose powers and zeta values the scan rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if method == "exact":
-            gammas = np.array([_exact_mle(s, int(t), int(x))
-                               for s, t, x in zip(logsums, sizes, thresholds)])
-        else:
-            gammas = 1.0 + sizes / (logsums - sizes * np.log(thresholds - 0.5))
+        gammas = 1.0 + sizes / (logsums - sizes * np.log(thresholds - 0.5))
         ks = _ks_distances(values, cum_counts[first:], below[first:last], sizes,
                            gammas, thresholds)
     best = int(np.argmin(ks))                           # first minimum
@@ -262,17 +253,6 @@ def _ks_bounds(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
     # a bound that is not finite, or rests on a norm under ZETA_FLOOR, never prunes
     bounds[~np.isfinite(bounds) | ~(norms >= ZETA_FLOOR)] = -np.inf
     return bounds
-
-
-def _exact_mle(tail_logsum: float, n_tail: int, x_min: int) -> float:
-    def nll(gamma: float) -> float:
-        z = zeta(gamma, float(x_min))
-        if not np.isfinite(z) or z <= 0:
-            return np.inf
-        return n_tail * np.log(z) + gamma * tail_logsum
-
-    res = minimize_scalar(nll, bounds=(1.0 + 1e-6, 25.0), method="bounded")
-    return float(res.x)
 
 
 # -- sampling from the fitted tail ------------------------------------------

@@ -6,31 +6,58 @@ import numpy as np
 import pytest
 
 from legisnet import (
-    LegalDocument,
+    SENTINEL_EXPIRY,
     LegislationGraph,
-    Reference,
     RefType,
     Sector,
-    build_graph,
 )
+from legisnet.graph import reftype_code
 
 D3 = Sector.LEGISLATION
+KINDS = tuple(RefType)  # reference type by type code
+# sector, effect and expiry of a node given by its id alone
+NODE_DEFAULTS = (D3, date(1970, 1, 1), SENTINEL_EXPIRY)
 
 
-def doc(doc_id, sector=D3, effect=date(1970, 1, 1), expiry=None):
-    if expiry is None:
-        return LegalDocument(doc_id, sector, effect)
-    return LegalDocument(doc_id, sector, effect, expiry)
+def make_graph(edges=(), nodes=None):
+    """Graph built straight from its seven columns, not through ``ingest``.
+
+    ``edges`` holds ``(source, target)`` pairs, typed INSTRUMENTS_CITED,
+    or ``(source, target, kind)`` triples.  ``nodes`` holds ids or
+    ``(id, sector, effect, expiry)`` tuples in node order; a short tuple
+    takes ``NODE_DEFAULTS`` for the fields it leaves out.  Without
+    ``nodes`` the nodes are the sorted endpoints of ``edges``.  Unlike
+    ``ingest``, this adds no reciprocal amendment edge and checks nothing.
+    """
+    if nodes is None:
+        nodes = sorted({end for edge in edges for end in edge[:2]})
+    rows = [(node,) if isinstance(node, str) else tuple(node) for node in nodes]
+    rows = [row + NODE_DEFAULTS[len(row) - 1:] for row in rows]
+    index = {row[0]: i for i, row in enumerate(rows)}
+    triples = [(u, v, rest[0] if rest else RefType.INSTRUMENTS_CITED)
+               for u, v, *rest in edges]
+    return LegislationGraph(
+        [row[0] for row in rows], [row[1].value for row in rows],
+        [row[2].toordinal() for row in rows],
+        [row[3].toordinal() for row in rows],
+        [index[u] for u, _, _ in triples], [index[v] for _, v, _ in triples],
+        [reftype_code(kind) for _, _, kind in triples])
 
 
-def quick_graph(edges, n_extra=0, kind=RefType.INSTRUMENTS_CITED):
-    """Graph from (source, target) pairs over auto-created documents."""
-    names = sorted({u for u, _ in edges} | {v for _, v in edges})
-    names += [f"z-iso{i}" for i in range(n_extra)]
-    return build_graph(
-        (doc(name) for name in names),
-        (Reference(u, v, kind) for u, v in edges),
-    )
+def node_rows(graph):
+    """(id, sector, effect, expiry) of every node, in node order."""
+    effect, expiry = (col.tolist() for col in graph.date_ordinals())
+    return [(doc_id, Sector(sector), date.fromordinal(since),
+             date.fromordinal(until))
+            for doc_id, sector, since, until in zip(
+                graph.ids, graph.sector_codes().tolist(), effect, expiry)]
+
+
+def edge_triples(graph):
+    """(source id, target id, type) of every edge, in edge order."""
+    ids = graph.ids
+    return [(ids[s], ids[d], KINDS[k])
+            for s, d, k in zip(*(col.tolist() for col in graph.edge_arrays()))]
 
 
 def random_digraph(rng: np.random.Generator, n: int,
@@ -39,32 +66,31 @@ def random_digraph(rng: np.random.Generator, n: int,
     m_target = int(edges_per_node * n)
     refs = []
     seen = set()
-    kinds = list(RefType)
     attempts = 0
     while len(seen) < m_target and attempts < 20 * m_target + 100:
         attempts += 1
         u, v = int(rng.integers(n)), int(rng.integers(n))
         if u == v:
             continue
-        kind = kinds[int(rng.integers(len(kinds)))]
+        kind = KINDS[int(rng.integers(len(KINDS)))]
         if (u, v, kind) in seen:
             continue
         seen.add((u, v, kind))
-        refs.append(Reference(f"n{u:04d}", f"n{v:04d}", kind))
-    return build_graph((doc(f"n{i:04d}") for i in range(n)), refs)
+        refs.append((f"n{u:04d}", f"n{v:04d}", kind))
+    return make_graph(refs, [f"n{i:04d}" for i in range(n)])
 
 
 @pytest.fixture
 def amendment_chain_graph():
     """One directive amended twice: 3 nodes, 4 directed amendment edges."""
-    return build_graph(
-        [doc("370L0220", effect=date(1970, 3, 20)),
-         doc("383L0351", effect=date(1983, 6, 16)),
-         doc("389L0491", effect=date(1989, 7, 17))],
-        [Reference("383L0351", "370L0220", RefType.AMENDMENT_TO),
-         Reference("370L0220", "383L0351", RefType.AMENDED_BY),
-         Reference("389L0491", "370L0220", RefType.AMENDMENT_TO),
-         Reference("370L0220", "389L0491", RefType.AMENDED_BY)],
+    return make_graph(
+        [("383L0351", "370L0220", RefType.AMENDMENT_TO),
+         ("370L0220", "383L0351", RefType.AMENDED_BY),
+         ("389L0491", "370L0220", RefType.AMENDMENT_TO),
+         ("370L0220", "389L0491", RefType.AMENDED_BY)],
+        [("370L0220", D3, date(1970, 3, 20)),
+         ("383L0351", D3, date(1983, 6, 16)),
+         ("389L0491", D3, date(1989, 7, 17))],
     )
 
 

@@ -15,13 +15,11 @@ import pytest
 
 from legisnet import (
     GeneratorConfig,
-    Reference,
     RefType,
     ResilienceConfig,
     Sector,
     annual_series,
     assortativity,
-    build_graph,
     compare_with_null,
     components,
     decompose,
@@ -42,8 +40,8 @@ from legisnet import (
 from legisnet.cli import main
 from legisnet.metrics import local_clustering_from_pairs
 
-from conftest import doc, quick_graph
-from test_bowtie import oracle_for_graph, random_digraph_for_bowtie
+from conftest import edge_triples, make_graph, node_rows, random_digraph
+from test_bowtie import oracle_for_graph
 from test_filters import brute_force_snapshot
 from test_heavytail import draw_pl_table
 from test_metrics import (
@@ -67,7 +65,7 @@ def test_criterion_01_bowtie_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(2, 201))
         density = float(rng.uniform(0.5, 3.0))
-        g = random_digraph_for_bowtie(rng, n, density)
+        g = random_digraph(rng, n, density)
         if decompose(g).sets() != oracle_for_graph(g):
             mismatches += 1
     elapsed = time.perf_counter() - start
@@ -165,15 +163,12 @@ def test_criterion_05_snapshot_semantics():
         for year, mask in annual_series(g, (1985, 1996)):
             sub = g.induced_subgraph(mask)
             active, edges = brute_force_snapshot(g, date(year, 12, 31))
-            ids = {d.id for d in sub.documents()}
-            got_edges = {(r.source, r.target, r.kind)
-                         for r in sub.references()}
-            if ids != active or got_edges != edges:
+            if set(sub.ids) != active or set(edge_triples(sub)) != edges:
                 failures += 1
         when = date(1990, 6, 15)
         once = snapshot(g, when)
         twice = snapshot(once, when)
-        if {d.id for d in once.documents()} != {d.id for d in twice.documents()}:
+        if set(once.ids) != set(twice.ids):
             failures += 1
     _report(5, failures == 0, f"50 corpora, {failures} oracle mismatches")
 
@@ -183,8 +178,8 @@ def test_criterion_06_clustering_and_paths():
     clustering_ok = True
     paths_ok = True
     for _ in range(15):
-        g = random_digraph_for_bowtie(rng, int(rng.integers(5, 101)),
-                                      float(rng.uniform(0.8, 2.5)))
+        g = random_digraph(rng, int(rng.integers(5, 101)),
+                           float(rng.uniform(0.8, 2.5)))
         proj = g.simple_projection()
         mine = local_clustering_from_pairs(proj.n, proj.pair_u, proj.pair_v)
         clustering_ok &= bool(np.allclose(mine, local_clustering_bruteforce(g),
@@ -194,15 +189,15 @@ def test_criterion_06_clustering_and_paths():
         if len(finite_cells) == 0:
             continue
         pm = path_metrics(g)
-        gc = sorted(g.index_of(i) for i in
+        gc = sorted(g.ids.index(i) for i in
                     components(g).giant_component_ids)
         sub = dist[np.ix_(gc, gc)]
         finite = sub[np.isfinite(sub) & (sub > 0)]
         paths_ok &= pm.diameter == int(finite.max())
         paths_ok &= abs(pm.average_path_length - finite.mean()) < 1e-12
-    star = quick_graph([("hub", f"l{i}") for i in range(9)])
+    star = make_graph([("hub", f"l{i}") for i in range(9)])
     pm_star = path_metrics(star)
-    five_path = quick_graph([(f"p{i}", f"p{i+1}") for i in range(4)])
+    five_path = make_graph([(f"p{i}", f"p{i+1}") for i in range(4)])
     pm_path = path_metrics(five_path)
     examples_ok = (pm_star.diameter == 2
                    and abs(pm_star.average_path_length - 1.8) < 1e-12
@@ -261,11 +256,11 @@ def test_criterion_08_small_world_classification():
 
 
 def test_criterion_09_assortativity():
-    star = quick_graph([("hub", f"l{i}") for i in range(8)])
+    star = make_graph([("hub", f"l{i}") for i in range(8)])
     star_value = assortativity(star, "degree")
-    same_sector = build_graph(
-        [doc(f"s{i}", Sector.JURISPRUDENCE) for i in range(6)],
-        [Reference(f"s{i}", f"s{i+1}", RefType.OTHER) for i in range(5)],
+    same_sector = make_graph(
+        [(f"s{i}", f"s{i+1}", RefType.OTHER) for i in range(5)],
+        [(f"s{i}", Sector.JURISPRUDENCE) for i in range(6)],
     )
     sector_value = assortativity(same_sector, "sector")
     rng = np.random.default_rng(9009)
@@ -277,12 +272,12 @@ def test_criterion_09_assortativity():
         perm = rng.permutation(6)
         pairs = {(int(a), int(b)) for a, b in
                  rng.integers(0, n, size=(3 * n, 2)) if a != b}
-        refs = [Reference(f"n{u:03d}", f"n{v:03d}", RefType.OTHER)
+        refs = [(f"n{u:03d}", f"n{v:03d}", RefType.OTHER)
                 for u, v in sorted(pairs)]
-        g_a = build_graph([doc(f"n{i:03d}", sectors[assign[i]])
-                           for i in range(n)], refs)
-        g_b = build_graph([doc(f"n{i:03d}", sectors[perm[assign[i]]])
-                           for i in range(n)], list(refs))
+        g_a = make_graph(refs, [(f"n{i:03d}", sectors[assign[i]])
+                                for i in range(n)])
+        g_b = make_graph(refs, [(f"n{i:03d}", sectors[perm[assign[i]]])
+                                for i in range(n)])
         invariance_ok &= (abs(assortativity(g_a, "sector")
                               - assortativity(g_b, "sector")) < 1e-12)
     _report(9, abs(star_value + 1.0) <= 1e-9
@@ -322,13 +317,8 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
             seed=trial + 7_000,
         ))
         g2, _ = ingest(export(g))
-        docs_equal = ({(d.id, d.sector, d.date_of_effect, d.date_of_expiry)
-                       for d in g.documents()}
-                      == {(d.id, d.sector, d.date_of_effect, d.date_of_expiry)
-                          for d in g2.documents()})
-        edges_equal = ({(r.source, r.target, r.kind) for r in g.references()}
-                       == {(r.source, r.target, r.kind)
-                           for r in g2.references()})
+        docs_equal = set(node_rows(g)) == set(node_rows(g2))
+        edges_equal = set(edge_triples(g)) == set(edge_triples(g2))
         roundtrip_failures += not (docs_equal and edges_equal)
     _report(10, bytes_ok and reports_ok and roundtrip_failures == 0,
             f"byte-identical exports: {bytes_ok}, manifest-normalized "

@@ -7,13 +7,10 @@ import pytest
 
 from legisnet import (
     AnalysisError,
-    Reference,
-    RefType,
-    build_graph,
     decompose,
 )
 
-from conftest import doc, quick_graph
+from conftest import edge_triples, make_graph, random_digraph
 
 
 # -- oracle: dense transitive closure -----------------------------------------
@@ -84,27 +81,13 @@ def oracle_for_graph(graph):
     return bowtie_bruteforce(graph.node_count, edges, graph.ids)
 
 
-def random_digraph_for_bowtie(rng, n, density):
-    m = max(1, int(density * n))
-    refs = []
-    seen = set()
-    while len(seen) < m:
-        u, v = int(rng.integers(n)), int(rng.integers(n))
-        if u == v or (u, v) in seen:
-            continue
-        seen.add((u, v))
-        refs.append(Reference(f"n{u:04d}", f"n{v:04d}",
-                              RefType.INSTRUMENTS_CITED))
-    return build_graph((doc(f"n{i:04d}") for i in range(n)), refs)
-
-
 # -- hand-derived examples -----------------------------------------------------
 
 
 class TestHandExamples:
     def test_cycle_with_in_and_out(self):
-        g = quick_graph([("a", "b"), ("b", "c"), ("c", "a"),
-                         ("d", "a"), ("c", "e")])
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "a"),
+                        ("d", "a"), ("c", "e")])
         bt = decompose(g)
         assert bt.core == {"a", "b", "c"}
         assert bt.in_set == {"d"}
@@ -113,25 +96,25 @@ class TestHandExamples:
 
     def test_seven_node_full_anatomy(self):
         # core {a,b}; d -> IN; e -> OUT; f: tube d->f->e; g: tendril; h: isolated
-        g = quick_graph([("a", "b"), ("b", "a"), ("d", "a"), ("b", "e"),
-                         ("d", "f"), ("f", "e"), ("d", "g")], n_extra=1)
+        g = make_graph([("a", "b"), ("b", "a"), ("d", "a"), ("b", "e"),
+                        ("d", "f"), ("f", "e"), ("d", "g")], list("abdefgh"))
         bt = decompose(g)
         assert bt.core == {"a", "b"}
         assert bt.in_set == {"d"}
         assert bt.out_set == {"e"}
         assert bt.tubes == {"f"}
         assert bt.tendrils == {"g"}
-        assert bt.disconnected == {"z-iso0"}
+        assert bt.disconnected == {"h"}
         assert bt == _check_against_oracle(g, bt)
 
     def test_all_singleton_sccs_tie_break(self):
-        g = build_graph([doc("x"), doc("m"), doc("a")], [])
+        g = make_graph(nodes=["x", "m", "a"])
         bt = decompose(g)
         assert bt.core == {"a"}  # smallest id among size-1 ties
         assert bt.disconnected == {"x", "m"}
 
     def test_chain(self):
-        g = quick_graph([("c", "b"), ("b", "a")])
+        g = make_graph([("c", "b"), ("b", "a")])
         bt = decompose(g)
         # singleton SCC tie broken by smallest id: core {a}
         assert bt.core == {"a"}
@@ -140,7 +123,7 @@ class TestHandExamples:
 
     def test_empty_graph_error(self):
         with pytest.raises(AnalysisError):
-            decompose(build_graph([], []))
+            decompose(make_graph())
 
     def test_fractions_partition(self, amendment_chain_graph):
         bt = decompose(amendment_chain_graph)
@@ -159,14 +142,14 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(2024)
         for trial in range(25):
             n = int(rng.integers(2, 60))
-            g = random_digraph_for_bowtie(rng, n, float(rng.uniform(0.5, 3.0)))
+            g = random_digraph(rng, n, float(rng.uniform(0.5, 3.0)))
             bt = decompose(g)
             assert bt.sets() == oracle_for_graph(g), f"trial {trial}"
 
     def test_partition_property(self):
         rng = np.random.default_rng(99)
         for _ in range(15):
-            g = random_digraph_for_bowtie(rng, int(rng.integers(2, 80)), 1.5)
+            g = random_digraph(rng, int(rng.integers(2, 80)), 1.5)
             bt = decompose(g)
             sets = list(bt.sets().values())
             union = set().union(*sets)
@@ -176,11 +159,9 @@ class TestOracleEquivalence:
     def test_edge_reversal_swaps_in_out(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
-            g = random_digraph_for_bowtie(rng, int(rng.integers(4, 50)), 1.8)
-            reversed_g = build_graph(
-                list(g.documents()),
-                (Reference(r.target, r.source, r.kind) for r in g.references()),
-            )
+            g = random_digraph(rng, int(rng.integers(4, 50)), 1.8)
+            reversed_g = make_graph(
+                [(v, u, kind) for u, v, kind in edge_triples(g)], g.ids)
             bt = decompose(g)
             rbt = decompose(reversed_g)
             assert rbt.core == bt.core

@@ -12,6 +12,8 @@ import pytest
 import legisnet
 from legisnet.cli import main
 
+from test_corpus import INGEST_FAULTS
+
 
 @pytest.fixture
 def corpus_path(tmp_path):
@@ -109,6 +111,15 @@ class TestIngest:
                      "--output-dir", str(tmp_path)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "legisnet ingest " + message.format(path=src)]
+
+    @pytest.mark.parametrize("lines, message", INGEST_FAULTS)
+    def test_ingest_check_exit_3(self, tmp_path, capsys, lines, message):
+        src = tmp_path / "bad.jsonl"
+        src.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet ingest [legisnet.corpus]: " + message]
 
     @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
                              ids=["line-separator", "paragraph-separator",

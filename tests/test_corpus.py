@@ -12,6 +12,8 @@ from legisnet import (
     GeneratorConfig,
     SENTINEL_EXPIRY,
     RefType,
+    Sector,
+    ValidationError,
     export,
     export_text,
     generate,
@@ -20,14 +22,15 @@ from legisnet import (
     write_records,
 )
 
+from conftest import edge_triples, node_rows
+
 
 def edge_set(graph):
-    return {(r.source, r.target, r.kind) for r in graph.references()}
+    return set(edge_triples(graph))
 
 
 def doc_set(graph):
-    return {(d.id, d.sector, d.date_of_effect, d.date_of_expiry)
-            for d in graph.documents()}
+    return set(node_rows(graph))
 
 
 def parse(line: str, line_no: int = 1):
@@ -71,6 +74,19 @@ GOOD_LINE = '{"id": "A", "sector": 1, "date_of_effect": "1970-01-01"}'
 TOKENS = ("['affected_by_case', 'amended_by', 'amendment_to', "
           "'instruments_cited', 'legal_basis', 'other']")
 DOC = '"id": "X", "sector": 3, "date_of_effect": "1970-01-01"'
+# corpora that parse but fail an ingest check, with the check's message
+INGEST_FAULTS = [
+    pytest.param([GOOD_LINE, GOOD_LINE.replace("1970", "1971")],
+                 "duplicate document id 'A'", id="duplicate-id"),
+    pytest.param(['{"id": "A", "sector": 3, "date_of_effect": "1990-01-01",'
+                  ' "date_of_expiry": "1980-01-01"}'],
+                 "document 'A': date_of_effect 1990-01-01 is after "
+                 "date_of_expiry 1980-01-01", id="effect-after-expiry"),
+    pytest.param(['{"id": "A", "sector": 3, "date_of_effect": "1990-01-01",'
+                  ' "references": [{"target": "A", "type": "other"}]}'],
+                 "self-reference on 'A' is excluded from the model",
+                 id="self-reference"),
+]
 
 
 @pytest.mark.parametrize("line, message", [
@@ -157,10 +173,10 @@ class TestIngest:
         graph, report = ingest(read_records(lines), mode="lenient")
         assert report.stubs == 1
         assert report.stub_ids == ("999X9999",)
-        stub = graph.document("999X9999")
-        assert stub.sector.value == 3
-        assert stub.date_of_effect == date(1980, 5, 5)  # copied from referrer
-        assert stub.date_of_expiry == date(9999, 12, 31)
+        # effect date copied from the referrer
+        assert node_rows(graph)[graph.ids.index("999X9999")] == (
+            "999X9999", Sector.LEGISLATION, date(1980, 5, 5),
+            date(9999, 12, 31))
 
     def test_both_amendment_sides_deduplicate(self):
         lines = [
@@ -176,6 +192,13 @@ class TestIngest:
     def test_unknown_mode(self):
         with pytest.raises(CorpusError):
             ingest([], mode="other")
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("lines, message", INGEST_FAULTS)
+    def test_ingest_check_message(self, lines, message, mode):
+        with pytest.raises(ValidationError) as err:
+            ingest(read_records(lines), mode=mode)
+        assert str(err.value) == message
 
 
 class TestRoundTrip:
@@ -194,10 +217,8 @@ class TestRoundTrip:
                                      densification_exponent=1.2,
                                      sunset_probability=0.3, seed=3))
         g2, _ = ingest(read_records(io.StringIO(export_text(g))))
-        assert sorted((r.source, r.target, r.kind.value)
-                      for r in g.references()) == \
-               sorted((r.source, r.target, r.kind.value)
-                      for r in g2.references())
+        assert sorted((u, v, kind.value) for u, v, kind in edge_triples(g)) \
+            == sorted((u, v, kind.value) for u, v, kind in edge_triples(g2))
         assert doc_set(g) == doc_set(g2)
 
     def test_export_is_ingest_stable_bytes(self):

@@ -6,52 +6,50 @@ import numpy as np
 
 from legisnet import (
     GeneratorConfig,
-    Reference,
     RefType,
     Sector,
     annual_series,
-    build_graph,
     filter_reftype,
     filter_sector,
     generate,
     snapshot,
 )
 
-from conftest import doc
+from conftest import edge_triples, make_graph, node_rows
 
 
 def edge_set(graph):
-    return {(r.source, r.target, r.kind) for r in graph.references()}
+    return set(edge_triples(graph))
 
 
 def id_set(graph):
-    return {d.id for d in graph.documents()}
+    return set(graph.ids)
 
 
 def brute_force_snapshot(graph, at):
     """Independent oracle: per-node interval check, then edge filter."""
-    active = {d.id for d in graph.documents()
-              if d.date_of_effect <= at <= d.date_of_expiry}
-    edges = {(r.source, r.target, r.kind) for r in graph.references()
-             if r.source in active and r.target in active}
+    active = {doc_id for doc_id, _, effect, expiry in node_rows(graph)
+              if effect <= at <= expiry}
+    edges = {(u, v, kind) for u, v, kind in edge_triples(graph)
+             if u in active and v in active}
     return active, edges
 
 
 class TestSectorFilter:
     def test_mixed_graph_hand_count(self):
-        g = build_graph(
-            [doc("a3", Sector.LEGISLATION), doc("b3", Sector.LEGISLATION),
-             doc("c1", Sector.TREATIES), doc("d5", Sector.PREPARATORY_ACTS)],
-            [Reference("a3", "b3", RefType.INSTRUMENTS_CITED),
-             Reference("a3", "c1", RefType.LEGAL_BASIS),
-             Reference("d5", "b3", RefType.OTHER)],
+        g = make_graph(
+            [("a3", "b3", RefType.INSTRUMENTS_CITED),
+             ("a3", "c1", RefType.LEGAL_BASIS),
+             ("d5", "b3", RefType.OTHER)],
+            [("a3", Sector.LEGISLATION), ("b3", Sector.LEGISLATION),
+             ("c1", Sector.TREATIES), ("d5", Sector.PREPARATORY_ACTS)],
         )
         rn = filter_sector(g, Sector.LEGISLATION)
         assert id_set(rn) == {"a3", "b3"}
         assert rn.edge_count == 1
 
     def test_absent_sector_empty(self):
-        g = build_graph([doc("a", Sector.LEGISLATION)], [])
+        g = make_graph(nodes=[("a", Sector.LEGISLATION)])
         out = filter_sector(g, Sector.INTERNATIONAL_AGREEMENTS)
         assert out.node_count == 0 and out.edge_count == 0
 
@@ -59,7 +57,7 @@ class TestSectorFilter:
         g = generate(GeneratorConfig(years=(1990, 1995), docs_per_year=30,
                                      seed=2))
         rn = filter_sector(g, Sector.LEGISLATION)
-        assert all(d.sector is Sector.LEGISLATION for d in rn.documents())
+        assert (rn.sector_codes() == Sector.LEGISLATION.value).all()
         survivors = id_set(rn)
         assert edge_set(rn) == {
             e for e in edge_set(g)
@@ -74,8 +72,7 @@ class TestReftypeFilter:
         assert icn.edge_count == 0
 
     def test_identity_when_all_match(self):
-        g = build_graph([doc("a"), doc("b")],
-                        [Reference("a", "b", RefType.LEGAL_BASIS)])
+        g = make_graph([("a", "b", RefType.LEGAL_BASIS)])
         lbn = filter_reftype(g, RefType.LEGAL_BASIS)
         assert edge_set(lbn) == edge_set(g)
         assert id_set(lbn) == id_set(g)
@@ -87,8 +84,8 @@ class TestReftypeFilter:
 
 class TestSnapshot:
     def test_interval_membership(self):
-        g = build_graph([doc("A", effect=date(1970, 3, 20),
-                             expiry=date(1989, 7, 17))], [])
+        g = make_graph(nodes=[("A", Sector.LEGISLATION, date(1970, 3, 20),
+                               date(1989, 7, 17))])
         assert id_set(snapshot(g, date(1980, 1, 1))) == {"A"}
         assert id_set(snapshot(g, date(1990, 1, 1))) == set()
         # closed on both ends
@@ -185,5 +182,4 @@ class TestComposition:
             assert sub.degree_array("in").sum() == sub.edge_count
             assert sub.degree_array("out").sum() == sub.edge_count
             ids = id_set(sub)
-            assert all(r.source in ids and r.target in ids
-                       for r in sub.references())
+            assert all(u in ids and v in ids for u, v, _ in edge_triples(sub))

@@ -12,6 +12,8 @@ from legisnet import (
     generate,
 )
 
+from conftest import edge_triples, node_rows
+
 AMENDMENT_KINDS = {RefType.AMENDMENT_TO, RefType.AMENDED_BY}
 
 
@@ -34,26 +36,26 @@ def test_schedule_sum_and_yearly_counts():
     g = generate(cfg)
     assert g.node_count == 75
     per_year = {}
-    for doc in g.documents():
-        per_year[doc.date_of_effect.year] = per_year.get(doc.date_of_effect.year, 0) + 1
+    for _, _, effect, _ in node_rows(g):
+        per_year[effect.year] = per_year.get(effect.year, 0) + 1
     assert per_year == {1990: 5, 1991: 10, 1992: 15, 1993: 20, 1994: 25}
 
 
 def test_citations_point_backward():
     g = generate(GeneratorConfig(years=(1980, 1989), docs_per_year=40,
                                  densification_exponent=1.2, seed=5))
-    effect = {d.id: d.date_of_effect for d in g.documents()}
+    effect = {doc_id: since for doc_id, _, since, _ in node_rows(g)}
     pairs = set()
-    for ref in g.references():
-        if ref.kind in AMENDMENT_KINDS:
-            pairs.add(frozenset((ref.source, ref.target)))
+    for source, target, kind in edge_triples(g):
+        if kind in AMENDMENT_KINDS:
+            pairs.add(frozenset((source, target)))
         else:
-            assert effect[ref.source] >= effect[ref.target]
+            assert effect[source] >= effect[target]
     for pair in pairs:
         a, b = sorted(pair, key=effect.get)
         # the amendment pair always contains the backward orientation b -> a
-        kinds = {r.kind for r in g.references()
-                 if {r.source, r.target} == {a, b}}
+        kinds = {kind for source, target, kind in edge_triples(g)
+                 if {source, target} == {a, b}}
         assert kinds == AMENDMENT_KINDS
 
 
@@ -68,14 +70,14 @@ def test_edge_budget_tracks_power_schedule():
 def test_zero_weight_sectors_never_drawn():
     cfg = GeneratorConfig(years=(1990, 1995), docs_per_year=40,
                           sector_weights=(0, 0, 1, 0, 0, 1), seed=4)
-    sectors = {d.sector for d in generate(cfg).documents()}
+    sectors = {row[1] for row in node_rows(generate(cfg))}
     assert sectors <= {Sector.LEGISLATION, Sector.JURISPRUDENCE}
 
 
 def test_zero_weight_reftypes_never_drawn():
     cfg = GeneratorConfig(years=(1990, 1995), docs_per_year=40,
                           reftype_weights=(0, 0, 1, 0, 0, 0), seed=4)
-    kinds = {r.kind for r in generate(cfg).references()}
+    kinds = {kind for _, _, kind in edge_triples(generate(cfg))}
     assert kinds == {RefType.LEGAL_BASIS}
 
 
@@ -83,16 +85,15 @@ def test_sunset_horizon_respected():
     cfg = GeneratorConfig(years=(1990, 1994), docs_per_year=30,
                           sunset_probability=1.0, sunset_horizon_years=7,
                           seed=6)
-    for doc in generate(cfg).documents():
-        span = doc.date_of_expiry.year - doc.date_of_effect.year
+    for _, _, effect, expiry in node_rows(generate(cfg)):
+        span = expiry.year - effect.year
         assert 1 <= span <= 7
 
 
 def test_no_sunset_means_sentinel():
     cfg = GeneratorConfig(years=(1990, 1992), docs_per_year=10,
                           sunset_probability=0.0, seed=6)
-    assert all(d.date_of_expiry == SENTINEL_EXPIRY
-               for d in generate(cfg).documents())
+    assert all(row[3] == SENTINEL_EXPIRY for row in node_rows(generate(cfg)))
 
 
 def test_pure_preferential_in_degree_is_power_law_plausible():

@@ -101,13 +101,6 @@ class TestFit:
         fit = fit_power_law(sample, x_min=10)
         assert fit.gamma == pytest.approx(2.5, abs=0.01)
 
-    def test_exact_zeta_mle_tighter_than_approx(self):
-        sample = quantile_matched_sample(2.5, 5, 100_000)
-        approx = fit_power_law(sample, x_min=5, method="approx")
-        exact = fit_power_law(sample, x_min=5, method="exact")
-        assert abs(exact.gamma - 2.5) < abs(approx.gamma - 2.5)
-        assert exact.gamma == pytest.approx(2.5, abs=0.005)
-
     def test_scale_consistency_at_chosen_threshold(self):
         rng = np.random.default_rng(5)
         data = draw_pl_table(2.3, 4, 8_000, rng)
@@ -250,7 +243,7 @@ class TestGoodnessOfFit:
                 pytest.raises(AnalysisError, match=message):
             goodness_of_fit(data, TailFit(1.02, 2, 500, 0.05), m=2)
         wide = [1] * 60 + [2**62] * 60
-        fit = fit_power_law(wide, method="exact")
+        fit = fit_power_law(wide)
         with pytest.warns(UserWarning, match="resolution"), \
                 pytest.raises(AnalysisError, match=message):
             goodness_of_fit(wide, fit, m=2)

@@ -9,11 +9,9 @@ import pytest
 from legisnet import (
     AnalysisError,
     GeneratorConfig,
-    Reference,
     RefType,
     Sector,
     assortativity,
-    build_graph,
     clustering,
     components,
     decompose,
@@ -25,7 +23,7 @@ from legisnet import (
 )
 from legisnet.metrics import lorenz_gini_from_degrees
 
-from conftest import doc, quick_graph, random_digraph
+from conftest import make_graph, random_digraph
 
 
 # -- oracles ------------------------------------------------------------------
@@ -103,16 +101,16 @@ def pearson(xs, ys):
 
 
 def path_graph(k):
-    return quick_graph([(f"p{i}", f"p{i + 1}") for i in range(k - 1)])
+    return make_graph([(f"p{i}", f"p{i + 1}") for i in range(k - 1)])
 
 
 def star_graph(leaves):
-    return quick_graph([("hub", f"leaf{i:02d}") for i in range(leaves)])
+    return make_graph([("hub", f"leaf{i:02d}") for i in range(leaves)])
 
 
 def complete_graph(k):
     names = [f"k{i}" for i in range(k)]
-    return quick_graph([(a, b) for a in names for b in names if a < b])
+    return make_graph([(a, b) for a in names for b in names if a < b])
 
 
 # -- degree stats -------------------------------------------------------------
@@ -120,7 +118,7 @@ def complete_graph(k):
 
 class TestDegreeStats:
     def test_three_cycle(self):
-        g = quick_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
         s = degree_stats(g, "in")
         assert (s.mean, s.stddev, s.max) == (1.0, 0.0, 1)
         assert s.histogram == {1: 3}
@@ -134,7 +132,7 @@ class TestDegreeStats:
         assert out.max == 9 and out.mean == 0.9
 
     def test_incoming_star(self):
-        g = quick_graph([(f"s{i}", "hub") for i in range(9)])
+        g = make_graph([(f"s{i}", "hub") for i in range(9)])
         s = degree_stats(g, "in")
         assert s.max == 9 and s.mean == 0.9
 
@@ -146,7 +144,7 @@ class TestDegreeStats:
             assert sum(s.histogram.values()) == s.n
 
     def test_empty_graph_error(self):
-        g = build_graph([], [])
+        g = make_graph()
         with pytest.raises(AnalysisError):
             degree_stats(g, "in")
 
@@ -163,7 +161,7 @@ class TestDegreeStats:
 
 class TestLorenzGini:
     def test_regular_graph_zero(self):
-        g = quick_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
         lg = lorenz_gini(g, "in")
         assert lg.gini == 0.0
         for x, y in lg.lorenz_points:
@@ -212,7 +210,7 @@ class TestLorenzGini:
 
 class TestClustering:
     def test_triangle(self):
-        g = quick_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "a")])
         prof = clustering(g)
         assert prof.global_avg == pytest.approx(1.0)
         assert prof.per_degree[2] == pytest.approx(1.0)
@@ -222,7 +220,7 @@ class TestClustering:
         assert clustering(g).global_avg == 0.0
 
     def test_tree_is_zero(self):
-        g = quick_graph([("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")])
+        g = make_graph([("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")])
         assert clustering(g).global_avg == 0.0
 
     def test_clique_is_one(self):
@@ -277,7 +275,7 @@ class TestPathMetrics:
                 continue
             pm = path_metrics(g)
             dist = floyd_warshall_oracle(g)
-            gc = sorted(g.index_of(i) for i in comp.giant_component_ids)
+            gc = sorted(g.ids.index(i) for i in comp.giant_component_ids)
             sub = dist[np.ix_(gc, gc)]
             finite = sub[np.isfinite(sub) & (sub > 0)]
             assert pm.diameter == int(finite.max())
@@ -287,7 +285,7 @@ class TestPathMetrics:
             assert pm.distance_histogram == hist
 
     def test_restricted_to_giant_component(self):
-        g = quick_graph([("a", "b"), ("b", "c"), ("x", "y")])
+        g = make_graph([("a", "b"), ("b", "c"), ("x", "y")])
         pm = path_metrics(g)
         assert pm.restricted_to == "a"
         assert sum(pm.distance_histogram.values()) == 6
@@ -302,12 +300,12 @@ class TestPathMetrics:
         assert pm.diameter <= exact.diameter
 
     def test_tiny_component_error(self):
-        g = build_graph([doc("A"), doc("B")], [])
+        g = make_graph(nodes=["A", "B"])
         with pytest.raises(AnalysisError):
             path_metrics(g)
 
     def test_directed_option(self):
-        g = quick_graph([("a", "b"), ("b", "c")])
+        g = make_graph([("a", "b"), ("b", "c")])
         pm = path_metrics(g, directed=True)
         # ordered reachable pairs only: a->b, a->c, b->c
         assert pm.distance_histogram == {1: 2, 2: 1}
@@ -319,8 +317,9 @@ class TestPathMetrics:
 
 class TestComponents:
     def test_two_triangles_and_isolated(self):
-        g = quick_graph([("a", "b"), ("b", "c"), ("c", "a"),
-                         ("x", "y"), ("y", "z"), ("z", "x")], n_extra=1)
+        g = make_graph([("a", "b"), ("b", "c"), ("c", "a"),
+                        ("x", "y"), ("y", "z"), ("z", "x")],
+                       [*"abcxyz", "isolated"])
         rep = components(g)
         assert rep.gc_fraction == pytest.approx(3 / 7)
         assert rep.isolated_count == 1
@@ -330,11 +329,11 @@ class TestComponents:
         assert components(g).gc_fraction == 1.0
 
     def test_direction_ignored(self):
-        g = quick_graph([("a", "b"), ("c", "b")])
+        g = make_graph([("a", "b"), ("c", "b")])
         assert components(g).gc_fraction == 1.0
 
     def test_empty_graph(self):
-        rep = components(build_graph([], []))
+        rep = components(make_graph())
         assert rep.gc_fraction == 0.0 and rep.gc_size == 0
 
     def test_matches_union_find_oracle(self):
@@ -345,10 +344,10 @@ class TestComponents:
 
     def test_size_tie_goes_to_smallest_id(self):
         # two equal 2-cycles; the one inserted first holds the larger ids
-        g = build_graph(
-            [doc(x) for x in ("z1", "z2", "a1", "a2")],
-            [Reference(u, v, RefType.OTHER)
+        g = make_graph(
+            [(u, v, RefType.OTHER)
              for u, v in (("z1", "z2"), ("z2", "z1"), ("a1", "a2"), ("a2", "a1"))],
+            ["z1", "z2", "a1", "a2"],
         )
         assert components(g).giant_component_ids == {"a1", "a2"}
         assert decompose(g).core == {"a1", "a2"}
@@ -359,12 +358,8 @@ class TestComponents:
 
 class TestAssortativity:
     def test_same_sector_edges_give_one(self):
-        g = build_graph(
-            [doc("a", Sector.TREATIES), doc("b", Sector.TREATIES),
-             doc("c", Sector.TREATIES)],
-            [Reference("a", "b", RefType.OTHER),
-             Reference("b", "c", RefType.OTHER)],
-        )
+        g = make_graph([("a", "b", RefType.OTHER), ("b", "c", RefType.OTHER)],
+                       [(x, Sector.TREATIES) for x in "abc"])
         assert assortativity(g, "sector") == pytest.approx(1.0, abs=1e-9)
 
     def test_star_degree_minus_one(self):
@@ -397,18 +392,18 @@ class TestAssortativity:
             perm = rng.permutation(6)
             pairs = {(int(a), int(b)) for a, b in
                      rng.integers(0, n, size=(3 * n, 2)) if a != b}
-            docs_a = [doc(f"n{i:03d}", sectors[assign[i]]) for i in range(n)]
-            docs_b = [doc(f"n{i:03d}", sectors[perm[assign[i]]])
+            docs_a = [(f"n{i:03d}", sectors[assign[i]]) for i in range(n)]
+            docs_b = [(f"n{i:03d}", sectors[perm[assign[i]]])
                       for i in range(n)]
-            refs = [Reference(f"n{u:03d}", f"n{v:03d}", RefType.OTHER)
+            refs = [(f"n{u:03d}", f"n{v:03d}", RefType.OTHER)
                     for u, v in sorted(pairs)]
-            g_a = build_graph(docs_a, refs)
-            g_b = build_graph(docs_b, list(refs))
+            g_a = make_graph(refs, docs_a)
+            g_b = make_graph(refs, docs_b)
             assert assortativity(g_a, "sector") == pytest.approx(
                 assortativity(g_b, "sector"), abs=1e-12)
 
     def test_zero_variance_error(self):
-        g = quick_graph([("a", "b"), ("c", "d")])  # all degrees equal
+        g = make_graph([("a", "b"), ("c", "d")])  # all degrees equal
         with pytest.raises(AnalysisError):
             assortativity(g, "degree")
 
@@ -417,7 +412,7 @@ class TestAssortativity:
         for size, prefix in ((4, "a"), (7, "b"), (10, "c")):
             names = [f"{prefix}{i}" for i in range(size)]
             edges += [(x, y) for x in names for y in names if x < y]
-        g = quick_graph(edges)
+        g = make_graph(edges)
         value = assortativity(g, "degree")
         pairs = undirected_pairs(g)
         deg = np.zeros(g.node_count)
@@ -430,6 +425,6 @@ class TestAssortativity:
         assert value == pytest.approx(1.0)  # same-degree endpoints everywhere
 
     def test_too_few_edges(self):
-        g = quick_graph([("a", "b")])
+        g = make_graph([("a", "b")])
         with pytest.raises(AnalysisError):
             assortativity(g, "degree")

@@ -12,7 +12,6 @@ from legisnet import (
     RefType,
     Sector,
     assortativity,
-    build_graph,
     clustering,
     components,
     evolution_series,
@@ -21,7 +20,7 @@ from legisnet import (
     path_metrics,
 )
 
-from conftest import doc, random_digraph
+from conftest import edge_triples, make_graph, node_rows, random_digraph
 from test_filters import brute_force_snapshot
 
 nx = pytest.importorskip("networkx")
@@ -30,9 +29,9 @@ nx = pytest.importorskip("networkx")
 def projection(graph):
     """networkx copy of the simple undirected projection, with sectors."""
     undirected = nx.Graph()
-    undirected.add_nodes_from((d.id, {"sector": d.sector})
-                              for d in graph.documents())
-    undirected.add_edges_from((r.source, r.target) for r in graph.references())
+    undirected.add_nodes_from((doc_id, {"sector": sector})
+                              for doc_id, sector, _, _ in node_rows(graph))
+    undirected.add_edges_from((u, v) for u, v, _ in edge_triples(graph))
     return undirected
 
 
@@ -69,7 +68,7 @@ def test_sector_assortativity():
     rng = np.random.default_rng(8)
     for g in random_graphs(8):
         sectors = [Sector(int(s)) for s in rng.integers(1, 7, g.node_count)]
-        g = build_graph(map(doc, g.ids, sectors), g.references())
+        g = make_graph(edge_triples(g), list(zip(g.ids, sectors)))
         assert assortativity(g, "sector") == pytest.approx(
             nx.attribute_assortativity_coefficient(projection(g), "sector"),
             abs=1e-9)

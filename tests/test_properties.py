@@ -3,8 +3,8 @@
 Corpora have unsorted ids, duplicate reference triples, one- and
 two-sided amendment pairs, and dangling targets (ingested leniently).
 Every derived graph is checked against a recount from the parent's
-``documents()`` and ``references()``, and the graph constructor's edge
-columns against a pure-Python de-duplication.  Drawn digraphs check
+node rows and edge triples, and the graph constructor's edge columns
+against a pure-Python de-duplication.  Drawn digraphs check
 that the bow-tie classes partition the nodes and that resilience curves
 only fall.  The two traversal kernels are checked against the algorithms
 they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
@@ -33,13 +33,10 @@ from legisnet import (
     RECIPROCAL_TYPES,
     SENTINEL_EXPIRY,
     AnalysisError,
-    LegalDocument,
     LegislationGraph,
-    Reference,
     RefType,
     ResilienceConfig,
     Sector,
-    build_graph,
     decompose,
     export,
     export_text,
@@ -54,9 +51,11 @@ from legisnet import (
 )
 from legisnet import heavytail
 from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, TailFit,
-                                _clean_degrees, _exact_mle)
+                                _clean_degrees)
 from legisnet.metrics import distance_histogram
 from legisnet.resilience import _curve_for_order, removal_boundaries
+
+from conftest import edge_triples, make_graph, node_rows
 
 DANGLING = ("~1", "~2")  # never drawn as document ids
 # quotes, backslashes, control, non-ASCII and lone-surrogate characters
@@ -111,18 +110,14 @@ def record_to_json(row) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def triples(graph) -> list[tuple]:
-    return [(r.source, r.target, r.kind) for r in graph.references()]
-
-
 @settings(max_examples=80, deadline=None)
 @given(corpora())
 def test_export_ingest_export_is_byte_stable(records):
     graph, _ = ingest(read_records(lines(records)), mode="lenient")
     text = export_text(graph)
     again, _ = ingest(read_records(text.splitlines()))
-    assert list(again.documents()) == list(graph.documents())
-    assert set(triples(again)) == set(triples(graph))
+    assert node_rows(again) == node_rows(graph)
+    assert set(edge_triples(again)) == set(edge_triples(graph))
     assert export_text(again) == text
 
 
@@ -139,21 +134,21 @@ def test_writer_matches_json_dumps_oracle(records):
        st.sampled_from(list(RefType)))
 def test_views_equal_recount(records, day, sector, kind):
     graph, _ = ingest(read_records(lines(records)), mode="lenient")
-    docs = list(graph.documents())
+    docs = node_rows(graph)
     at = START + timedelta(days=day)
     views = (
-        (snapshot(graph, at), lambda d: d.active_at(at), lambda r: True),
-        (filter_sector(graph, sector), lambda d: d.sector is sector,
+        (snapshot(graph, at), lambda d: d[2] <= at <= d[3], lambda r: True),
+        (filter_sector(graph, sector), lambda d: d[1] is sector,
          lambda r: True),
         (filter_reftype(graph, kind), lambda d: True, lambda r: r[2] is kind),
     )
     for view, keep_doc, keep_edge in views:
         kept = [d for d in docs if keep_doc(d)]
-        ids = {d.id for d in kept}
-        expected = [t for t in triples(graph)
+        ids = {d[0] for d in kept}
+        expected = [t for t in edge_triples(graph)
                     if t[0] in ids and t[1] in ids and keep_edge(t)]
-        assert list(view.documents()) == kept
-        assert triples(view) == expected
+        assert node_rows(view) == kept
+        assert edge_triples(view) == expected
         assert (view.node_count, view.edge_count) == (len(kept), len(expected))
 
 
@@ -169,7 +164,7 @@ def test_ingest_report_counts(records):
             if kind in RECIPROCAL_TYPES:
                 offered.append((ref["target"], record["id"],
                                 RECIPROCAL_TYPES[kind]))
-    assert set(triples(graph)) == set(offered)
+    assert set(edge_triples(graph)) == set(offered)
     assert report.edges == graph.edge_count == len(set(offered))
     assert sum(report.per_type_counts.values()) == report.edges
     assert report.deduplicated == len(offered) - report.edges
@@ -207,9 +202,8 @@ def test_constructor_keeps_first_triples_by_source(case):
 
 def digraph(n: int, pairs):
     names = [f"d{i:02d}" for i in range(n)]
-    return build_graph(
-        (LegalDocument(name, Sector.LEGISLATION, START) for name in names),
-        (Reference(names[u], names[v], RefType.OTHER) for u, v in pairs))
+    return make_graph([(names[u], names[v], RefType.OTHER) for u, v in pairs],
+                      names)
 
 
 def extra_pairs(n: int, max_size: int):
@@ -348,8 +342,7 @@ def test_union_find_curve_equals_recount(drawn, step, stop_at):
     assert curve.tolist() == recount_curve(order, pair_u, pair_v, n, boundaries)
 
 
-def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL,
-                      method="approx") -> TailFit:
+def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL) -> TailFit:
     """Oracle: the power-law threshold scan with one zeta call per
     candidate, as ``fit_power_law`` ran it before the pairs were
     vectorised.  It differs only where ``min_tail`` exceeds every tail,
@@ -383,11 +376,8 @@ def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL,
         n_tail = int(tail_sizes[j])
         if n_tail < 2:
             continue
-        if method == "exact":
-            gamma = _exact_mle(tail_logsums[j], n_tail, threshold)
-        else:
-            gamma = 1.0 + n_tail / (tail_logsums[j]
-                                    - n_tail * np.log(threshold - 0.5))
+        gamma = 1.0 + n_tail / (tail_logsums[j]
+                                - n_tail * np.log(threshold - 0.5))
         empirical = (cum_counts[j:] - below[j]) / n_tail
         z_upper = zeta(gamma, uniq[j:] + 1.0)
         z_norm = (z_upper[0] + float(threshold) ** (-gamma)
@@ -437,30 +427,29 @@ SUBNORMAL_NORM = np.repeat(
 
 @settings(max_examples=300, deadline=None)
 @given(degree_samples(), st.integers(1, 60), st.integers(-3, 2),
-       st.integers(0, 9), st.sampled_from([heavytail.WIDTH, 1, 2, None]))
+       st.sampled_from([heavytail.WIDTH, 1, 2, None]))
 # a sample whose selected fit moves in the last place when x_min**-gamma
 # is an array power (as numpy's SIMD power rounds on AVX-512 hosts), and
 # one whose two lowest thresholds tie
-@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, 1, heavytail.WIDTH)
+@example(np.random.default_rng(12).zipf(2.0, 400), 25, 0, heavytail.WIDTH)
 @example(np.repeat(np.array([1, 6, 50], dtype=np.int64) * 10**16, [100, 50, 50]),
-         25, 0, 1, heavytail.WIDTH)
+         25, 0, heavytail.WIDTH)
 # the selected threshold's largest deviation is at its 28th of 29 tail values
-@example(np.random.default_rng(18).zipf(2.0, 400), 25, 0, 1, heavytail.WIDTH)
+@example(np.random.default_rng(18).zipf(2.0, 400), 25, 0, heavytail.WIDTH)
 # a bound equal to the best KS: 2**60 and 2**60 + 1 are one float, so
 # x_min = 2**60 (bound 0.45 over one value) reaches KS 0.5 at its second
 # value and is finished first; x_min = 2**59 has bound and KS 0.5, and
 # as the first minimum it must still be finished
 @example(np.repeat(np.array([2**59, 2**60, 2**60 + 1, 2**62], dtype=np.int64),
-                   [100, 45, 5, 50]), 60, 0, 1, 1)
+                   [100, 45, 5, 50]), 60, 0, 1)
 # x_min = 3 is 37 below the next value, past the power-sum grid
 @example(np.repeat(np.array([2, 3, 40, 41, 45, 300]), [60, 30, 30, 20, 20, 20]),
-         10, 0, 1, heavytail.WIDTH)
+         10, 0, heavytail.WIDTH)
 # gamma = 129 at x_min = 240, where x**-gamma turns subnormal from 243 on
-@example(STEEP, 10, 0, 1, heavytail.WIDTH)
+@example(STEEP, 10, 0, heavytail.WIDTH)
 # the winner's norm is subnormal, and scipy's zeta is off by percents there
-@example(SUBNORMAL_NORM, 26, 0, 1, heavytail.WIDTH)
-def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exact,
-                                                  width):
+@example(SUBNORMAL_NORM, 26, 0, heavytail.WIDTH)
+def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, width):
     """Equal TailFits or equal AnalysisErrors: selected by KS over all
     candidates, near a min_tail of n, and pinned at every observed value,
     at an unobserved value below each and above the maximum.  The bound
@@ -471,11 +460,7 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, draw_exa
     unseen = sorted({x - 1 for x in seen if x > 1} - set(seen)
                     | {max(seen, default=0) + 1})
     runs = [{"min_tail": min_tail}, {"min_tail": max(len(positive) + past_n, 1)}]
-    pinned = [{"x_min": x} for x in seen + unseen]
-    if draw_exact == 0:     # a numerical MLE per candidate: keep it short
-        runs = [{**run, "method": "exact"} for run in runs + pinned[:4]]
-    else:
-        runs += pinned
+    runs += [{"x_min": x} for x in seen + unseen]
     if width is None:
         width = min(max(max(seen) - min(seen), 1), WHOLE_ROW)
 

@@ -8,10 +8,14 @@ from legisnet import (
     AnalysisError,
     ConfigError,
     GeneratorConfig,
+    RefType,
+    Sector,
     erdos_renyi,
     generate,
     small_world_compare,
 )
+
+from conftest import make_graph, node_rows
 
 
 def edge_pairs(graph):
@@ -48,9 +52,9 @@ class TestErdosRenyi:
 
     def test_placeholder_documents(self):
         g = erdos_renyi(3, 2, seed=0)
-        for doc in g.documents():
-            assert doc.sector.value == 3
-            assert doc.date_of_expiry.year == 9999
+        for _, sector, _, expiry in node_rows(g):
+            assert sector is Sector.LEGISLATION
+            assert expiry.year == 9999
 
     def test_degree_distribution_poissonian(self):
         n, m = 10_000, 40_000
@@ -107,14 +111,9 @@ class TestSmallWorldCompare:
         assert null.edge_count == g.edge_count
 
     def test_clique_saturated_case_not_small_world(self):
-        from legisnet import build_graph, Reference, RefType
-        from conftest import doc
         names = [f"q{i:02d}" for i in range(20)]
-        g = build_graph(
-            [doc(n) for n in names],
-            [Reference(a, b, RefType.OTHER) for a in names for b in names
-             if a != b],
-        )
+        g = make_graph([(a, b, RefType.OTHER) for a in names for b in names
+                        if a != b])
         report = small_world_compare(g, replicas=2, seed=0)
         # the matched null is forced equally complete: no clustering excess
         assert not report.small_world_verdict

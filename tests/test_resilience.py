@@ -15,11 +15,11 @@ from legisnet import (
 )
 from legisnet.resilience import removal_boundaries
 
-from conftest import quick_graph
+from conftest import make_graph
 
 
 def star(n_leaves):
-    return quick_graph([("hub", f"leaf{i:03d}") for i in range(n_leaves)])
+    return make_graph([("hub", f"leaf{i:03d}") for i in range(n_leaves)])
 
 
 class TestConfig:

@@ -11,14 +11,13 @@ from legisnet import (
     GeneratorConfig,
     RefType,
     Sector,
-    build_graph,
     densification_fit,
     evolution_series,
     generate,
 )
 from legisnet.temporal import SnapshotStat
 
-from conftest import doc
+from conftest import edge_triples, make_graph, node_rows
 
 
 def stat(year, n, e):
@@ -42,20 +41,21 @@ class TestEvolutionSeries:
                                      sunset_horizon_years=3, seed=23))
         for s in evolution_series(g, (1990, 2003)):
             at = date(s.year, 12, 31)
-            active = [d for d in g.documents()
-                      if d.date_of_effect <= at <= d.date_of_expiry]
-            ids = {d.id for d in active}
-            edges = [r for r in g.references()
-                     if r.source in ids and r.target in ids]
+            active = [(doc_id, sector)
+                      for doc_id, sector, effect, expiry in node_rows(g)
+                      if effect <= at <= expiry]
+            ids = {doc_id for doc_id, _ in active}
+            edges = [(u, v, kind) for u, v, kind in edge_triples(g)
+                     if u in ids and v in ids]
             assert s.n == len(active)
             assert s.e == len(edges)
             per_sector = {sec.value: 0 for sec in Sector}
-            for d in active:
-                per_sector[d.sector.value] += 1
+            for _, sector in active:
+                per_sector[sector.value] += 1
             assert s.per_sector == per_sector
             per_type = {k.value: 0 for k in RefType}
-            for r in edges:
-                per_type[r.kind.value] += 1
+            for _, _, kind in edges:
+                per_type[kind.value] += 1
             assert s.per_reftype == per_type
             assert sum(s.per_sector.values()) == s.n
             assert sum(s.per_reftype.values()) == s.e
@@ -66,12 +66,12 @@ class TestEvolutionSeries:
         assert a == b
 
     def test_single_node_snapshot(self):
-        g = build_graph([doc("A", effect=date(1970, 1, 1))], [])
+        g = make_graph(nodes=[("A", Sector.LEGISLATION, date(1970, 1, 1))])
         [s] = evolution_series(g, (1970, 1970))
         assert (s.scc_fraction, s.gc_fraction) == (1.0, 1.0)
 
     def test_empty_snapshot(self):
-        g = build_graph([doc("A", effect=date(1970, 1, 1))], [])
+        g = make_graph(nodes=[("A", Sector.LEGISLATION, date(1970, 1, 1))])
         [s] = evolution_series(g, (1950, 1950))
         assert (s.scc_fraction, s.gc_fraction) == (0.0, 0.0)
 
