@@ -38,7 +38,6 @@ from .heavytail import (
     ccdf,
     fit_power_law,
     goodness_of_fit,
-    sample_power_law,
 )
 from .metrics import (
     ClusteringProfile,
@@ -119,7 +118,6 @@ __all__ = [
     "lorenz_gini",
     "path_metrics",
     "read_records",
-    "sample_power_law",
     "simulate",
     "small_world_compare",
     "snapshot",

@@ -69,7 +69,7 @@ def decompose(graph: LegislationGraph) -> BowTieDecomposition:
     if n == 0:
         raise AnalysisError("bow-tie decomposition is undefined on an empty graph")
     adj = graph.adjacency()
-    adj_t = graph.adjacency(transpose=True)
+    adj_t = adj.T
     _, scc_labels = connected_components(adj, directed=True, connection="strong")
     core = scc_labels == largest_label(scc_labels, graph.id_ranks())
 

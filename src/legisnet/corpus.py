@@ -65,7 +65,6 @@ class IngestReport:
     stubs: int = 0
     deduplicated: int = 0
     per_type_counts: dict[str, int] = field(default_factory=dict)
-    stub_ids: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,7 +198,7 @@ def ingest(records: Iterable[Row],
                               f"id {targets[at]!r}")
         raise ValidationError(f"self-reference on {ids[src[at]]!r} "
                               "is excluded from the model")
-    stub_ids: list[str] = []
+    first_stub = len(ids)
     for at in np.flatnonzero(dst < 0).tolist():
         target = targets[at]
         if target not in index:
@@ -208,7 +207,6 @@ def ingest(records: Iterable[Row],
             sector.append(Sector.LEGISLATION.value)
             effect.append(effect[src[at]])
             expiry.append(_SENTINEL)
-            stub_ids.append(target)
         dst[at] = index[target]
 
     # each reciprocal edge directly follows the reference it mirrors
@@ -223,10 +221,9 @@ def ingest(records: Iterable[Row],
     report = IngestReport(
         nodes=graph.node_count,
         edges=graph.edge_count,
-        stubs=len(stub_ids),
+        stubs=len(ids) - first_stub,
         deduplicated=len(src) - graph.edge_count,
         per_type_counts={k.value: int(c) for k, c in zip(RefType, counts)},
-        stub_ids=tuple(stub_ids),
     )
     return graph, report
 

@@ -17,6 +17,13 @@ a read-only, concurrency-safe query.  The constructor takes the seven
 columns, turns them into numpy arrays and drops duplicate triples.
 Builders (ingest, the generator, random nulls) and derived views
 (filters, snapshots) pass their columns to it directly.
+
+Two derived structures are built on first use and cached: the boolean
+CSR adjacency of the directed structure (types merged) and the simple
+undirected projection.  The projection is not a second graph object;
+it is two pair columns ``(pair_u, pair_v)`` with u < v, one pair per
+node pair joined by a typed edge in either direction, over the same
+node indices.
 """
 
 from __future__ import annotations
@@ -102,9 +109,8 @@ class LegislationGraph:
         _, first = np.unique(codes, return_index=True)
         keep = order[np.sort(first)]
         self._src, self._dst, self._kind = src[keep], dst[keep], kind[keep]
-        self._csr_out: sparse.csr_matrix | None = None
-        self._csr_in: sparse.csr_matrix | None = None
-        self._projection: SimpleProjection | None = None
+        self._csr: sparse.csr_matrix | None = None
+        self._projection: tuple[np.ndarray, np.ndarray] | None = None
         self._id_rank: np.ndarray | None = None
 
     # -- queries -------------------------------------------------------------
@@ -156,23 +162,30 @@ class LegislationGraph:
         """(effect, expiry) as proleptic-Gregorian ordinals per node."""
         return self._effect, self._expiry
 
-    def adjacency(self, transpose: bool = False) -> sparse.csr_matrix:
+    def adjacency(self) -> sparse.csr_matrix:
         """Boolean CSR adjacency of the directed structure (types merged)."""
-        if self._csr_out is None:
+        if self._csr is None:
             n = self.node_count
             data = np.ones(len(self._src), dtype=np.int8)
             mat = sparse.csr_matrix(
                 (data, (self._src, self._dst)), shape=(n, n), dtype=np.int8
             )
             mat.data[:] = 1  # collapse parallel typed edges
-            self._csr_out = mat
-            self._csr_in = mat.T.tocsr()
-        return self._csr_in if transpose else self._csr_out
+            self._csr = mat
+        return self._csr
 
-    def simple_projection(self) -> "SimpleProjection":
-        """Undirected simple projection (any edge, either direction)."""
+    def simple_projection(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges of the simple undirected projection as ``(pair_u, pair_v)``.
+
+        One pair per node pair joined by a typed edge in either
+        direction, with u < v, in ascending (u, v) order.
+        """
         if self._projection is None:
-            self._projection = SimpleProjection._build(self)
+            n = self.node_count
+            lo = np.minimum(self._src, self._dst)
+            hi = np.maximum(self._src, self._dst)
+            codes = np.unique(lo * n + hi)
+            self._projection = (codes // n, codes % n)
         return self._projection
 
     def induced_subgraph(self, node_mask: np.ndarray,
@@ -196,44 +209,3 @@ class LegislationGraph:
             new_index[self._src[keep]], new_index[self._dst[keep]],
             self._kind[keep],
         )
-
-
-class SimpleProjection:
-    """Undirected simple graph derived from a LegislationGraph.
-
-    Same node set; one undirected edge between u and v iff at least one
-    typed reference exists between them in either direction.
-    """
-
-    def __init__(self, n: int, pair_u: np.ndarray, pair_v: np.ndarray) -> None:
-        self.n = n
-        self.pair_u = pair_u  # unique undirected pairs, u < v
-        self.pair_v = pair_v
-        self._csr: sparse.csr_matrix | None = None
-
-    @classmethod
-    def _build(cls, graph: LegislationGraph) -> "SimpleProjection":
-        src, dst, _ = graph.edge_arrays()
-        n = graph.node_count
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        codes = np.unique(lo * n + hi)
-        return cls(n, codes // n, codes % n)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.pair_u)
-
-    def csr(self) -> sparse.csr_matrix:
-        """Symmetric boolean CSR adjacency."""
-        if self._csr is None:
-            rows = np.concatenate([self.pair_u, self.pair_v])
-            cols = np.concatenate([self.pair_v, self.pair_u])
-            data = np.ones(len(rows), dtype=np.int8)
-            self._csr = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(self.n, self.n), dtype=np.int8
-            )
-        return self._csr
-
-    def degree_array(self) -> np.ndarray:
-        return np.diff(self.csr().indptr)

@@ -316,11 +316,6 @@ class PowerLawSampler:
         return hi
 
 
-def sample_power_law(gamma: float, x_min: int, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    return PowerLawSampler(gamma, x_min).draw(size, rng)
-
-
 # -- goodness of fit ---------------------------------------------------------
 
 

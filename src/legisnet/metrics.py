@@ -2,8 +2,11 @@
 
 Degree statistics and connected components read the typed directed
 multigraph.  Clustering, path lengths, and assortativity are measured
-on the simple undirected projection; path metrics are restricted to
-the giant component.
+on the simple undirected projection, the ``(pair_u, pair_v)`` columns
+of ``LegislationGraph.simple_projection``.  Path metrics are restricted
+to the giant component: ``giant_projection`` masks the pairs to it and
+renumbers them once, and ``symmetric_csr`` turns them into the CSR the
+BFS walks.  Directed path lengths slice the graph's adjacency instead.
 
 Path lengths come from a bit-parallel multi-source BFS (Then et al.,
 "The More the Merrier", VLDB 2015).  Sources traverse in chunks of at
@@ -82,13 +85,9 @@ class PathMetrics:
 
 @dataclass
 class ComponentReport:
-    giant_component_ids: frozenset[str]
+    gc_size: int
     gc_fraction: float
     isolated_count: int
-
-    @property
-    def gc_size(self) -> int:
-        return len(self.giant_component_ids)
 
 
 # -- degree statistics -----------------------------------------------------
@@ -196,9 +195,7 @@ def clustering_profile_from_pairs(n: int, pair_u: np.ndarray,
     if n == 0:
         return ClusteringProfile(0.0, {}, float("nan"))
     local = local_clustering_from_pairs(n, pair_u, pair_v)
-    degrees = np.zeros(n, dtype=np.int64)
-    np.add.at(degrees, pair_u, 1)
-    np.add.at(degrees, pair_v, 1)
+    degrees = np.bincount(pair_u, minlength=n) + np.bincount(pair_v, minlength=n)
     per_degree: dict[int, float] = {}
     counts: dict[int, int] = {}
     for k in np.unique(degrees):
@@ -226,8 +223,8 @@ def clustering(graph: LegislationGraph) -> ClusteringProfile:
     The log-log slope regresses log C(k) on log k over degrees with at
     least ``MIN_DEGREE_COUNT`` nodes and positive mean coefficient.
     """
-    proj = graph.simple_projection()
-    return clustering_profile_from_pairs(proj.n, proj.pair_u, proj.pair_v)
+    return clustering_profile_from_pairs(graph.node_count,
+                                         *graph.simple_projection())
 
 
 # -- components --------------------------------------------------------------
@@ -250,18 +247,41 @@ def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
     return labels == largest_label(labels, graph.id_ranks())
 
 
+def giant_projection(graph: LegislationGraph,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mask, pair_u, pair_v)``: the giant component's mask and its
+    projection pairs, renumbered to positions among the masked nodes.
+
+    The pairs keep the projection's ascending order and u < v.  A pair
+    never crosses components, so testing one end selects it.
+    """
+    mask = giant_component_mask(graph)
+    pair_u, pair_v = graph.simple_projection()
+    keep = mask[pair_u]
+    new_index = np.cumsum(mask) - 1
+    return mask, new_index[pair_u[keep]], new_index[pair_v[keep]]
+
+
 def components(graph: LegislationGraph) -> ComponentReport:
     """Largest weakly connected component and isolated-node count."""
     n = graph.node_count
     if n == 0:
-        return ComponentReport(frozenset(), 0.0, 0)
-    mask = giant_component_mask(graph)
-    ids = frozenset(doc_id for doc_id, keep in zip(graph.ids, mask) if keep)
+        return ComponentReport(0, 0.0, 0)
+    gc_size = int(giant_component_mask(graph).sum())
     isolated = int((graph.degree_array("total") == 0).sum())
-    return ComponentReport(ids, len(ids) / n, isolated)
+    return ComponentReport(gc_size, gc_size / n, isolated)
 
 
 # -- path metrics ------------------------------------------------------------
+
+
+def symmetric_csr(n: int, pair_u: np.ndarray, pair_v: np.ndarray) -> csr_matrix:
+    """Boolean CSR adjacency of the undirected graph on ``n`` nodes whose
+    edges are the unique pairs ``(pair_u, pair_v)``."""
+    rows = np.concatenate([pair_u, pair_v])
+    cols = np.concatenate([pair_v, pair_u])
+    data = np.ones(len(rows), dtype=np.int8)
+    return csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.int8)
 
 
 def distance_histogram(csr: csr_matrix, source_indices: np.ndarray) -> dict[int, int]:
@@ -303,14 +323,15 @@ def distance_histogram(csr: csr_matrix, source_indices: np.ndarray) -> dict[int,
     return {d: c for d, c in enumerate(hist) if c > 0}
 
 
-def path_stats_from_csr(csr: csr_matrix, ids: tuple[str, ...] | None,
+def path_stats_from_csr(csr: csr_matrix, restricted_to: str,
                         mode: str = "exact", sources: int = 1000,
                         seed: int = 0) -> PathMetrics:
     """Shortest-path statistics of a (symmetric or directed) CSR graph.
 
     ``exact`` runs a breadth-first search from every node; ``sampled``
     from ``sources`` uniformly chosen distinct nodes, in which case the
-    diameter is a lower bound.
+    diameter is a lower bound.  ``restricted_to`` names the node set
+    in the report (the smallest id of the giant component).
     """
     if mode == "sampled" and sources < 1:
         raise ConfigError(f"sampled paths need >= 1 source, got {sources}")
@@ -332,12 +353,11 @@ def path_stats_from_csr(csr: csr_matrix, ids: tuple[str, ...] | None,
         raise AnalysisError("no finite node pairs; cannot average path length")
     total_pairs = sum(hist.values())
     total_length = sum(d * c for d, c in hist.items())
-    smallest_id = min(ids) if ids else ""
     return PathMetrics(
         average_path_length=total_length / total_pairs,
         diameter=max(hist),
         distance_histogram=hist,
-        restricted_to=smallest_id,
+        restricted_to=restricted_to,
         mode=mode,
         sources=len(chosen),
         diameter_is_lower_bound=(mode == "sampled"),
@@ -353,16 +373,16 @@ def path_metrics(graph: LegislationGraph, mode: str = "exact",
     same node set (the weak giant component) and average over ordered
     reachable pairs.
     """
-    mask = giant_component_mask(graph)
-    if int(mask.sum()) < 2:
+    mask, pair_u, pair_v = giant_projection(graph)
+    n_gc = int(mask.sum())
+    if n_gc < 2:
         raise AnalysisError("giant component has fewer than 2 nodes")
     if directed:
         sub = graph.adjacency()[mask][:, mask]
     else:
-        proj = graph.simple_projection()
-        sub = proj.csr()[mask][:, mask]
-    gc_ids = tuple(doc_id for doc_id, keep in zip(graph.ids, mask) if keep)
-    result = path_stats_from_csr(sub, gc_ids, mode=mode, sources=sources,
+        sub = symmetric_csr(n_gc, pair_u, pair_v)
+    smallest_id = min(itertools.compress(graph.ids, mask.tolist()))
+    result = path_stats_from_csr(sub, smallest_id, mode=mode, sources=sources,
                                  seed=seed)
     result.directed = directed
     return result
@@ -379,12 +399,14 @@ def assortativity(graph: LegislationGraph, criterion: str = "degree") -> float:
     attribute mixing coefficient r = (sum_i e_ii - sum_i a_i b_i) /
     (1 - sum_i a_i b_i) over the 6x6 sector mixing matrix.
     """
-    proj = graph.simple_projection()
-    if proj.edge_count < 2:
+    pair_u, pair_v = graph.simple_projection()
+    if len(pair_u) < 2:
         raise AnalysisError("assortativity requires at least 2 projection edges")
     if criterion == "degree":
-        deg = proj.degree_array().astype(float)
-        du, dv = deg[proj.pair_u], deg[proj.pair_v]
+        n = graph.node_count
+        deg = (np.bincount(pair_u, minlength=n)
+               + np.bincount(pair_v, minlength=n)).astype(float)
+        du, dv = deg[pair_u], deg[pair_v]
         x = np.concatenate([du, dv])
         y = np.concatenate([dv, du])
         sx, sy = x.std(), y.std()
@@ -394,9 +416,9 @@ def assortativity(graph: LegislationGraph, criterion: str = "degree") -> float:
     if criterion == "sector":
         codes = graph.sector_codes() - 1
         e = np.zeros((6, 6), dtype=float)
-        np.add.at(e, (codes[proj.pair_u], codes[proj.pair_v]), 0.5)
-        np.add.at(e, (codes[proj.pair_v], codes[proj.pair_u]), 0.5)
-        e /= proj.edge_count
+        np.add.at(e, (codes[pair_u], codes[pair_v]), 0.5)
+        np.add.at(e, (codes[pair_v], codes[pair_u]), 0.5)
+        e /= len(pair_u)
         a = e.sum(axis=1)
         b = e.sum(axis=0)
         ab = float(np.dot(a, b))

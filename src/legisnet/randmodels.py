@@ -16,7 +16,6 @@ from datetime import date
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from .errors import AnalysisError, ConfigError
 from .graph import (
@@ -28,8 +27,9 @@ from .graph import (
 )
 from .metrics import (
     clustering_profile_from_pairs,
-    giant_component_mask,
+    giant_projection,
     path_stats_from_csr,
+    symmetric_csr,
 )
 from .util import derive_seed, parallel_map
 
@@ -111,19 +111,16 @@ def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
 
     Returns None when the giant component is too small to measure.
     """
-    mask = giant_component_mask(graph)
+    mask, pair_u, pair_v = giant_projection(graph)
     n_gc = int(mask.sum())
     if n_gc < 2:
         return None
-    sub = graph.simple_projection().csr()[mask][:, mask]
-    upper = sparse.triu(sub, k=1).tocoo()
-    pair_u = upper.row.astype(np.int64)
-    pair_v = upper.col.astype(np.int64)
     c_value = clustering_profile_from_pairs(n_gc, pair_u, pair_v).global_avg
     mode = path_mode
     if mode == "auto":
         mode = "exact" if n_gc <= EXACT_BELOW else "sampled"
-    stats = path_stats_from_csr(sub, None, mode=mode, sources=path_sources,
+    stats = path_stats_from_csr(symmetric_csr(n_gc, pair_u, pair_v), "",
+                                mode=mode, sources=path_sources,
                                 seed=path_seed)
     return n_gc, len(pair_u), c_value, stats.average_path_length
 

@@ -191,8 +191,7 @@ def simulate(graph: LegislationGraph, config: ResilienceConfig,
     n = graph.node_count
     if n < MIN_NODES:
         raise AnalysisError(f"resilience needs >= {MIN_NODES} nodes, got {n}")
-    proj = graph.simple_projection()
-    pair_u, pair_v = proj.pair_u, proj.pair_v
+    pair_u, pair_v = graph.simple_projection()
     boundaries = removal_boundaries(n, config.step_fraction, config.stop_at)
     reps = config.effective_repetitions()
 

@@ -21,7 +21,6 @@ from legisnet import (
     annual_series,
     assortativity,
     compare_with_null,
-    components,
     decompose,
     densification_fit,
     erdos_renyi,
@@ -38,7 +37,7 @@ from legisnet import (
     snapshot,
 )
 from legisnet.cli import main
-from legisnet.metrics import local_clustering_from_pairs
+from legisnet.metrics import giant_component_mask, local_clustering_from_pairs
 
 from conftest import edge_triples, make_graph, node_rows, random_digraph
 from test_bowtie import oracle_for_graph
@@ -180,8 +179,7 @@ def test_criterion_06_clustering_and_paths():
     for _ in range(15):
         g = random_digraph(rng, int(rng.integers(5, 101)),
                            float(rng.uniform(0.8, 2.5)))
-        proj = g.simple_projection()
-        mine = local_clustering_from_pairs(proj.n, proj.pair_u, proj.pair_v)
+        mine = local_clustering_from_pairs(g.node_count, *g.simple_projection())
         clustering_ok &= bool(np.allclose(mine, local_clustering_bruteforce(g),
                                           atol=1e-12))
         dist = floyd_warshall_oracle(g)
@@ -189,8 +187,7 @@ def test_criterion_06_clustering_and_paths():
         if len(finite_cells) == 0:
             continue
         pm = path_metrics(g)
-        gc = sorted(g.ids.index(i) for i in
-                    components(g).giant_component_ids)
+        gc = np.flatnonzero(giant_component_mask(g))
         sub = dist[np.ix_(gc, gc)]
         finite = sub[np.isfinite(sub) & (sub > 0)]
         paths_ok &= pm.diameter == int(finite.max())

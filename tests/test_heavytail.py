@@ -14,7 +14,6 @@ from legisnet import (
     ccdf,
     fit_power_law,
     goodness_of_fit,
-    sample_power_law,
 )
 from legisnet.heavytail import (DEFAULT_BOOTSTRAP_M, MAX_TABLE, PowerLawSampler,
                                 TailFit)
@@ -169,7 +168,7 @@ class TestSampler:
 
     def test_respects_lower_bound(self):
         rng = np.random.default_rng(1)
-        draws = sample_power_law(2.1, 34, 10_000, rng)
+        draws = PowerLawSampler(2.1, 34).draw(10_000, rng)
         assert draws.min() >= 34
 
     def test_rejects_flat_exponent(self):
@@ -181,8 +180,8 @@ class TestSampler:
         for x_min in (0, -3, 2.5):
             with pytest.raises(ValidationError,
                                match="^x_min must be a positive integer$"):
-                sample_power_law(2.5, x_min, 4, rng)
-        assert sample_power_law(2.5, 3.0, 4, rng).min() >= 3
+                PowerLawSampler(2.5, x_min).draw(4, rng)
+        assert PowerLawSampler(2.5, 3.0).draw(4, rng).min() >= 3
 
     def test_near_one_exponent_caps_the_table(self):
         # the table span TABLE_FLOOR ** (-1 / 0.019) overflows a float

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from legisnet import (
     generate,
     path_metrics,
 )
+from legisnet.metrics import giant_component_mask
 
 from conftest import edge_triples, make_graph, node_rows, random_digraph
 from test_filters import brute_force_snapshot
@@ -52,7 +54,8 @@ def test_exact_average_path_length_on_giant_component():
     for g in random_graphs(6):
         undirected = projection(g)
         giant = max(nx.connected_components(undirected), key=len)
-        assert components(g).giant_component_ids == giant
+        assert set(compress(g.ids, giant_component_mask(g))) == giant
+        assert components(g).gc_size == len(giant)
         expected = nx.average_shortest_path_length(undirected.subgraph(giant))
         assert path_metrics(g, mode="exact").average_path_length == (
             pytest.approx(expected, abs=1e-12))

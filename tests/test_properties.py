@@ -23,7 +23,7 @@ from datetime import date, timedelta
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
@@ -52,10 +52,10 @@ from legisnet import (
 from legisnet import heavytail
 from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, TailFit,
                                 _clean_degrees)
-from legisnet.metrics import distance_histogram
+from legisnet.metrics import distance_histogram, giant_projection
 from legisnet.resilience import _curve_for_order, removal_boundaries
 
-from conftest import edge_triples, make_graph, node_rows
+from conftest import edge_triples, make_graph, node_rows, random_digraph
 
 DANGLING = ("~1", "~2")  # never drawn as document ids
 # quotes, backslashes, control, non-ASCII and lone-surrogate characters
@@ -340,6 +340,48 @@ def test_union_find_curve_equals_recount(drawn, step, stop_at):
     boundaries = removal_boundaries(n, step, stop_at)
     curve = _curve_for_order(order, pair_u, pair_v, n, boundaries)
     assert curve.tolist() == recount_curve(order, pair_u, pair_v, n, boundaries)
+
+
+def weak_components(graph) -> list[list[int]]:
+    """Oracle: node indices of every weak component, by a Python flood
+    fill over the typed edges."""
+    neighbours: list[set[int]] = [set() for _ in range(graph.node_count)]
+    for u, v in zip(*(col.tolist() for col in graph.edge_arrays()[:2])):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen: set[int] = set()
+    found = []
+    for start in range(graph.node_count):
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for w in neighbours[stack.pop()] - component:
+                component.add(w)
+                stack.append(w)
+        seen |= component
+        found.append(sorted(component))
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.floats(0.2, 0.9))
+def test_giant_projection_equals_brute_force_pairs(seed, n, density):
+    graph = random_digraph(np.random.default_rng(seed), n, density)
+    found = weak_components(graph)
+    # isolated nodes and at least two components with edges
+    assume(min(map(len, found)) == 1 and sum(len(c) > 1 for c in found) >= 2)
+    giant = min(found, key=lambda c: (-len(c), min(graph.ids[i] for i in c)))
+    at = {node: i for i, node in enumerate(giant)}
+    src, dst, _ = (col.tolist() for col in graph.edge_arrays())
+    expected = sorted({(min(at[u], at[v]), max(at[u], at[v]))
+                       for u, v in zip(src, dst) if u in at and v in at})
+    mask, pair_u, pair_v = giant_projection(graph)
+    assert np.flatnonzero(mask).tolist() == giant
+    pairs = list(zip(pair_u.tolist(), pair_v.tolist()))
+    assert pairs == expected
+    assert len(set(pairs)) == len(pairs)
+    assert all(u < v for u, v in pairs)
 
 
 def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL) -> TailFit:
