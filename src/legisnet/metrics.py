@@ -16,6 +16,23 @@ words holds the visited, frontier and reached bit rows (3 * n * w * 8
 bytes) plus the frontier words gathered over every stored edge
 (nnz * w * 8 bytes): about 31 MB at 50,000 nodes and 332,000 stored
 entries, where a 256 x n float64 distance block took 102 MB.
+
+Local clustering counts triangles by forward listing (Schank and
+Wagner, WEA 2005; Chiba and Nishizeki, SIAM J. Comput. 14, 210, 1985).
+Each projection pair is oriented from the lower to the higher
+(degree, index) rank, so every triangle shows up exactly once, as a
+wedge a -> x, a -> y at its lowest-ranked corner a, and no node keeps
+more than sqrt(2m) out-edges.  The oriented edges are sorted as codes
+a * n + b, which makes each node's out-edges one sorted row.  A wedge
+closes when the code of (x, y), oriented by the same rank, is found
+among them by ``searchsorted``; one ``bincount`` per corner gives each
+node's triangle count t, and its coefficient is the quotient of the
+integers 2t and d(d - 1).  Wedges are listed in chunks of at most
+``WEDGE_CHUNK``, and an edge with more wedges than that (at most
+sqrt(2m)) forms a chunk alone.  A chunk peaks at about 55 bytes per
+wedge, 14 MB at the 2^18 budget, on top of about 60 bytes per edge: the
+whole call peaks at 24 MB on the criterion-11 projection (166,339
+pairs, 316,554 oriented wedges).
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ from .graph import LegislationGraph
 from .util import rng_for
 
 CHUNK_WORDS = 8  # uint64 words of sources per BFS chunk: 512 sources
+WEDGE_CHUNK = 1 << 18  # oriented wedges listed per clustering chunk
 # least number of nodes a degree needs to enter the C(k) log-log slope
 MIN_DEGREE_COUNT = 5
 
@@ -166,27 +184,44 @@ def local_clustering_from_pairs(n: int, pair_u: np.ndarray,
                                 pair_v: np.ndarray) -> np.ndarray:
     """Local clustering coefficient per node of a simple undirected graph.
 
-    ``pair_u``/``pair_v`` list each undirected edge once.  Nodes of
-    degree < 2 get coefficient 0.
+    ``pair_u``/``pair_v`` list each undirected edge once, with u < v.
+    Nodes of degree < 2 get coefficient 0.  Triangles come from forward
+    listing over the edges oriented by (degree, index) rank; see the
+    module docstring.
     """
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for u, v in zip(pair_u.tolist(), pair_v.tolist()):
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    wedge = np.zeros(n, dtype=np.int64)
-    for u, v in zip(pair_u.tolist(), pair_v.tolist()):
-        su, sv = neighbors[u], neighbors[v]
-        if len(sv) < len(su):
-            su, sv = sv, su
-        common = len(su & sv)
-        if common:
-            wedge[u] += common
-            wedge[v] += common
-    degrees = np.fromiter((len(s) for s in neighbors), dtype=np.int64, count=n)
+    degrees = np.bincount(pair_u, minlength=n) + np.bincount(pair_v, minlength=n)
+    flip = degrees[pair_u] > degrees[pair_v]
+    codes = np.sort(np.where(flip, pair_v * n + pair_u, pair_u * n + pair_v))
+    tail, head = np.divmod(codes, n)
+    row_end = np.cumsum(np.bincount(tail, minlength=n))
+    edge = np.arange(len(codes))
+    # wedges whose first leg is oriented edge i: the later edges of its row
+    wedges = row_end[tail] - edge - 1
+    ends = np.cumsum(wedges)
+    triangles = np.zeros(n, dtype=np.int64)
+    start = 0
+    while start < len(codes):
+        listed = ends[start - 1] if start else 0
+        # as many edges as the budget holds; an edge over it goes alone
+        stop = max(int(np.searchsorted(ends, listed + WEDGE_CHUNK, side="right")),
+                   start + 1)
+        legs, count = edge[start:stop], wedges[start:stop]
+        first = np.repeat(legs, count)
+        # wedge j of edge i pairs it with edge i + 1 + j of the same row
+        begins = ends[start:stop] - count - listed
+        second = (np.arange(ends[stop - 1] - listed)
+                  + np.repeat(legs + 1 - begins, count))
+        x, y = head[first], head[second]  # x < y: each row is sorted
+        closing = np.where(degrees[x] > degrees[y], y * n + x, x * n + y)
+        found = np.minimum(np.searchsorted(codes, closing), len(codes) - 1)
+        closed = codes[found] == closing
+        for corner in (tail[first[closed]], x[closed], y[closed]):
+            triangles += np.bincount(corner, minlength=n)
+        start = stop
     local = np.zeros(n, dtype=float)
     eligible = degrees >= 2
     denom = degrees[eligible] * (degrees[eligible] - 1)
-    local[eligible] = wedge[eligible] / denom
+    local[eligible] = 2 * triangles[eligible] / denom
     return local
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -31,10 +30,14 @@ def parallel_map(fn: Callable, items: Sequence, n_jobs: int = 1) -> list:
     """Order-preserving map, optionally across processes.
 
     Results are collected by index, so the output is identical to the
-    serial run regardless of worker scheduling.
+    serial run regardless of worker scheduling.  The process pool is
+    imported only when one is started, so serial runs never load
+    ``multiprocessing``.
     """
     if n_jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * n_jobs))))
 

@@ -6,10 +6,12 @@ Every derived graph is checked against a recount from the parent's
 node rows and edge triples, and the graph constructor's edge columns
 against a pure-Python de-duplication.  Drawn digraphs check
 that the bow-tie classes partition the nodes and that resilience curves
-only fall.  The two traversal kernels are checked against the algorithms
-they replaced: scipy ``dijkstra`` for the BFS distance histogram and a
-per-boundary ``connected_components`` recount for resilience curves,
-and the bound-and-prune power-law threshold scan against the
+only fall.  The three traversal kernels are checked against the
+algorithms they replaced: scipy ``dijkstra`` for the BFS distance
+histogram, a per-boundary ``connected_components`` recount for
+resilience curves, and the per-node neighbour-set loop for the wedge
+closure clustering, bit for bit and under tiny wedge budgets.  The
+bound-and-prune power-law threshold scan against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
 bootstrap.  The scan's power-sum bounds are checked against each
 candidate's exact KS distance.
@@ -17,12 +19,14 @@ candidate's exact KS distance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from datetime import date, timedelta
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -31,6 +35,7 @@ from scipy.special import zeta
 
 from legisnet import (
     RECIPROCAL_TYPES,
+    GeneratorConfig,
     SENTINEL_EXPIRY,
     AnalysisError,
     LegislationGraph,
@@ -38,21 +43,24 @@ from legisnet import (
     ResilienceConfig,
     Sector,
     decompose,
+    erdos_renyi,
     export,
     export_text,
     filter_reftype,
     filter_sector,
     fit_power_law,
+    generate,
     goodness_of_fit,
     ingest,
     read_records,
     simulate,
     snapshot,
 )
-from legisnet import heavytail
+from legisnet import heavytail, metrics
 from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, TailFit,
                                 _clean_degrees)
-from legisnet.metrics import distance_histogram, giant_projection
+from legisnet.metrics import (distance_histogram, giant_projection,
+                              local_clustering_from_pairs)
 from legisnet.resilience import _curve_for_order, removal_boundaries
 
 from conftest import edge_triples, make_graph, node_rows, random_digraph
@@ -303,6 +311,99 @@ def test_bfs_histogram_equals_dijkstra(case, directed):
     if not directed:
         csr = (csr + csr.T).tocsr()
     assert distance_histogram(csr, sources) == dijkstra_histogram(csr, sources)
+
+
+def set_loop_clustering(n, pair_u, pair_v) -> np.ndarray:
+    """Oracle: the per-node neighbour-set loop the wedge kernel replaced.
+
+    Each edge adds the size of its endpoints' common neighbourhood to
+    both ends, which counts every triangle twice at each corner.
+    """
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(pair_u.tolist(), pair_v.tolist()):
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    wedge = np.zeros(n, dtype=np.int64)
+    for u, v in zip(pair_u.tolist(), pair_v.tolist()):
+        su, sv = neighbors[u], neighbors[v]
+        if len(sv) < len(su):
+            su, sv = sv, su
+        common = len(su & sv)
+        if common:
+            wedge[u] += common
+            wedge[v] += common
+    degrees = np.fromiter((len(s) for s in neighbors), dtype=np.int64, count=n)
+    local = np.zeros(n, dtype=float)
+    eligible = degrees >= 2
+    denom = degrees[eligible] * (degrees[eligible] - 1)
+    local[eligible] = wedge[eligible] / denom
+    return local
+
+
+def pair_columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    pairs = list(pairs)
+    pair_u = np.array([u for u, _ in pairs], dtype=np.int64)
+    pair_v = np.array([v for _, v in pairs], dtype=np.int64)
+    return pair_u, pair_v
+
+
+@st.composite
+def simple_graphs(draw):
+    """``(n, pair_u, pair_v)`` of a simple undirected graph, u < v, in
+    drawn order: random pairs (isolated nodes, several components) plus
+    an optional star hub and an optional clique on drawn node sets."""
+    n = draw(st.integers(0, 40))
+    pairs = set()
+    if n >= 2:
+        pairs |= {(min(p), max(p)) for p in draw(extra_pairs(n, max_size=2 * n))}
+        if draw(st.booleans()):
+            hub = draw(st.integers(0, n - 1))
+            leaves = draw(st.sets(st.integers(0, n - 1)))
+            pairs |= {(min(hub, x), max(hub, x)) for x in leaves if x != hub}
+        if draw(st.booleans()):
+            members = sorted(draw(st.sets(st.integers(0, n - 1), max_size=9)))
+            pairs |= set(itertools.combinations(members, 2))
+    return (n, *pair_columns(draw(st.permutations(sorted(pairs)))))
+
+
+def two_triangles_and_a_tail():
+    """Two triangles joined by nothing, a path, and isolated nodes."""
+    return 12, *pair_columns([(0, 1), (1, 2), (0, 2), (5, 6), (6, 9), (5, 9),
+                              (3, 4), (4, 7)])
+
+
+@pytest.mark.parametrize("budget", [None, 1, 3])
+@settings(max_examples=100, deadline=None)
+@given(simple_graphs())
+@example((0, *pair_columns([])))
+@example((1, *pair_columns([])))
+@example((2, *pair_columns([])))
+@example((2, *pair_columns([(0, 1)])))
+@example((6, *pair_columns([])))
+@example((9, *pair_columns([(0, k) for k in range(1, 9)])))  # star hub
+@example((7, *pair_columns(itertools.combinations(range(7), 2))))  # clique
+@example(two_triangles_and_a_tail())
+def test_wedge_clustering_equals_set_loop(budget, graph):
+    n, pair_u, pair_v = graph
+    with patch.object(metrics, "WEDGE_CHUNK", budget or metrics.WEDGE_CHUNK):
+        local = local_clustering_from_pairs(n, pair_u, pair_v)
+    assert np.array_equal(local, set_loop_clustering(n, pair_u, pair_v))
+
+
+def test_wedge_clustering_equals_set_loop_on_generated_networks():
+    graph = generate(GeneratorConfig(
+        years=(1951, 2000), docs_per_year=40, densification_exponent=1.128,
+        preferential_mixing=0.8, sunset_probability=0.15,
+        sunset_horizon_years=25, seed=11))
+    null = erdos_renyi(graph.node_count, graph.edge_count, seed=11)
+    for n, pair_u, pair_v in [(graph.node_count, *graph.simple_projection()),
+                              (null.node_count, *null.simple_projection())]:
+        assert np.array_equal(local_clustering_from_pairs(n, pair_u, pair_v),
+                              set_loop_clustering(n, pair_u, pair_v))
+    mask, pair_u, pair_v = giant_projection(graph)
+    n_gc = int(mask.sum())
+    assert np.array_equal(local_clustering_from_pairs(n_gc, pair_u, pair_v),
+                          set_loop_clustering(n_gc, pair_u, pair_v))
 
 
 def recount_curve(order, pair_u, pair_v, n, boundaries) -> list[int]:

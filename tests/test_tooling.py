@@ -5,7 +5,9 @@ reports stay the same.
 by name, so deleting or renaming one of them breaks the benchmark.  The
 tracer is installed in a fresh interpreter, so its patches never reach
 the package this test session imports.  ``__all__`` is kept apart from
-the package's import list, and only a star import reads it.
+the package's import list, and only a star import reads it.  Importing
+the CLI must not load the process pool, which only ``--threads`` > 1
+uses.
 
 Refactors that promise byte-identical output are held to it: a small
 corpus built with the criterion-11 generator flags is run through four
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +49,16 @@ def test_bench_tracer_installs():
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    probe = ("import sys; import legisnet.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_star_import_resolves_every_public_name():
