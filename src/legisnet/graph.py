@@ -184,7 +184,8 @@ class LegislationGraph:
             n = self.node_count
             lo = np.minimum(self._src, self._dst)
             hi = np.maximum(self._src, self._dst)
-            codes = np.unique(lo * n + hi)
+            codes = np.sort(lo * n + hi)
+            codes = codes[np.diff(codes, prepend=-1) != 0]
             self._projection = (codes // n, codes % n)
         return self._projection
 

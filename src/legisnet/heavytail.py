@@ -54,9 +54,12 @@ DEFAULT_BOOTSTRAP_M = 2500
 MIN_OBSERVATIONS = 50
 MIN_TAIL = 25
 # PowerLawSampler's CDF table stops at this survival probability or
-# after this many values; draws beyond it bisect the survival function
+# after this many values; draws beyond it bisect the survival function.
+# The table is built as far as the draws reach, TABLE_BLOCK values first
+# and then doubling.
 TABLE_FLOOR = 1e-6
 MAX_TABLE = 4_000_000
+TABLE_BLOCK = 4096
 INT64_MAX = int(np.iinfo(np.int64).max)
 # fit_power_law bounds each threshold candidate's KS distance by its
 # tail values within WIDTH of the threshold.  Those deviations come from
@@ -263,8 +266,10 @@ class PowerLawSampler:
 
     A CDF table covers the bulk; the far tail (beyond ``TABLE_FLOOR``
     survival probability) falls back to bisection on the zeta-based
-    survival function.  A draw past the int64 range raises
-    ``AnalysisError``.
+    survival function.  The table grows only as far as the draws need
+    it, with every entry from the same elementwise expression, so draws
+    do not depend on how much of it was built.  A draw past the int64
+    range raises ``AnalysisError``.
     """
 
     def __init__(self, gamma: float, x_min: int) -> None:
@@ -283,18 +288,30 @@ class PowerLawSampler:
         else:
             top = self.x_min + MAX_TABLE
         self._top = min(top, INT64_MAX)
-        values = np.arange(self._top - self.x_min + 1) + self.x_min
         self._norm = float(zeta(self.gamma, float(self.x_min)))
-        survival = zeta(self.gamma, values + 1.0) / self._norm
-        self._cdf = 1.0 - survival          # P(X <= value), ascending
+        self._cdf = np.empty(0)  # P(X <= x_min + i), ascending; see _extend
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(size)
+        if size:
+            self._extend(float(u.max()))
         idx = np.searchsorted(self._cdf, u, side="left")
         out = idx + self.x_min              # the table holds x_min, x_min + 1, ...
         for pos in np.flatnonzero(idx == len(self._cdf)):
             out[pos] = self._far_tail(u[pos])
         return out
+
+    def _extend(self, u: float) -> None:
+        """Build the table until its last value reaches ``u`` or it
+        holds every value up to ``_top``."""
+        full = self._top - self.x_min + 1
+        built = len(self._cdf)
+        while built < full and not (built and self._cdf[-1] >= u):
+            values = (np.arange(built, min(max(2 * built, TABLE_BLOCK), full))
+                      + self.x_min)
+            survival = zeta(self.gamma, values + 1.0) / self._norm
+            self._cdf = np.concatenate((self._cdf, 1.0 - survival))
+            built = len(self._cdf)
 
     def _far_tail(self, u: float) -> int:
         lo = self._top

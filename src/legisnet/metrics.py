@@ -231,12 +231,16 @@ def clustering_profile_from_pairs(n: int, pair_u: np.ndarray,
         return ClusteringProfile(0.0, {}, float("nan"))
     local = local_clustering_from_pairs(n, pair_u, pair_v)
     degrees = np.bincount(pair_u, minlength=n) + np.bincount(pair_v, minlength=n)
+    # one slice per distinct degree, holding its nodes in index order
+    by_degree = np.argsort(degrees, kind="stable")
+    ranked, local_ranked = degrees[by_degree], local[by_degree]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1)).tolist()
     per_degree: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for k in np.unique(degrees):
-        sel = degrees == k
-        per_degree[int(k)] = float(local[sel].mean())
-        counts[int(k)] = int(sel.sum())
+    for start, stop in zip(starts, starts[1:] + [n]):
+        k = int(ranked[start])
+        per_degree[k] = float(local_ranked[start:stop].mean())
+        counts[k] = stop - start
     slope = _loglog_slope(per_degree, counts)
     return ClusteringProfile(float(local.mean()), per_degree, slope)
 

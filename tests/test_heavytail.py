@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from legisnet import (
     fit_power_law,
     goodness_of_fit,
 )
+from legisnet import heavytail
 from legisnet.heavytail import (DEFAULT_BOOTSTRAP_M, MAX_TABLE, PowerLawSampler,
                                 TailFit)
 
@@ -184,10 +186,41 @@ class TestSampler:
         assert PowerLawSampler(2.5, 3.0).draw(4, rng).min() >= 3
 
     def test_near_one_exponent_caps_the_table(self):
-        # the table span TABLE_FLOOR ** (-1 / 0.019) overflows a float
-        sampler = PowerLawSampler(1.019, 2)
+        # the table span TABLE_FLOOR ** (-1 / 0.019) overflows a float;
+        # building it waits for a draw, so the constructor evaluates the
+        # norm alone
+        with patch.object(heavytail, "zeta", wraps=heavytail.zeta) as counted:
+            sampler = PowerLawSampler(1.019, 2)
+        assert counted.call_count == 1
         assert sampler._top == 2 + MAX_TABLE
+        assert len(sampler._cdf) == 0
+        sampler._extend(1.0)  # no table value reaches 1
         assert len(sampler._cdf) == MAX_TABLE + 1
+
+    # (seed, size) of each draw in turn; near gamma = 1 the first draws of
+    # one value use a part of the table, the later ones all of it and the
+    # bisection past it, where most draws leave the int64 range
+    @pytest.mark.parametrize("gamma, x_min, draws", [
+        (1.019, 2, [(3, 1), (11, 1), (2, 1), (1, 1), (0, 1), (5, 40)]),
+        (1.5, 1, [(0, 1), (1, 10), (2, 0), (3, 100), (4, 2_000)]),
+        (2.7, 8, [(0, 1), (1, 10), (2, 100), (3, 5_000), (4, 200_000)]),
+    ])
+    def test_draws_equal_an_eagerly_built_table(self, gamma, x_min, draws):
+        lazy = PowerLawSampler(gamma, x_min)
+        eager = PowerLawSampler(gamma, x_min)
+        values = np.arange(eager._top - x_min + 1) + x_min
+        eager._cdf = 1.0 - zeta(gamma, values + 1.0) / eager._norm
+
+        def outcome(sampler, size, seed):
+            try:
+                return sampler.draw(size, np.random.default_rng(seed)).tolist()
+            except AnalysisError as exc:  # past int64 near gamma = 1
+                return str(exc)
+
+        for seed, size in draws:
+            assert outcome(lazy, size, seed) == outcome(eager, size, seed)
+        assert 0 < len(lazy._cdf) <= len(eager._cdf)
+        assert np.array_equal(lazy._cdf, eager._cdf[:len(lazy._cdf)])
 
 
 class TestGoodnessOfFit:

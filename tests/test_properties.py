@@ -8,9 +8,13 @@ against a pure-Python de-duplication.  Drawn digraphs check
 that the bow-tie classes partition the nodes and that resilience curves
 only fall.  The three traversal kernels are checked against the
 algorithms they replaced: scipy ``dijkstra`` for the BFS distance
-histogram, a per-boundary ``connected_components`` recount for
-resilience curves, and the per-node neighbour-set loop for the wedge
-closure clustering, bit for bit and under tiny wedge budgets.  The
+histogram, a per-boundary ``connected_components`` recount and the
+all-edge union-find walk for resilience curves (the spanning-forest
+kernel and every strategy of ``simulate``), and the per-node
+neighbour-set loop for the wedge closure clustering, bit for bit and
+under tiny wedge budgets.  The per-degree clustering profile is checked
+against its one-mask-per-degree loop, and the undirected projection of
+drawn multigraphs against a set of sorted pairs.  The
 bound-and-prune power-law threshold scan against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
 bootstrap.  The scan's power-sum bounds are checked against each
@@ -56,12 +60,13 @@ from legisnet import (
     simulate,
     snapshot,
 )
-from legisnet import heavytail, metrics
+from legisnet import heavytail, metrics, resilience
 from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, TailFit,
                                 _clean_degrees)
-from legisnet.metrics import (distance_histogram, giant_projection,
+from legisnet.metrics import (ClusteringProfile, clustering_profile_from_pairs,
+                              distance_histogram, giant_projection,
                               local_clustering_from_pairs)
-from legisnet.resilience import _curve_for_order, removal_boundaries
+from legisnet.resilience import MIN_NODES, _curve_for_order, removal_boundaries
 
 from conftest import edge_triples, make_graph, node_rows, random_digraph
 
@@ -441,6 +446,169 @@ def test_union_find_curve_equals_recount(drawn, step, stop_at):
     boundaries = removal_boundaries(n, step, stop_at)
     curve = _curve_for_order(order, pair_u, pair_v, n, boundaries)
     assert curve.tolist() == recount_curve(order, pair_u, pair_v, n, boundaries)
+
+
+def all_edge_curve(order: np.ndarray, pair_u: np.ndarray, pair_v: np.ndarray,
+                   n: int, boundaries: list[int]) -> np.ndarray:
+    """gc sizes for the intact graph plus every removal boundary.
+
+    Newman-Ziff reverse percolation: ``order[r]`` is the r-th node
+    removed, and an edge survives a boundary b (b nodes removed) iff
+    its key, the smaller removal rank of its ends, is >= b.  Walking
+    the boundaries from the last to 0 adds edges in descending key
+    order to a union-find (union by size, path halving) whose largest
+    component is the giant.
+    """
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    key = np.minimum(rank[pair_u], rank[pair_v])
+    steps = [0] + boundaries
+    by_key = np.argsort(key)
+    live = len(key) - np.searchsorted(key[by_key], steps)  # edges per step
+    us = pair_u[by_key[::-1]].tolist()
+    vs = pair_v[by_key[::-1]].tolist()
+    parent = list(range(n))
+    size = [1] * n
+    giant = 1
+    added = 0
+    sizes = []
+    for boundary, limit in zip(reversed(steps), reversed(live.tolist())):
+        for u, v in zip(us[added:limit], vs[added:limit]):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                continue
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            if size[u] > giant:
+                giant = size[u]
+        added = limit
+        sizes.append(giant if boundary < n else 0)
+    return np.array(sizes[::-1], dtype=np.int64)
+
+
+@st.composite
+def percolation_graphs(draw, min_nodes: int = 1):
+    """``(n, pair_u, pair_v)`` with u < v on up to 200 nodes: up to four
+    blocks on disjoint node sets, each dense (most pairs redundant for
+    connectivity) or sparse, a few pairs across blocks, and the nodes
+    left over isolated.  Node indices are shuffled."""
+    n = draw(st.integers(min_nodes, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    place = rng.permutation(n)
+    cuts = np.sort(rng.choice(n + 1, size=draw(st.integers(1, 4)) * 2))
+    pairs = set()
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        block = place[lo:hi]
+        density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+        for u, v in itertools.combinations(block.tolist(), 2):
+            if rng.random() < density:
+                pairs.add((min(u, v), max(u, v)))
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = rng.choice(n, size=2).tolist()
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return (n, *pair_columns(sorted(pairs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(percolation_graphs(), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+       st.sampled_from([0.5, 0.99, 1.0]))
+@example((1, *pair_columns([])), 0, 0.05, 0.99)
+@example((2, *pair_columns([(0, 1)])), 0, 0.5, 1.0)
+@example((30, *pair_columns(itertools.combinations(range(30), 2))), 1, 0.05, 0.99)
+def test_forest_curve_equals_all_edge_walk(graph, seed, step, stop_at):
+    n, pair_u, pair_v = graph
+    order = np.random.default_rng(seed).permutation(n)
+    boundaries = removal_boundaries(n, step, stop_at)
+    assert np.array_equal(_curve_for_order(order, pair_u, pair_v, n, boundaries),
+                          all_edge_curve(order, pair_u, pair_v, n, boundaries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(percolation_graphs(min_nodes=MIN_NODES), st.integers(0, 2**16),
+       st.sampled_from([0.05, 0.2]))
+def test_simulated_curves_equal_all_edge_walk(graph, seed, step):
+    """Random, static and adaptive attack curves from ``simulate`` equal
+    those of the all-edge walk on the same removal order."""
+    n, pair_u, pair_v = graph
+    flip = np.random.default_rng(seed).random(len(pair_u)) < 0.5
+    directed = digraph(n, zip(np.where(flip, pair_v, pair_u).tolist(),
+                              np.where(flip, pair_u, pair_v).tolist()))
+
+    def oracle(rank, pair_u, pair_v, n, boundaries):
+        return all_edge_curve(np.argsort(rank), pair_u, pair_v, n, boundaries)
+
+    for strategy, mode in [("random", "static_initial"),
+                           ("targeted_by_degree", "static_initial"),
+                           ("targeted_by_degree", "adaptive_recompute")]:
+        config = ResilienceConfig(strategy=strategy, step_fraction=step,
+                                  repetitions=2, degree_mode=mode, seed=seed)
+        curve = simulate(directed, config)
+        with patch.object(resilience, "_curve_for_rank", oracle):
+            assert simulate(directed, config).points == curve.points
+
+
+@st.composite
+def multigraphs(draw):
+    """A graph on 0-30 nodes with parallel edges of several types and
+    pairs joined in both directions."""
+    n = draw(st.integers(0, 30))
+    edges = []
+    if n >= 2:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1),
+                                        st.sampled_from(list(RefType)))
+                              .filter(lambda e: e[0] != e[1]), max_size=4 * n))
+    names = [f"p{i:02d}" for i in range(n)]
+    return make_graph([(names[u], names[v], kind) for u, v, kind in edges],
+                      names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+@example(make_graph())
+@example(make_graph([], ["solo"]))
+def test_projection_equals_pair_set(graph):
+    src, dst, _ = (col.tolist() for col in graph.edge_arrays())
+    expected = sorted({(min(u, v), max(u, v)) for u, v in zip(src, dst)})
+    pair_u, pair_v = graph.simple_projection()
+    assert list(zip(pair_u.tolist(), pair_v.tolist())) == expected
+
+
+def mask_loop_profile(n, pair_u, pair_v) -> ClusteringProfile:
+    """Oracle: C(k) with one mask per distinct degree, as
+    ``clustering_profile_from_pairs`` computed it before the slices."""
+    local = local_clustering_from_pairs(n, pair_u, pair_v)
+    degrees = np.bincount(pair_u, minlength=n) + np.bincount(pair_v, minlength=n)
+    per_degree: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for k in np.unique(degrees):
+        sel = degrees == k
+        per_degree[int(k)] = float(local[sel].mean())
+        counts[int(k)] = int(sel.sum())
+    slope = metrics._loglog_slope(per_degree, counts)
+    return ClusteringProfile(float(local.mean()), per_degree, slope)
+
+
+@settings(max_examples=100, deadline=None)
+@given(simple_graphs())
+@example((1, *pair_columns([])))
+@example((9, *pair_columns([(0, k) for k in range(1, 9)])))  # star hub
+@example(two_triangles_and_a_tail())
+def test_degree_sliced_profile_equals_mask_loop(graph):
+    n, pair_u, pair_v = graph
+    assume(n > 0)
+    got = clustering_profile_from_pairs(n, pair_u, pair_v)
+    expected = mask_loop_profile(n, pair_u, pair_v)
+    assert got.global_avg == expected.global_avg
+    assert list(got.per_degree.items()) == list(expected.per_degree.items())
+    assert np.array_equal(got.loglog_slope, expected.loglog_slope, equal_nan=True)
 
 
 def weak_components(graph) -> list[list[int]]:

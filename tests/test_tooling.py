@@ -7,7 +7,9 @@ tracer is installed in a fresh interpreter, so its patches never reach
 the package this test session imports.  ``__all__`` is kept apart from
 the package's import list, and only a star import reads it.  Importing
 the CLI must not load the process pool, which only ``--threads`` > 1
-uses.
+uses.  A bare ``np.unique`` (no index, inverse or counts asked for)
+goes through numpy's hash table, many times slower than a sort at the
+package's sizes, so the package may not call it.
 
 Refactors that promise byte-identical output are held to it: a small
 corpus built with the criterion-11 generator flags is run through four
@@ -19,6 +21,7 @@ under other numpy or scipy versions than the recorded ones.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -65,6 +68,21 @@ def test_star_import_resolves_every_public_name():
     namespace: dict = {}
     exec("from legisnet import *", namespace)
     assert sorted(set(legisnet.__all__) - namespace.keys()) == []
+
+
+def test_package_calls_no_bare_unique():
+    sorted_by = {"return_index", "return_inverse", "return_counts"}
+    bare = []
+    for path in sorted((ROOT / "src" / "legisnet").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and not sorted_by & {kw.arg for kw in node.keywords}):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
 
 
 CORPUS = ["generate", "--years", "1951:2000", "--docs-per-year", "40",
