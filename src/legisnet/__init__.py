@@ -11,7 +11,6 @@ from .bowtie import BowTieDecomposition, decompose
 from .corpus import (
     IngestReport,
     export,
-    export_text,
     ingest,
     read_records,
     write_records,
@@ -107,7 +106,6 @@ __all__ = [
     "erdos_renyi",
     "evolution_series",
     "export",
-    "export_text",
     "filter_reftype",
     "filter_sector",
     "fit_power_law",

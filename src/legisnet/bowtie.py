@@ -1,11 +1,17 @@
 """Macro-structure decomposition of the directed graph (bow-tie model).
 
-The node set is partitioned into six classes relative to the largest
-strongly connected component (the core): IN (reaches the core), OUT
-(reachable from the core), TUBES (on an IN-to-OUT passage that avoids
-the core), TENDRILS (touched by IN going forward or OUT going
-backward, but not both), and DISCONNECTED (everything else, including
-nodes outside the core's weakly connected component).
+Every node gets one of six classes relative to the largest strongly
+connected component (the core): IN (reaches the core), OUT (reachable
+from the core), TUBES (on an IN-to-OUT passage that avoids the core),
+TENDRILS (touched by IN going forward or OUT going backward, but not
+both), and DISCONNECTED (everything else, including nodes outside the
+core's weakly connected component).
+
+The result is one label per node, an index into ``COMPONENT_NAMES``.
+No weak-component pass is needed: IN and OUT touch the core, and a node
+that IN reaches or that reaches OUT is joined to them by that path, so
+every node of another weak component stays untouched by the searches
+and takes the default label, DISCONNECTED.
 """
 
 from __future__ import annotations
@@ -25,26 +31,18 @@ COMPONENT_NAMES = ("core", "in", "out", "tubes", "tendrils", "disconnected")
 
 @dataclass
 class BowTieDecomposition:
-    core: frozenset[str]
-    in_set: frozenset[str]
-    out_set: frozenset[str]
-    tubes: frozenset[str]
-    tendrils: frozenset[str]
-    disconnected: frozenset[str]
-    fractions: dict[str, float]
+    """``labels[i]`` indexes ``COMPONENT_NAMES`` with node i's class."""
 
-    def sets(self) -> dict[str, frozenset[str]]:
-        return {
-            "core": self.core,
-            "in": self.in_set,
-            "out": self.out_set,
-            "tubes": self.tubes,
-            "tendrils": self.tendrils,
-            "disconnected": self.disconnected,
-        }
+    labels: np.ndarray
 
     def sizes(self) -> dict[str, int]:
-        return {name: len(ids) for name, ids in self.sets().items()}
+        counts = np.bincount(self.labels, minlength=len(COMPONENT_NAMES))
+        return dict(zip(COMPONENT_NAMES, counts.tolist()))
+
+    @property
+    def fractions(self) -> dict[str, float]:
+        n = len(self.labels)
+        return {name: size / n for name, size in self.sizes().items()}
 
 
 def _reach(step_matrix: csr_matrix, seeds: np.ndarray) -> np.ndarray:
@@ -64,45 +62,20 @@ def _reach(step_matrix: csr_matrix, seeds: np.ndarray) -> np.ndarray:
 
 
 def decompose(graph: LegislationGraph) -> BowTieDecomposition:
-    """Partition a non-empty graph into bow-tie components."""
-    n = graph.node_count
-    if n == 0:
+    """Label every node of a non-empty graph with its bow-tie class."""
+    if graph.node_count == 0:
         raise AnalysisError("bow-tie decomposition is undefined on an empty graph")
     adj = graph.adjacency()
     adj_t = adj.T
     _, scc_labels = connected_components(adj, directed=True, connection="strong")
     core = scc_labels == largest_label(scc_labels, graph.id_ranks())
-
-    reached_from_core = _reach(adj_t, core)
-    reaching_core = _reach(adj, core)
-    out_set = reached_from_core & ~core
-    in_set = reaching_core & ~core
-
-    _, weak_labels = connected_components(adj, directed=True, connection="weak")
-    weak = weak_labels == weak_labels[int(np.flatnonzero(core)[0])]
-    remaining = weak & ~core & ~in_set & ~out_set
-    from_in = _reach(adj_t, in_set) & remaining
-    to_out = _reach(adj, out_set) & remaining
-    tubes = from_in & to_out
-    tendrils = from_in ^ to_out
-    disconnected = ~weak | (remaining & ~from_in & ~to_out)
-
-    ids = np.array(graph.ids, dtype=object)
-    sets = {
-        "core": core,
-        "in": in_set,
-        "out": out_set,
-        "tubes": tubes,
-        "tendrils": tendrils,
-        "disconnected": disconnected,
-    }
-    fractions = {name: float(mask.sum()) / n for name, mask in sets.items()}
-    return BowTieDecomposition(
-        core=frozenset(ids[core]),
-        in_set=frozenset(ids[in_set]),
-        out_set=frozenset(ids[out_set]),
-        tubes=frozenset(ids[tubes]),
-        tendrils=frozenset(ids[tendrils]),
-        disconnected=frozenset(ids[disconnected]),
-        fractions=fractions,
-    )
+    in_set = _reach(adj, core) & ~core
+    out_set = _reach(adj_t, core) & ~core
+    # the searches from IN and OUT cross core, IN and OUT nodes too; the
+    # first matching condition labels a node, so those keep their class
+    from_in = _reach(adj_t, in_set)
+    to_out = _reach(adj, out_set)
+    conditions = [core, in_set, out_set, from_in & to_out, from_in | to_out]
+    labels = np.select(conditions, range(len(conditions)),
+                       default=COMPONENT_NAMES.index("disconnected"))
+    return BowTieDecomposition(labels.astype(np.int8))

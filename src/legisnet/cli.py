@@ -25,8 +25,8 @@ analysis is undefined for the input holds ``{"error": message}``: the
 other sections and their CSVs are still written, each failure prints
 one line to stderr, and the command exits 4.
 
-A count flag (``COUNT_FLAGS``) below 1 exits 2 before any stage runs,
-and warnings print as one stderr line each.
+A count flag (``COUNT_FLAGS``) below 1 or a bad ``--years`` range exits
+2 before any stage runs, and warnings print as one stderr line each.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 compute.
 """
@@ -49,8 +49,8 @@ import numpy as np
 from scipy.special import zeta
 
 from . import __version__
-from .bowtie import decompose
-from .corpus import export, ingest, read_records, write_records
+from .bowtie import COMPONENT_NAMES, decompose
+from .corpus import export, ingest, parse_date, read_records, write_records
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -146,7 +146,7 @@ def _write_csv(out_dir: Path, name: str, header: list[str],
 
 def _parse_date(raw: str) -> date:
     try:
-        return date.fromisoformat(raw)
+        return parse_date(raw)
     except ValueError as exc:
         raise ConfigError(f"bad date {raw!r}: {exc}") from None
 
@@ -154,9 +154,13 @@ def _parse_date(raw: str) -> date:
 def _parse_years(raw: str) -> tuple[int, int]:
     try:
         start, _, end = raw.partition(":")
-        return int(start), int(end or start)
+        years = int(start), int(end or start)
     except ValueError:
         raise ConfigError(f"bad year range {raw!r}; expected START:END") from None
+    if not date.min.year <= years[0] <= years[1] <= date.max.year:
+        raise ConfigError(f"bad year range {raw!r}; expected START <= END, "
+                          f"both in {date.min.year}..{date.max.year}")
+    return years
 
 
 def _parse_counts(raw: str) -> int | tuple[int, ...]:
@@ -303,9 +307,12 @@ def _bowtie_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[di
                "nodes": graph.node_count}
     tables = {}
     if args.dump_members:
-        rows = [[name, doc_id]
-                for name, ids in result.sets().items()
-                for doc_id in sorted(ids)]
+        # by class, then by ascending id
+        order = np.lexsort((graph.id_ranks(), result.labels))
+        ids = graph.ids
+        rows = [[COMPONENT_NAMES[label], ids[node]]
+                for node, label in zip(order.tolist(),
+                                       result.labels[order].tolist())]
         tables["members"] = (["component", "id"], rows)
     return results, tables
 
@@ -706,19 +713,21 @@ def _warn(command: str, message, *_) -> None:
     print(f"legisnet {command} [{origin}]: warning: {message}", file=sys.stderr)
 
 
-def _check_counts(args: argparse.Namespace) -> None:
+def _check_flags(args: argparse.Namespace) -> None:
     for dest in COUNT_FLAGS:
         value = vars(args).get(dest)
         if value is not None and value < 1:
             flag = "--" + dest.replace("_", "-")
             raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if vars(args).get("years"):
+        _parse_years(args.years)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         with warnings.catch_warnings():
             warnings.showwarning = partial(_warn, args.command)
             return args.handler(args)

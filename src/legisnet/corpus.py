@@ -24,7 +24,6 @@ rows back into lines.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -76,16 +75,24 @@ class IngestReport:
         }
 
 
+def parse_date(raw: str) -> date:
+    """The date ``raw`` spells as ``YYYY-MM-DD``; ValueError otherwise.
+
+    ``date.fromisoformat`` alone also takes other ISO 8601 forms, such
+    as ``20001231`` and ``2000-W52-1``, on some Python versions.
+    """
+    if not _ISO_DATE.fullmatch(raw):
+        raise ValueError("expected YYYY-MM-DD")
+    return date.fromisoformat(raw)
+
+
 def _new_day(days: dict[str, int], raw: object, line_no: int,
              fieldname: str) -> int:
     """Ordinal of a date string missing from ``days``, which it joins."""
     if not isinstance(raw, str):
         raise CorpusError(f"line {line_no}: {fieldname} must be an ISO date string")
-    if not _ISO_DATE.fullmatch(raw):
-        raise CorpusError(f"line {line_no}: bad {fieldname} {raw!r}: "
-                          "expected YYYY-MM-DD")
     try:
-        day = days[raw] = date.fromisoformat(raw).toordinal()
+        day = days[raw] = parse_date(raw).toordinal()
     except ValueError as exc:
         raise CorpusError(f"line {line_no}: bad {fieldname} {raw!r}: {exc}") from None
     return day
@@ -248,8 +255,3 @@ def export(graph: LegislationGraph) -> Iterator[Row]:
         yield doc_id, sector, since, until, targets[start:end], kinds[start:end]
         start = end
 
-
-def export_text(graph: LegislationGraph) -> str:
-    buffer = io.StringIO()
-    write_records(export(graph), buffer)
-    return buffer.getvalue()

@@ -16,6 +16,8 @@ mixing yields heavy-tailed in-degree distributions.
 
 from __future__ import annotations
 
+import calendar
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Sequence
@@ -76,9 +78,11 @@ class GeneratorConfig:
         return counts
 
     def validate(self) -> None:
+        """Reject a configuration ``generate`` cannot honour; draws nothing."""
         start, end = self.years
-        if start > end:
-            raise ConfigError(f"empty year range {self.years}")
+        if not date.min.year <= start <= end <= date.max.year:
+            raise ConfigError(f"year range {self.years} is empty or leaves "
+                              f"{date.min.year}..{date.max.year}")
         if any(c <= 0 for c in self.schedule()):
             raise ConfigError("docs_per_year entries must be positive")
         if not 1.0 <= self.densification_exponent <= 2.0:
@@ -90,14 +94,20 @@ class GeneratorConfig:
             vals = list(weights)
             if len(vals) != 6:
                 raise ConfigError(f"{name} must have exactly 6 entries")
-            if any(w < 0 for w in vals) or sum(vals) <= 0:
-                raise ConfigError(f"{name} must be non-negative and not all zero")
+            # NaN fails every comparison; an infinite weight or sum fails the last
+            if not (all(w >= 0 for w in vals) and 0 < sum(vals) < math.inf):
+                raise ConfigError(f"{name} must be finite, non-negative "
+                                  "and not all zero")
         if not 0.0 <= self.sunset_probability <= 1.0:
             raise ConfigError("sunset_probability must lie in [0, 1]")
         if self.sunset_horizon_years < 1:
             raise ConfigError("sunset_horizon_years must be positive")
-        if self.citation_scale <= 0:
-            raise ConfigError("citation_scale must be positive")
+        if (self.sunset_probability > 0
+                and end + self.sunset_horizon_years > date.max.year):
+            raise ConfigError("sunset_horizon_years may carry expiry dates "
+                              f"past {date.max}")
+        if not 0 < self.citation_scale < math.inf:
+            raise ConfigError("citation_scale must be positive and finite")
 
 
 def _add_years(day: date, count: int) -> date:
@@ -108,7 +118,7 @@ def _add_years(day: date, count: int) -> date:
 
 
 def _days_in_year(year: int) -> int:
-    return (date(year + 1, 1, 1) - date(year, 1, 1)).days
+    return 366 if calendar.isleap(year) else 365
 
 
 def _cumulative(weights: Sequence[float]) -> np.ndarray:

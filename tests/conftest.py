@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from datetime import date
 
 import numpy as np
@@ -10,7 +11,10 @@ from legisnet import (
     LegislationGraph,
     RefType,
     Sector,
+    export,
+    write_records,
 )
+from legisnet.bowtie import COMPONENT_NAMES
 from legisnet.graph import reftype_code
 
 D3 = Sector.LEGISLATION
@@ -58,6 +62,21 @@ def edge_triples(graph):
     ids = graph.ids
     return [(ids[s], ids[d], KINDS[k])
             for s, d, k in zip(*(col.tolist() for col in graph.edge_arrays()))]
+
+
+def export_text(graph):
+    """The corpus text of ``graph``: its exported rows as JSONL."""
+    buffer = io.StringIO()
+    write_records(export(graph), buffer)
+    return buffer.getvalue()
+
+
+def bowtie_sets(graph, result):
+    """Each bow-tie class name mapped to the frozenset of its node ids."""
+    labels = result.labels.tolist()
+    return {name: frozenset(doc_id for doc_id, label in zip(graph.ids, labels)
+                            if label == code)
+            for code, name in enumerate(COMPONENT_NAMES)}
 
 
 def random_digraph(rng: np.random.Generator, n: int,

@@ -10,7 +10,7 @@ from legisnet import (
     decompose,
 )
 
-from conftest import edge_triples, make_graph, random_digraph
+from conftest import bowtie_sets, edge_triples, make_graph, random_digraph
 
 
 # -- oracle: dense transitive closure -----------------------------------------
@@ -88,38 +88,38 @@ class TestHandExamples:
     def test_cycle_with_in_and_out(self):
         g = make_graph([("a", "b"), ("b", "c"), ("c", "a"),
                         ("d", "a"), ("c", "e")])
-        bt = decompose(g)
-        assert bt.core == {"a", "b", "c"}
-        assert bt.in_set == {"d"}
-        assert bt.out_set == {"e"}
-        assert not bt.tubes and not bt.tendrils and not bt.disconnected
+        bt = bowtie_sets(g, decompose(g))
+        assert bt["core"] == {"a", "b", "c"}
+        assert bt["in"] == {"d"}
+        assert bt["out"] == {"e"}
+        assert not bt["tubes"] and not bt["tendrils"] and not bt["disconnected"]
 
     def test_seven_node_full_anatomy(self):
         # core {a,b}; d -> IN; e -> OUT; f: tube d->f->e; g: tendril; h: isolated
         g = make_graph([("a", "b"), ("b", "a"), ("d", "a"), ("b", "e"),
                         ("d", "f"), ("f", "e"), ("d", "g")], list("abdefgh"))
-        bt = decompose(g)
-        assert bt.core == {"a", "b"}
-        assert bt.in_set == {"d"}
-        assert bt.out_set == {"e"}
-        assert bt.tubes == {"f"}
-        assert bt.tendrils == {"g"}
-        assert bt.disconnected == {"h"}
-        assert bt == _check_against_oracle(g, bt)
+        bt = bowtie_sets(g, decompose(g))
+        assert bt["core"] == {"a", "b"}
+        assert bt["in"] == {"d"}
+        assert bt["out"] == {"e"}
+        assert bt["tubes"] == {"f"}
+        assert bt["tendrils"] == {"g"}
+        assert bt["disconnected"] == {"h"}
+        assert bt == oracle_for_graph(g)
 
     def test_all_singleton_sccs_tie_break(self):
         g = make_graph(nodes=["x", "m", "a"])
-        bt = decompose(g)
-        assert bt.core == {"a"}  # smallest id among size-1 ties
-        assert bt.disconnected == {"x", "m"}
+        bt = bowtie_sets(g, decompose(g))
+        assert bt["core"] == {"a"}  # smallest id among size-1 ties
+        assert bt["disconnected"] == {"x", "m"}
 
     def test_chain(self):
         g = make_graph([("c", "b"), ("b", "a")])
-        bt = decompose(g)
+        bt = bowtie_sets(g, decompose(g))
         # singleton SCC tie broken by smallest id: core {a}
-        assert bt.core == {"a"}
-        assert bt.in_set == {"b", "c"}
-        assert not bt.out_set
+        assert bt["core"] == {"a"}
+        assert bt["in"] == {"b", "c"}
+        assert not bt["out"]
 
     def test_empty_graph_error(self):
         with pytest.raises(AnalysisError):
@@ -131,27 +131,20 @@ class TestHandExamples:
         assert sum(bt.sizes().values()) == amendment_chain_graph.node_count
 
 
-def _check_against_oracle(graph, bt):
-    oracle = oracle_for_graph(graph)
-    assert bt.sets() == oracle
-    return bt
-
-
 class TestOracleEquivalence:
     def test_random_digraphs_match_bruteforce(self):
         rng = np.random.default_rng(2024)
         for trial in range(25):
             n = int(rng.integers(2, 60))
             g = random_digraph(rng, n, float(rng.uniform(0.5, 3.0)))
-            bt = decompose(g)
-            assert bt.sets() == oracle_for_graph(g), f"trial {trial}"
+            bt = bowtie_sets(g, decompose(g))
+            assert bt == oracle_for_graph(g), f"trial {trial}"
 
     def test_partition_property(self):
         rng = np.random.default_rng(99)
         for _ in range(15):
             g = random_digraph(rng, int(rng.integers(2, 80)), 1.5)
-            bt = decompose(g)
-            sets = list(bt.sets().values())
+            sets = list(bowtie_sets(g, decompose(g)).values())
             union = set().union(*sets)
             assert len(union) == g.node_count
             assert sum(len(s) for s in sets) == g.node_count
@@ -162,14 +155,14 @@ class TestOracleEquivalence:
             g = random_digraph(rng, int(rng.integers(4, 50)), 1.8)
             reversed_g = make_graph(
                 [(v, u, kind) for u, v, kind in edge_triples(g)], g.ids)
-            bt = decompose(g)
-            rbt = decompose(reversed_g)
-            assert rbt.core == bt.core
-            assert rbt.in_set == bt.out_set
-            assert rbt.out_set == bt.in_set
-            assert rbt.tubes == bt.tubes
-            assert rbt.tendrils == bt.tendrils
-            assert rbt.disconnected == bt.disconnected
+            bt = bowtie_sets(g, decompose(g))
+            rbt = bowtie_sets(reversed_g, decompose(reversed_g))
+            assert rbt["core"] == bt["core"]
+            assert rbt["in"] == bt["out"]
+            assert rbt["out"] == bt["in"]
+            assert rbt["tubes"] == bt["tubes"]
+            assert rbt["tendrils"] == bt["tendrils"]
+            assert rbt["disconnected"] == bt["disconnected"]
 
 
 def test_million_edge_graph_decomposes_fast():

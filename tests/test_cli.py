@@ -53,6 +53,25 @@ class TestGenerate:
                      count, "--out", "-"]) == 2
         assert "bad document count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--citation-scale", "nan"],
+        ["--citation-scale", "inf"],
+        ["--sector-weights", "nan,1,1,1,1,1"],
+        ["--reftype-weights", "1,1,1,1,1,inf"],
+        ["--years", "0:1"],
+        ["--years", "9999:10000"],
+        ["--sunset-prob", "1", "--sunset-horizon", "100000"],
+        ["--years", "9998:9999", "--sunset-prob", "1"],
+    ])
+    def test_unusable_config_exits_2_with_one_line(self, tmp_path, capsys,
+                                                   flags):
+        out = tmp_path / "corpus.jsonl"
+        assert main(["generate", "--years", "1990:1991", "--docs-per-year",
+                     "5", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("legisnet generate [")
+        assert not out.exists()
+
     def test_infeasible_schedule_config_error(self, capsys):
         code = main(["generate", "--years", "1990:1990", "--docs-per-year",
                      "2", "--densification", "2.0", "--citation-scale", "10",
@@ -311,6 +330,34 @@ class TestOtherCommands:
             f"legisnet {command} [legisnet.cli]: {flag} must be >= 1,"
             f" got {value}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["report-all", "--years", "abc"],
+        ["report-all", "--years", "2000:1990"],
+        ["temporal", "--years", "2000:1990"],
+        ["temporal", "--years", "0:5"],
+    ])
+    def test_bad_years_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                corpus_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(corpus_path),
+                     "--output-dir", str(out)]) == 2
+        command, _, raw = argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"legisnet {command} [legisnet.cli]: bad year range {raw!r}; ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["20001231", "2000-W52-1"])
+    @pytest.mark.parametrize("command, flag", [("bowtie", "--current"),
+                                               ("filter", "--at")])
+    def test_only_calendar_dates_are_dates(self, capsys, corpus_path,
+                                           command, flag, raw):
+        assert main([command, flag, raw, "--input", str(corpus_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"legisnet {command} [legisnet.cli]: bad date {raw!r}: "
+            "expected YYYY-MM-DD"]
 
     def test_min_tail_above_every_tail_exits_4(self, tmp_path, capsys,
                                                corpus_path):

@@ -15,14 +15,13 @@ from legisnet import (
     Sector,
     ValidationError,
     export,
-    export_text,
     generate,
     ingest,
     read_records,
     write_records,
 )
 
-from conftest import edge_triples, node_rows
+from conftest import edge_triples, export_text, node_rows
 
 
 def edge_set(graph):

@@ -8,11 +8,10 @@ from legisnet import (
     GeneratorConfig,
     RefType,
     Sector,
-    export_text,
     generate,
 )
 
-from conftest import edge_triples, node_rows
+from conftest import edge_triples, export_text, node_rows
 
 AMENDMENT_KINDS = {RefType.AMENDMENT_TO, RefType.AMENDED_BY}
 
@@ -145,6 +144,25 @@ class TestConfigValidation:
             generate(GeneratorConfig(years=(1990, 1990), docs_per_year=2,
                                      densification_exponent=2.0,
                                      citation_scale=10.0))
+
+    @pytest.mark.parametrize("settings", [
+        {"citation_scale": float("nan")},
+        {"citation_scale": float("inf")},
+        {"sector_weights": (float("nan"), 1, 1, 1, 1, 1)},
+        {"reftype_weights": (1, 1, 1, 1, 1, float("inf"))},
+        {"years": (0, 1)},
+        {"years": (9999, 10000)},
+        {"sunset_probability": 1.0, "sunset_horizon_years": 100_000},
+        {"years": (9998, 9999), "sunset_probability": 1.0},
+    ])
+    def test_rejects_what_generate_cannot_honour(self, settings):
+        config = GeneratorConfig(**{"years": (1990, 1991), **settings})
+        with pytest.raises(ConfigError):
+            config.validate()
+
+    def test_last_calendar_year_generates(self):
+        g = generate(GeneratorConfig(years=(9999, 9999), docs_per_year=5))
+        assert {effect.year for _, _, effect, _ in node_rows(g)} == {9999}
 
     def test_mixing_out_of_range(self):
         with pytest.raises(ConfigError):

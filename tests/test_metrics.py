@@ -23,7 +23,7 @@ from legisnet import (
 )
 from legisnet.metrics import giant_component_mask, lorenz_gini_from_degrees
 
-from conftest import make_graph, random_digraph
+from conftest import bowtie_sets, make_graph, random_digraph
 
 
 # -- oracles ------------------------------------------------------------------
@@ -351,7 +351,7 @@ class TestComponents:
         )
         giant = giant_component_mask(g)
         assert set(itertools.compress(g.ids, giant)) == {"a1", "a2"}
-        assert decompose(g).core == {"a1", "a2"}
+        assert bowtie_sets(g, decompose(g))["core"] == {"a1", "a2"}
 
 
 # -- assortativity -----------------------------------------------------------------

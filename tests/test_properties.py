@@ -4,9 +4,10 @@ Corpora have unsorted ids, duplicate reference triples, one- and
 two-sided amendment pairs, and dangling targets (ingested leniently).
 Every derived graph is checked against a recount from the parent's
 node rows and edge triples, and the graph constructor's edge columns
-against a pure-Python de-duplication.  Drawn digraphs check
-that the bow-tie classes partition the nodes and that resilience curves
-only fall.  The three traversal kernels are checked against the
+against a pure-Python de-duplication.  Drawn digraphs check that the
+bow-tie classes partition the nodes, that the classes of disjoint
+bow-tie anatomies match the brute-force oracle, and that resilience
+curves only fall.  The three traversal kernels are checked against the
 algorithms they replaced: scipy ``dijkstra`` for the BFS distance
 histogram, a per-boundary ``connected_components`` recount and the
 all-edge union-find walk for resilience curves (the spanning-forest
@@ -49,7 +50,6 @@ from legisnet import (
     decompose,
     erdos_renyi,
     export,
-    export_text,
     filter_reftype,
     filter_sector,
     fit_power_law,
@@ -68,7 +68,9 @@ from legisnet.metrics import (ClusteringProfile, clustering_profile_from_pairs,
                               local_clustering_from_pairs)
 from legisnet.resilience import MIN_NODES, _curve_for_order, removal_boundaries
 
-from conftest import edge_triples, make_graph, node_rows, random_digraph
+from conftest import (bowtie_sets, edge_triples, export_text, make_graph,
+                      node_rows, random_digraph)
+from test_bowtie import oracle_for_graph
 
 DANGLING = ("~1", "~2")  # never drawn as document ids
 # quotes, backslashes, control, non-ASCII and lone-surrogate characters
@@ -225,20 +227,18 @@ def extra_pairs(n: int, max_size: int):
 
 
 @st.composite
-def bowtie_digraphs(draw):
-    """A drawn bow-tie anatomy plus a few random extra edges.
+def bowtie_block(draw, first: int = 0):
+    """(node count, edges) of a drawn bow-tie anatomy on nodes from ``first``.
 
     Each IN node points into the core cycle, the core points at each OUT
     node, a tube runs from an IN node to an OUT node, and a tendril
-    hangs off an IN node or leads into an OUT node.  Extra edges may
-    move nodes between classes; the partition must hold either way.
+    hangs off an IN node or leads into an OUT node.
     """
     sizes = [draw(st.integers(1, 5))] + [draw(st.integers(0, 5))
                                          for _ in range(5)]
-    bounds = np.cumsum([0] + sizes)
+    bounds = first + np.cumsum([0] + sizes)
     core, ins, outs, tubes, tendrils, _ = (
         list(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-    n = int(bounds[-1])
 
     def pick(nodes):
         return draw(st.sampled_from(nodes))
@@ -251,8 +251,32 @@ def bowtie_digraphs(draw):
     for t in tendrils if ins or outs else ():
         from_in = ins and (not outs or draw(st.booleans()))
         pairs.append((pick(ins), t) if from_in else (t, pick(outs)))
+    return sum(sizes), [(u, v) for u, v in pairs if u != v]
+
+
+@st.composite
+def bowtie_digraphs(draw):
+    """A drawn bow-tie anatomy plus a few random extra edges.
+
+    Extra edges may move nodes between classes; the partition must
+    hold either way.
+    """
+    n, pairs = draw(bowtie_block())
     pairs += draw(extra_pairs(n, max_size=3))
-    return digraph(n, [(u, v) for u, v in pairs if u != v])
+    return digraph(n, pairs)
+
+
+@st.composite
+def bowtie_forests(draw):
+    """Two to four disjoint bow-tie anatomies under shuffled node names,
+    so the core may lie in any of them."""
+    n, pairs = 0, []
+    for _ in range(draw(st.integers(2, 4))):
+        size, block = draw(bowtie_block(first=n))
+        n += size
+        pairs += block
+    name = draw(st.permutations(range(n)))
+    return digraph(n, [(name[u], name[v]) for u, v in pairs])
 
 
 @st.composite
@@ -264,10 +288,17 @@ def random_digraphs(draw, min_nodes: int):
 @settings(max_examples=80, deadline=None)
 @given(bowtie_digraphs())
 def test_bowtie_classes_partition_the_nodes(graph):
-    classes = list(decompose(graph).sets().values())
+    classes = list(bowtie_sets(graph, decompose(graph)).values())
     assert len(classes) == 6
     assert sum(len(c) for c in classes) == graph.node_count
     assert set().union(*classes) == set(graph.ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bowtie_forests())
+def test_bowtie_of_disjoint_anatomies_matches_the_oracle(graph):
+    # every node outside the core's weak component is DISCONNECTED
+    assert bowtie_sets(graph, decompose(graph)) == oracle_for_graph(graph)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ goes through numpy's hash table, many times slower than a sort at the
 package's sizes, so the package may not call it.
 
 Refactors that promise byte-identical output are held to it: a small
-corpus built with the criterion-11 generator flags is run through four
+corpus built with the criterion-11 generator flags is run through five
 commands, and the sha256 of every report body (manifest dropped) and
 every CSV must equal the digest recorded before the refactor.  Float
 results can move with the numerical libraries, so the check is skipped
@@ -88,14 +88,18 @@ def test_package_calls_no_bare_unique():
 CORPUS = ["generate", "--years", "1951:2000", "--docs-per-year", "40",
           "--densification", "1.128", "--mixing", "0.8", "--sunset-prob",
           "0.15", "--sunset-horizon", "25", "--seed", "11"]  # 2,000 docs
+# output directory: command and flags
 RUNS = {
-    "report-all": ["--bootstrap", "20", "--smallworld-replicas", "2",
-                   "--resilience-reps", "5", "--path-sources", "200",
-                   "--seed", "3"],
-    "bowtie": ["--dump-members"],
-    "resilience": ["--with-null", "--degree-mode", "adaptive_recompute",
-                   "--reps", "20"],
-    "metrics": ["--directed-paths"],
+    "report-all": ["report-all", "--bootstrap", "20",
+                   "--smallworld-replicas", "2", "--resilience-reps", "5",
+                   "--path-sources", "200", "--seed", "3"],
+    "bowtie": ["bowtie", "--dump-members"],
+    # a snapshot of the citation network with many weak components
+    "bowtie-icn": ["bowtie", "--dump-members", "--current", "1990-12-31",
+                   "--network", "ICN"],
+    "resilience": ["resilience", "--with-null", "--degree-mode",
+                   "adaptive_recompute", "--reps", "20"],
+    "metrics": ["metrics", "--directed-paths"],
 }
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 DIGESTS = {
@@ -136,6 +140,12 @@ DIGESTS = {
     "resilience/resilience_curve.csv":
         "ef42b90891f5aa92b9493900ba1a38bdf7c0cc30cb11ad59989f0ebffaf232e6",
 }
+ICN_DIGESTS = {
+    "bowtie-icn/bowtie.json":
+        "6677e422a585b9016b70cab8274d8e41a0dabe87e17e1d9f27503a8154baeb06",
+    "bowtie-icn/bowtie_members.csv":
+        "88d5639f1dab6fd1a5a4272b7578ad5b23782b1f1a9fb8df017ac7113c005b90",
+}
 
 
 @pytest.mark.skipif(
@@ -144,9 +154,9 @@ DIGESTS = {
 def test_report_digests_stay_the_same(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     assert main([*CORPUS, "--out", str(corpus)]) == 0
-    for command, flags in RUNS.items():
+    for out, (command, *flags) in RUNS.items():
         assert main([command, "--input", str(corpus), "--output-dir",
-                     str(tmp_path / command), *flags]) == 0
+                     str(tmp_path / out), *flags]) == 0
     digests = {}
     for path in sorted(tmp_path.glob("*/*")):
         data = path.read_bytes()
@@ -155,4 +165,4 @@ def test_report_digests_stay_the_same(tmp_path):
             data = json.dumps(body, indent=2, sort_keys=True).encode()
         name = f"{path.parent.name}/{path.name}"
         digests[name] = hashlib.sha256(data).hexdigest()
-    assert digests == DIGESTS
+    assert digests == {**DIGESTS, **ICN_DIGESTS}
