@@ -102,6 +102,10 @@ class GeneratorConfig:
             raise ConfigError("sunset_probability must lie in [0, 1]")
         if self.sunset_horizon_years < 1:
             raise ConfigError("sunset_horizon_years must be positive")
+        # horizons are drawn as int64 whatever the probability
+        top = int(np.iinfo(np.int64).max)
+        if self.sunset_horizon_years > top:
+            raise ConfigError(f"sunset_horizon_years must be at most {top}")
         if (self.sunset_probability > 0
                 and end + self.sunset_horizon_years > date.max.year):
             raise ConfigError("sunset_horizon_years may carry expiry dates "

@@ -32,9 +32,24 @@ distance; values beyond the grid add nothing to it.  Candidates are
 finished in ascending bound order, one exact ``zeta`` row each, until a
 bound exceeds the least distance found; only the minimum is used, and
 the candidates left cannot reach it.  Memory is O(K * WIDTH + U) for U
-tail values.  A pinned ``x_min`` uses the same scan.  Each replica
-makes exactly one ``fit_power_law`` call, looked up as this module's
-global, so wrapping that name counts replicas.
+tail values.  A pinned ``x_min`` uses the same scan.
+
+The scan runs on a block of samples, one per row; a 1-D sample is a
+block of one row.  One sort orders the rows, one flat mask finds their
+value runs, and a zero-padded grid of row-reversed running sums gives
+each tail's log-sum in the order a lone row adds it.  One bound grid
+and one zeta(g, t + 1) call cover every candidate of every row.
+Candidates are then finished in rounds, each one ``zeta`` call over the
+next candidate of every row still open, so each row's fit equals its
+fit alone bit for bit.  The bootstrap draws each replica from its own
+random stream and refits the replicas in blocks of ``BLOCK_VALUES``
+sample values: one ``fit_power_law`` call per block, looked up as this
+module's global, so wrapping that name counts blocks.  On degree
+samples one block peaks at 26-32 bytes per value, 3.3-4.2 MB at 2**17
+values (traced on the benchmark corpus's in- and out-degrees).  The
+bound grid costs about 1.2 kB per candidate, so a block of distinct
+values peaks near 160 MB, as one fit of a sample of that many distinct
+values does.
 """
 
 from __future__ import annotations
@@ -70,6 +85,7 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 WIDTH = 16
 MARGIN = 1e-9
 ZETA_FLOOR = 1e-290
+BLOCK_VALUES = 1 << 17  # sample values per bootstrap refit block
 
 
 @dataclass(frozen=True)
@@ -97,9 +113,12 @@ class FitResult:
     zeros_excluded: int = 0
 
 
-def _sorted_degrees(degrees) -> np.ndarray:
-    """Sorted int64 degrees; raises unless all are non-negative integers."""
-    xs = np.asarray(degrees).ravel()
+def _sorted_degrees(degrees, rows: bool = False) -> np.ndarray:
+    """Degrees as int64, sorted: each row of a 2-D array when ``rows``,
+    else flattened.  Raises unless all are non-negative integers."""
+    xs = np.asarray(degrees)
+    if not rows:
+        xs = xs.ravel()
     if xs.dtype.kind not in "biu":
         # NaN, infinities, fractions and values past int64 change in the cast
         with np.errstate(invalid="ignore"):
@@ -107,8 +126,8 @@ def _sorted_degrees(degrees) -> np.ndarray:
         if not np.array_equal(ints, xs):
             raise ValidationError("degrees must be non-negative integers")
         xs = ints
-    xs = np.sort(xs.astype(np.int64, copy=False))
-    if len(xs) and xs[0] < 0:
+    xs = np.sort(xs.astype(np.int64, copy=False), axis=-1)
+    if xs.size and xs[..., 0].min() < 0:
         raise ValidationError("degrees must be non-negative integers")
     return xs
 
@@ -129,112 +148,190 @@ def fit_power_law(degrees, x_min: int | None = None,
     values whose tail holds at least ``min_tail`` observations (with
     none, the fit is undefined); pass ``x_min`` to pin the threshold
     instead.  Ties in KS go to the lowest threshold.
+
+    A 2-D array is a block of samples, one per row, fitted in one
+    scan.  Each field of the result is then an array with one entry
+    per row, equal to that row's 1-D fit.  A row whose 1-D fit raises
+    ``AnalysisError`` gets ``ks_statistic`` inf, ``gamma`` NaN and
+    ``x_min`` and ``n_tail`` 0 instead; ``ValidationError`` still
+    raises for the whole block.
     """
-    xs, zeros = _clean_degrees(degrees)
+    block = np.ndim(degrees) == 2
+    xs = _sorted_degrees(degrees, rows=block)
+    fit = _fit_rows(xs if block else xs[None], x_min, min_tail)
+    if block:
+        return fit
+    zeros = int(fit.zeros_excluded[0])
+    if not np.isfinite(fit.ks_statistic[0]):
+        raise AnalysisError(_unfit_reason(xs[zeros:], x_min, min_tail))
+    return TailFit(float(fit.gamma[0]), int(fit.x_min[0]), int(fit.n_tail[0]),
+                   float(fit.ks_statistic[0]), zeros_excluded=zeros)
+
+
+def _unfit_reason(xs: np.ndarray, x_min: int | None, min_tail: int) -> str:
+    """Why the sorted positive sample ``xs`` has no fit."""
     n = len(xs)
     if n < MIN_OBSERVATIONS:
-        raise AnalysisError(
-            f"power-law fit needs >= {MIN_OBSERVATIONS} positive observations, got {n}"
-        )
+        return (f"power-law fit needs >= {MIN_OBSERVATIONS} positive "
+                f"observations, got {n}")
     if xs[0] == xs[-1]:
-        raise AnalysisError("degenerate input: all degree values are equal")
+        return "degenerate input: all degree values are equal"
+    if x_min is not None and xs[-1] < x_min:
+        return f"no observations at or above x_min={x_min}"
+    if x_min is None and n < min_tail:
+        return (f"no threshold keeps min_tail={min_tail} observations in its "
+                f"tail; the sample has {n} positive values")
+    return "no usable power-law threshold candidate"
 
-    # xs is sorted: a value's run starts after every smaller observation
-    below = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    uniq = xs[below]
-    cum_counts = np.append(below[1:], n)                # count of xs <= uniq[j]
-    tail_sizes = n - below                              # count of xs >= uniq[j]
-    log_weighted = (cum_counts - below) * np.log(uniq)
-    tail_logsums = log_weighted[::-1].cumsum()[::-1]    # sum of ln x over tail
 
-    if x_min is not None:
-        if not (x_min >= 1 and float(x_min).is_integer()):
-            raise ValidationError("x_min must be a positive integer")
-        first = int(np.searchsorted(uniq, x_min, side="left"))
-        if first >= len(uniq):
-            raise AnalysisError(f"no observations at or above x_min={x_min}")
-        thresholds = np.array([x_min], dtype=np.int64)
+def _fit_rows(xs: np.ndarray, x_min: int | None, min_tail: int) -> TailFit:
+    """Fit every row of the row-sorted int64 block ``xs`` at once, as
+    ``fit_power_law`` describes for 2-D input."""
+    rows, cols = xs.shape
+    zeros = np.count_nonzero(xs == 0, axis=1)
+    n = cols - zeros                                    # positive values per row
+    fit = TailFit(np.full(rows, np.nan), np.zeros(rows, dtype=np.int64),
+                  np.zeros(rows, dtype=np.int64), np.full(rows, np.inf),
+                  zeros_excluded=zeros)
+    ok = n >= MIN_OBSERVATIONS
+    if ok.any():                                        # not all values equal
+        ok[ok] = xs[ok, zeros[ok]] != xs[ok, -1]
+    if not ok.any():
+        return fit
+    if x_min is not None and not (x_min >= 1 and float(x_min).is_integer()):
+        raise ValidationError("x_min must be a positive integer")
+
+    # value runs, row by row: a run starts at a row's start or where the
+    # value changes, and the zeros' run drops out
+    flat = xs.ravel()
+    starts = np.empty(flat.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::cols] = True
+    starts &= flat > 0
+    start = np.flatnonzero(starts)
+    run_row = start // cols
+    uniq = flat[start]
+    below = start - run_row * cols - zeros[run_row]     # count of values < uniq
+    counts = np.minimum(np.append(start[1:], flat.size),
+                        (run_row + 1) * cols) - start
+    cum = below + counts                                # count of values <= uniq
+    tail_sizes = n[run_row] - below                     # count of values >= uniq
+    runs = np.bincount(run_row, minlength=rows)
+    row_first = np.cumsum(runs) - runs                  # each row's first run
+    row_stop = row_first + runs
+    # sum of ln x over each tail, added from the row's largest value down
+    # as a lone row's reversed cumsum adds it: each row goes reversed
+    # into a grid row, and the zeros padding its end add nothing before
+    back = row_stop[run_row] - 1 - np.arange(len(start))
+    grid = np.zeros((rows, runs.max()))
+    grid[run_row, back] = counts * np.log(uniq)
+    tail_logsums = np.cumsum(grid, axis=1)[run_row, back]
+
+    # candidate c's tail is its row's runs cand[c] .. row_stop - 1
+    if x_min is None:
+        # tail sizes fall as the threshold rises: the candidates are a
+        # prefix of each row's runs
+        cand = np.flatnonzero(ok[run_row] & (tail_sizes >= min_tail))
     else:
-        # tail sizes fall as the threshold rises: the candidates are a prefix
-        first = 0
-        thresholds = uniq[:int((tail_sizes >= min_tail).sum())]
-        if not len(thresholds):
-            raise AnalysisError(
-                f"no threshold keeps min_tail={min_tail} observations in its "
-                f"tail; the sample has {n} positive values"
-            )
-
-    # candidate j's tail holds the observations >= values[j]
-    last = first + len(thresholds)
-    values = uniq[first:]
-    sizes = tail_sizes[first:last]
-    logsums = tail_logsums[first:last]
+        first = row_first + np.bincount(run_row[uniq < x_min], minlength=rows)
+        cand = first[ok & (first < row_stop)]
+    if not len(cand):
+        return fit
+    thresholds = (uniq[cand] if x_min is None
+                  else np.full(len(cand), x_min, dtype=np.int64))
+    row = run_row[cand]
+    sizes = tail_sizes[cand]
     # a log-sum that rounds to 0 (or below) gives gamma = inf (or <= 1),
     # whose powers and zeta values the scan rejects
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gammas = 1.0 + sizes / (logsums - sizes * np.log(thresholds - 0.5))
-        ks = _ks_distances(values, cum_counts[first:], below[first:last], sizes,
-                           gammas, thresholds)
-    best = int(np.argmin(ks))                           # first minimum
-    if not np.isfinite(ks[best]):
-        raise AnalysisError("no usable power-law threshold candidate")
-    return TailFit(float(gammas[best]), int(thresholds[best]), int(sizes[best]),
-                   float(ks[best]), zeros_excluded=zeros)
+        gammas = 1.0 + sizes / (tail_logsums[cand]
+                                - sizes * np.log(thresholds - 0.5))
+        ks = _ks_distances(uniq, cum, cand, row_stop[row], below[cand], sizes,
+                           gammas, thresholds, row)
+    # a stable sort by (row, ks) puts each row's first minimum first
+    order = np.lexsort((ks, row))
+    best = order[np.flatnonzero(np.diff(row[order], prepend=-1))]
+    best = best[np.isfinite(ks[best])]
+    won = row[best]
+    fit.gamma[won] = gammas[best]
+    fit.x_min[won] = thresholds[best]
+    fit.n_tail[won] = sizes[best]
+    fit.ks_statistic[won] = ks[best]
+    return fit
 
 
-def _ks_distances(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
-                  sizes: np.ndarray, gammas: np.ndarray,
-                  thresholds: np.ndarray) -> np.ndarray:
-    """KS distance of each candidate that can be the minimum, else inf.
+def _ks_distances(uniq: np.ndarray, cum: np.ndarray, start: np.ndarray,
+                  stop: np.ndarray, below: np.ndarray, sizes: np.ndarray,
+                  gammas: np.ndarray, thresholds: np.ndarray,
+                  row: np.ndarray) -> np.ndarray:
+    """KS distance of each candidate that can be its row's minimum, else inf.
 
-    Candidate j fits ``gammas[j]`` on x >= ``thresholds[j]`` to its
-    ``sizes[j]`` tail observations, ``cum[k] - below[j]`` of which are
-    at most ``values[k]`` (k >= j).  Candidates are finished in
-    ascending order of their ``_ks_bounds``, one ``zeta`` row each,
-    until a bound exceeds the least distance found.  Pruned candidates
-    score inf: their distance exceeds the minimum, so the first minimum
-    is unchanged.
+    Candidate c fits ``gammas[c]`` on x >= ``thresholds[c]`` to the
+    ``sizes[c]`` observations of its row's tail, whose values are
+    ``uniq[start[c]:stop[c]]``, ``cum[k] - below[c]`` of them at most
+    ``uniq[k]``.  Each row finishes its candidates in ascending order of
+    their ``_ks_bounds``, until a bound exceeds the least distance found
+    in the row; one round finishes the next candidate of every row left,
+    with one ``zeta`` call.  Pruned candidates score inf: their distance
+    exceeds the minimum, so the first minimum is unchanged.
     """
     z_first = zeta(gammas, thresholds + 1.0)            # zeta(g, t + 1)
-    if values[0] == thresholds[0]:
-        # norm = zeta(g, t), with the threshold's own term split off;
-        # the power stays a scalar per candidate, because numpy's array
-        # power can differ from it in the last place.  gamma > 1 always
-        # holds exactly; a rounded gamma <= 1 gets no norm (its zeta is
-        # not finite either), as a Python float power would overflow.
-        norms = z_first + np.array([
-            float(t) ** -g if g > 1.0 else np.inf
-            for t, g in zip(thresholds.tolist(), gammas.tolist())])
-    else:       # a pinned x_min that is not observed
-        norms = zeta(gammas, thresholds.astype(float))
-    bounds = _ks_bounds(values, cum, below, sizes, gammas, thresholds,
-                        z_first, norms)
+    # norm = zeta(g, t), with an observed threshold's own term split off;
+    # the power stays a scalar per candidate, because numpy's array
+    # power can differ from it in the last place.  gamma > 1 always
+    # holds exactly; a rounded gamma <= 1 gets no norm (its zeta is not
+    # finite either), as a Python float power would overflow.
+    norms = z_first + np.array([
+        float(t) ** -g if g > 1.0 else np.inf
+        for t, g in zip(thresholds.tolist(), gammas.tolist())])
+    unseen = np.flatnonzero(uniq[start] != thresholds)  # a pinned x_min not observed
+    if len(unseen):
+        norms[unseen] = zeta(gammas[unseen], thresholds[unseen].astype(float))
+    bounds = _ks_bounds(uniq, cum, start, stop, below, sizes, gammas,
+                        thresholds, z_first, norms)
     ks = np.full(len(gammas), np.inf)
     usable = np.flatnonzero(np.isfinite(norms) & (norms > 0) & (sizes >= 2))
-    best = np.inf
-    for j in usable[np.argsort(bounds[usable], kind="stable")].tolist():
-        if bounds[j] > best:
-            break
-        fitted = 1.0 - zeta(gammas[j], values[j:] + 1.0) / norms[j]
-        empirical = (cum[j:] - below[j]) / sizes[j]
-        # np.max keeps a NaN deviation, which makes the candidate unusable
-        dist = np.abs(empirical - fitted).max()
-        if np.isfinite(dist):
-            ks[j] = dist
-            best = min(best, dist)
+    # each row's usable candidates by ascending bound, ties by threshold
+    order = usable[np.lexsort((bounds[usable], row[usable]))]
+    at = np.flatnonzero(np.diff(row[order], prepend=-1))  # each row's next
+    end = np.append(at[1:], len(order))
+    best = np.full(len(at), np.inf)                     # each row's least distance
+    while len(at):
+        c = order[at]
+        lengths = stop[c] - start[c]
+        heads = np.cumsum(lengths) - lengths
+        k = (np.arange(heads[-1] + lengths[-1])         # the tails' runs
+             + np.repeat(start[c] - heads, lengths))
+        fitted = 1.0 - (zeta(np.repeat(gammas[c], lengths), uniq[k] + 1.0)
+                        / np.repeat(norms[c], lengths))
+        empirical = ((cum[k] - np.repeat(below[c], lengths))
+                     / np.repeat(sizes[c], lengths))
+        # maximum keeps a NaN deviation, which makes the candidate unusable
+        dist = np.maximum.reduceat(np.abs(empirical - fitted), heads)
+        found = np.isfinite(dist)
+        ks[c[found]] = dist[found]
+        best[found] = np.minimum(best[found], dist[found])
+        # a row stops after its last candidate or at a bound above its best
+        at += 1
+        go = at < end
+        go[go] = bounds[order[at[go]]] <= best[go]
+        at, end, best = at[go], end[go], best[go]
     return ks
 
 
-def _ks_bounds(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
-               sizes: np.ndarray, gammas: np.ndarray, thresholds: np.ndarray,
+def _ks_bounds(uniq: np.ndarray, cum: np.ndarray, start: np.ndarray,
+               stop: np.ndarray, below: np.ndarray, sizes: np.ndarray,
+               gammas: np.ndarray, thresholds: np.ndarray,
                z_first: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """A lower bound on each candidate's KS distance, -inf where none.
 
-    ``z_first`` holds zeta(g, t + 1) and ``norms`` zeta(g, t).  A tail
-    value v with 0 < v - t <= ``WIDTH`` gets zeta(g, v + 1) as
-    ``z_first`` minus the running sum of x**(-g) over t < x <= v, and
-    its deviation, lowered by ``MARGIN``, enters the bound; the value at
-    the threshold enters exactly.
+    The arguments are as in ``_ks_distances``; ``z_first`` holds
+    zeta(g, t + 1) and ``norms`` zeta(g, t).  A tail value v with
+    0 < v - t <= ``WIDTH`` gets zeta(g, v + 1) as ``z_first`` minus the
+    running sum of x**(-g) over t < x <= v, and its deviation, lowered
+    by ``MARGIN``, enters the bound; the value at the threshold enters
+    exactly.
     """
     k = len(gammas)
     sums = np.zeros((k, WIDTH + 1))                     # column d: t < x <= t + d
@@ -242,10 +339,9 @@ def _ks_bounds(values: np.ndarray, cum: np.ndarray, below: np.ndarray,
     sums[:, 1:] **= -gammas[:, None]
     np.cumsum(sums, axis=1, out=sums)
     # the tail values within WIDTH of t are among its first WIDTH + 1;
-    # rows shorter than that repeat their last value
-    head = np.minimum(np.arange(k)[:, None] + np.arange(WIDTH + 1),
-                      len(values) - 1)
-    gaps = values[head] - thresholds[:, None]
+    # tails shorter than that repeat their last value
+    head = np.minimum(start[:, None] + np.arange(WIDTH + 1), stop[:, None] - 1)
+    gaps = uniq[head] - thresholds[:, None]
     near = np.minimum(gaps, WIDTH)
     z_near = z_first[:, None] - np.take_along_axis(sums, near, axis=1)
     deviation = np.abs((cum[head] - below[:, None]) / sizes[:, None]
@@ -336,24 +432,33 @@ class PowerLawSampler:
 # -- goodness of fit ---------------------------------------------------------
 
 
-def _gof_replica(replica: int, seed: int, n: int, p_tail: float,
-                 body: np.ndarray, gamma: float, x_min: int,
-                 min_tail: int, sampler: PowerLawSampler) -> tuple[float, ...]:
+def _gof_replica(replica: int, out: np.ndarray, seed: int, p_tail: float,
+                 body: np.ndarray, sampler: PowerLawSampler) -> None:
+    """Draw replica ``replica``'s synthetic sample into ``out``: a
+    binomial share ``p_tail`` of it from the fitted tail, the rest
+    resampled from ``body``."""
+    n = len(out)
     rng = rng_for(seed, "gof-replica", replica)
     n_tail_draw = int(rng.binomial(n, p_tail))
-    synthetic = np.empty(n, dtype=np.int64)
     if n_tail_draw:
-        synthetic[:n_tail_draw] = sampler.draw(n_tail_draw, rng)
+        out[:n_tail_draw] = sampler.draw(n_tail_draw, rng)
     if n - n_tail_draw:
-        synthetic[n_tail_draw:] = body[rng.integers(0, len(body),
-                                                    size=n - n_tail_draw)]
-    try:
-        refit = fit_power_law(synthetic, min_tail=min_tail)
-    except AnalysisError:
-        # a pathological replica counts as a poorer fit than any data
-        return (float("inf"), gamma, float(x_min), 0.0)
-    return (refit.ks_statistic, refit.gamma, float(refit.x_min),
-            float(refit.n_tail))
+        out[n_tail_draw:] = body[rng.integers(0, len(body),
+                                              size=n - n_tail_draw)]
+
+
+def _gof_block(replicas: range, n: int, seed: int, p_tail: float,
+               body: np.ndarray, sampler: PowerLawSampler,
+               min_tail: int) -> np.ndarray:
+    """Draw and refit a block of replicas with one ``fit_power_law``
+    call: one (ks, gamma, x_min, n_tail) row each, ks inf where the
+    refit failed."""
+    block = np.empty((len(replicas), n), dtype=np.int64)
+    for replica, out in zip(replicas, block):
+        _gof_replica(replica, out, seed, p_tail, body, sampler)
+    refit = fit_power_law(block, min_tail=min_tail)
+    return np.column_stack((refit.ks_statistic, refit.gamma, refit.x_min,
+                            refit.n_tail))
 
 
 def goodness_of_fit(degrees, fit: TailFit | None = None,
@@ -363,9 +468,10 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
 
     Each of ``m`` replicas draws, per observation, from the fitted
     tail with probability n_tail/n and otherwise resamples the
-    empirical body below x_min; replicas are refitted in full.
-    Replica seeds are derived from ``seed`` independently of
-    ``n_jobs``, so results do not depend on parallelism.
+    empirical body below x_min; replicas are refitted in full, in
+    blocks of ``BLOCK_VALUES`` sample values.  Replica seeds are
+    derived from ``seed`` independently of ``n_jobs``, so results do
+    not depend on parallelism.
     """
     if m < 1:
         raise ValidationError("bootstrap count m must be >= 1")
@@ -382,11 +488,13 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     body = xs[xs < fit.x_min]
     p_tail = fit.n_tail / n
     sampler = PowerLawSampler(fit.gamma, fit.x_min)
-    worker = partial(_gof_replica, seed=seed, n=n, p_tail=p_tail, body=body,
-                     gamma=fit.gamma, x_min=fit.x_min, min_tail=min_tail,
-                     sampler=sampler)
-    rows = parallel_map(worker, list(range(m)), n_jobs=n_jobs)
-    stats = np.array(rows, dtype=float)
+    per_block = max(1, BLOCK_VALUES // n)
+    blocks = [range(lo, min(lo + per_block, m)) for lo in range(0, m, per_block)]
+    worker = partial(_gof_block, n=n, seed=seed, p_tail=p_tail, body=body,
+                     sampler=sampler, min_tail=min_tail)
+    stats = np.concatenate(parallel_map(worker, blocks, n_jobs=n_jobs))
+    # a pathological replica counts as a poorer fit than any data
+    stats[np.isinf(stats[:, 0]), 1:] = (fit.gamma, fit.x_min, 0.0)
     ks_values = stats[:, 0]
     p_value = float(np.mean(ks_values >= fit.ks_statistic))
     return FitResult(

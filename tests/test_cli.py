@@ -62,6 +62,9 @@ class TestGenerate:
         ["--years", "9999:10000"],
         ["--sunset-prob", "1", "--sunset-horizon", "100000"],
         ["--years", "9998:9999", "--sunset-prob", "1"],
+        # past int64, where the horizon draw fails even with no sunsets
+        ["--sunset-horizon", "100000000000000000000"],
+        ["--sunset-horizon", str(2**63)],
     ])
     def test_unusable_config_exits_2_with_one_line(self, tmp_path, capsys,
                                                    flags):
@@ -71,6 +74,11 @@ class TestGenerate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("legisnet generate [")
         assert not out.exists()
+
+    def test_largest_int64_horizon_still_generates(self, capsys):
+        assert main(["generate", "--years", "1990:1990", "--docs-per-year",
+                     "3", "--sunset-horizon", str(2**63 - 1), "--out", "-"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_infeasible_schedule_config_error(self, capsys):
         code = main(["generate", "--years", "1990:1990", "--docs-per-year",

@@ -137,6 +137,40 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit_power_law(np.array([-1] * 100))
 
+    def test_block_rows_equal_single_fits(self):
+        rng = np.random.default_rng(9)
+        rows = [draw_pl_table(2.5, 5, 600, rng),
+                np.concatenate([rng.zipf(2.2, 500), np.zeros(100, np.int64)]),
+                np.full(600, 7),                            # degenerate
+                np.concatenate([np.arange(1, 41), np.zeros(560, np.int64)]),
+                np.zeros(600, np.int64)]
+        block = fit_power_law(np.vstack(rows))
+        for r, row in enumerate(rows):
+            assert block.zeros_excluded[r] == (row == 0).sum()
+            try:
+                single = fit_power_law(row)
+            except AnalysisError:
+                assert (block.ks_statistic[r], block.x_min[r],
+                        block.n_tail[r]) == (np.inf, 0, 0)
+                assert np.isnan(block.gamma[r])
+                continue
+            assert TailFit(float(block.gamma[r]), int(block.x_min[r]),
+                           int(block.n_tail[r]), float(block.ks_statistic[r]),
+                           int(block.zeros_excluded[r])) == single
+        assert np.isfinite(block.ks_statistic).tolist() == [True, True, False,
+                                                            False, False]
+
+    def test_block_checks_x_min_once_a_row_is_fitted(self):
+        data = np.random.default_rng(3).zipf(2.5, (3, 400))
+        with pytest.raises(ValidationError,
+                           match="^x_min must be a positive integer$"):
+            fit_power_law(data, x_min=5.5)
+        # as in 1-D, rows refused before x_min is read refuse it silently
+        short = fit_power_law(data[:, :40], x_min=5.5)
+        assert np.isinf(short.ks_statistic).all()
+        with pytest.raises(ValidationError):
+            fit_power_law(np.vstack([data[0], -data[1]]))
+
     def test_non_integral_degrees_rejected(self):
         data = np.random.default_rng(3).zipf(2.5, 2000)
         message = "^degrees must be non-negative integers$"

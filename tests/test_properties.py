@@ -16,10 +16,12 @@ neighbour-set loop for the wedge closure clustering, bit for bit and
 under tiny wedge budgets.  The per-degree clustering profile is checked
 against its one-mask-per-degree loop, and the undirected projection of
 drawn multigraphs against a set of sorted pairs.  The
-bound-and-prune power-law threshold scan against the
+bound-and-prune power-law threshold scan is checked against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
-bootstrap.  The scan's power-sum bounds are checked against each
-candidate's exact KS distance.
+bootstrap; each row of a block fit against that row's 1-D fit; and the
+blocked bootstrap against one 1-D refit per replica, with one-row and
+ragged blocks.  The scan's power-sum bounds are checked against the
+exact KS distance of every candidate of every row.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from legisnet import (
     snapshot,
 )
 from legisnet import heavytail, metrics, resilience
-from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, TailFit,
-                                _clean_degrees)
+from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, FitResult,
+                                TailFit, _clean_degrees)
 from legisnet.metrics import (ClusteringProfile, clustering_profile_from_pairs,
                               distance_histogram, giant_projection,
                               local_clustering_from_pairs)
@@ -759,6 +761,73 @@ def degree_samples(draw) -> np.ndarray:
     return np.concatenate([xs, np.zeros(draw(st.integers(0, 30)), dtype=np.int64)])
 
 
+@st.composite
+def degree_blocks(draw) -> np.ndarray:
+    """A drawn degree sample and resamples of it, one sample per row.
+    Each resample zeroes a drawn share of its values, so rows differ in
+    their zeros, values and runs, and some have too few positive ones
+    or one value only."""
+    xs = draw(degree_samples())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [xs]
+    for _ in range(draw(st.integers(0, 4))):
+        row = rng.choice(xs, len(xs))
+        row[rng.random(len(xs)) < draw(st.sampled_from([0.0, 0.5, 0.97]))] = 0
+        rows.append(row)
+    return np.vstack(rows)
+
+
+def block_fit(fit):
+    """``fit`` as ``fit_power_law`` applied to a block: row by row, with
+    ks inf for a row it refuses.  Each fitted row is counted in the
+    returned list."""
+    rows = []
+
+    def fit_rows(degrees, **kwargs):
+        if np.ndim(degrees) == 1:
+            return fit(degrees, **kwargs)
+        fits = []
+        for row in degrees:
+            rows.append(row)
+            try:
+                fits.append(fit(row, **kwargs))
+            except AnalysisError:
+                fits.append(TailFit(np.nan, 0, 0, np.inf,
+                                    int((row == 0).sum())))
+        return TailFit(*(np.array([getattr(f, name) for f in fits])
+                         for name in ("gamma", "x_min", "n_tail",
+                                      "ks_statistic", "zeros_excluded")))
+
+    return fit_rows, rows
+
+
+def single_outcomes(block, **kwargs) -> list:
+    """The 1-D fit of each row of ``block``, or "refused" where it
+    raises AnalysisError."""
+    outcomes = []
+    for row in block:
+        try:
+            outcomes.append(fit_power_law(row, **kwargs))
+        except AnalysisError:
+            outcomes.append("refused")
+    return outcomes
+
+
+def row_outcomes(fit: TailFit) -> list:
+    """Each row of a block fit as a 1-D TailFit, or "refused"."""
+    outcomes = []
+    for r in range(len(fit.ks_statistic)):
+        if np.isinf(fit.ks_statistic[r]):
+            assert np.isnan(fit.gamma[r]) and fit.x_min[r] == fit.n_tail[r] == 0
+            outcomes.append("refused")
+        else:
+            outcomes.append(TailFit(float(fit.gamma[r]), int(fit.x_min[r]),
+                                    int(fit.n_tail[r]),
+                                    float(fit.ks_statistic[r]),
+                                    int(fit.zeros_excluded[r])))
+    return outcomes
+
+
 # the widest power-sum grid the property draws: 4,096 values per candidate
 WHOLE_ROW = 4096
 STEEP = np.repeat(np.array([1, 240, 242]), [50, 31, 69])
@@ -820,54 +889,149 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, width):
 
 
 @settings(max_examples=150, deadline=None)
-@given(degree_samples(), st.integers(1, 60),
+@given(degree_blocks(), st.integers(1, 60), st.data())
+# a ragged block: one row to fit, one with a single value, one too short
+@example(np.vstack([np.random.default_rng(5).zipf(2.0, 300),
+                    np.full(300, 4), np.repeat([0, 3, 9], [280, 10, 10])]),
+         25, None)
+def test_block_fit_rows_equal_single_fits(block, min_tail, data):
+    """Each row of a 2-D fit equals that row's 1-D fit, selected by KS
+    or pinned at a drawn value, and a row is refused (ks inf) exactly
+    where its 1-D fit raises AnalysisError."""
+    values = sorted(set(block[block > 0].tolist())) or [1]
+    kwargs = {"min_tail": min_tail}
+    if data is not None and data.draw(st.booleans()):
+        kwargs = {"x_min": data.draw(st.sampled_from(
+            values + [values[0] + 1, values[-1] + 1]))}
+    with np.errstate(divide="ignore"):
+        singles = single_outcomes(block, **kwargs)
+        rows = row_outcomes(fit_power_law(block, **kwargs))
+    assert rows == singles
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_blocks(), st.integers(1, 60),
        st.sampled_from([heavytail.WIDTH, 1, 2, WHOLE_ROW]))
-@example(STEEP, 10, heavytail.WIDTH)
-@example(SUBNORMAL_NORM, 26, heavytail.WIDTH)
-def test_power_sum_bounds_are_lower_bounds(xs, min_tail, width):
-    """Every candidate's bound is at most its exact KS distance, as the
-    finishing phase computes it, whether or not the scan finishes it."""
+@example(STEEP[None], 10, heavytail.WIDTH)
+@example(SUBNORMAL_NORM[None], 26, heavytail.WIDTH)
+def test_power_sum_bounds_are_lower_bounds(block, min_tail, width):
+    """Every candidate's bound, in every row of a block, is at most its
+    exact KS distance, as the finishing phase computes it, whether or
+    not the scan finishes it."""
     seen = []
 
-    def spy(values, cum, below, sizes, gammas, thresholds, z_first, norms):
-        bounds = bound(values, cum, below, sizes, gammas, thresholds,
-                       z_first, norms)
-        seen.append((values, cum, below, sizes, gammas, norms, bounds))
+    def spy(uniq, cum, start, stop, below, sizes, gammas, thresholds,
+            z_first, norms):
+        bounds = bound(uniq, cum, start, stop, below, sizes, gammas,
+                       thresholds, z_first, norms)
+        seen.append((uniq, cum, start, stop, below, sizes, gammas, norms,
+                     bounds))
         return bounds
 
     bound = heavytail._ks_bounds
     with patch.object(heavytail, "_ks_bounds", spy), \
             patch.object(heavytail, "WIDTH", width), np.errstate(all="ignore"):
-        try:
-            fit_power_law(xs, min_tail=min_tail)
-        except AnalysisError:
-            pass
-        for values, cum, below, sizes, gammas, norms, bounds in seen:
-            for j in range(len(gammas)):
-                fitted = 1.0 - zeta(gammas[j], values[j:] + 1.0) / norms[j]
-                dist = np.abs((cum[j:] - below[j]) / sizes[j] - fitted).max()
+        fit_power_law(block, min_tail=min_tail)
+        checked = 0
+        for uniq, cum, start, stop, below, sizes, gammas, norms, bounds in seen:
+            for c in range(len(gammas)):
+                tail = slice(start[c], stop[c])
+                fitted = 1.0 - zeta(gammas[c], uniq[tail] + 1.0) / norms[c]
+                dist = np.abs((cum[tail] - below[c]) / sizes[c] - fitted).max()
                 if np.isfinite(dist):
-                    assert bounds[j] <= dist, (j, bounds[j], dist)
+                    assert bounds[c] <= dist, (c, bounds[c], dist)
+                checked += 1
+    # every candidate of every fitted row: the observed values whose
+    # tail keeps min_tail observations
+    expected = 0
+    for row in block:
+        positive = row[row > 0]
+        if len(positive) >= MIN_OBSERVATIONS and positive.min() < positive.max():
+            uniq, counts = np.unique(positive, return_counts=True)
+            expected += int((counts[::-1].cumsum() >= min_tail).sum())
+    assert checked == expected
+
+
+def per_replica_bootstrap(xs, m, seed, min_tail=MIN_TAIL) -> FitResult:
+    """Oracle: the bootstrap as it ran before refits went in blocks,
+    each replica drawn by ``_gof_replica`` and refitted by one 1-D
+    ``fit_power_law`` call."""
+    clean, zeros = _clean_degrees(xs)
+    fit = fit_power_law(clean, min_tail=min_tail)
+    n = len(clean)
+    body = clean[clean < fit.x_min]
+    sampler = heavytail.PowerLawSampler(fit.gamma, fit.x_min)
+    rows = []
+    for replica in range(m):
+        synthetic = np.empty(n, dtype=np.int64)
+        heavytail._gof_replica(replica, synthetic, seed, fit.n_tail / n, body,
+                               sampler)
+        try:
+            refit = fit_power_law(synthetic, min_tail=min_tail)
+        except AnalysisError:
+            rows.append((float("inf"), fit.gamma, float(fit.x_min), 0.0))
+            continue
+        rows.append((refit.ks_statistic, refit.gamma, float(refit.x_min),
+                     float(refit.n_tail)))
+    stats = np.array(rows, dtype=float)
+    return FitResult(
+        gamma=fit.gamma, gamma_spread=float(stats[:, 1].std()),
+        x_min=fit.x_min, x_min_spread=float(stats[:, 2].std()),
+        n_tail=fit.n_tail, n_tail_spread=float(stats[:, 3].std()),
+        ks_statistic=fit.ks_statistic,
+        p_value=float(np.mean(stats[:, 0] >= fit.ks_statistic)),
+        bootstrap_m=m, zeros_excluded=zeros)
+
+
+def bootstrap_outcome(bootstrap, xs, m, seed):
+    """``bootstrap(xs, m=m, seed=seed)``, or its AnalysisError text.  The
+    sampler's table is cut to 10,000 values to keep near-1 exponents
+    quick; draws past it bisect the same survival function."""
+    with warnings.catch_warnings(), np.errstate(divide="ignore"), \
+            patch.object(heavytail, "MAX_TABLE", 10_000):
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return bootstrap(xs, m=m, seed=seed)
+        except AnalysisError as exc:
+            return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_samples(), st.integers(1, 7), st.integers(0, 2**16),
+       st.integers(1, 3))
+@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 1)
+@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 3)
+def test_blocked_bootstrap_equals_per_replica_refits(xs, m, seed, per_block):
+    """goodness_of_fit equals the per-replica oracle when its blocks hold
+    ``per_block`` replicas: one row each, or a ragged last block.  Each
+    block is one fit_power_law call."""
+    n = int((xs > 0).sum())
+    calls = []
+
+    def counted(degrees, **kwargs):
+        calls.append(np.shape(degrees))
+        return fit(degrees, **kwargs)
+
+    fit = heavytail.fit_power_law
+    with patch.object(heavytail, "BLOCK_VALUES", per_block * n + n - 1), \
+            patch.object(heavytail, "fit_power_law", counted):
+        blocked = bootstrap_outcome(goodness_of_fit, xs, m, seed)
+    assert blocked == bootstrap_outcome(per_replica_bootstrap, xs, m, seed)
+    if isinstance(blocked, FitResult):
+        sizes = [min(per_block, m - lo) for lo in range(0, m, per_block)]
+        assert calls == [(n,)] + [(k, n) for k in sizes]
 
 
 @settings(max_examples=25, deadline=None)
 @given(degree_samples(), st.integers(1, 5), st.integers(0, 2**16))
 def test_bootstrap_equals_bootstrap_of_per_candidate_fits(xs, m, seed):
     """goodness_of_fit gives the same result, or the same AnalysisError,
-    when every fit, its refits included, is the per-candidate loop.  The
-    sampler's table is cut to 10,000 values to keep near-1 exponents
-    quick; draws past it bisect the same survival function."""
-
-    def outcome():
-        try:
-            return goodness_of_fit(xs, m=m, seed=seed)
-        except AnalysisError as exc:
-            return str(exc)
-
-    with warnings.catch_warnings(), np.errstate(divide="ignore"), \
-            patch.object(heavytail, "MAX_TABLE", 10_000):
-        warnings.simplefilter("ignore", UserWarning)
-        vectorised = outcome()
-        with patch.object(heavytail, "fit_power_law", per_candidate_fit):
-            assert outcome() == vectorised
-
+    when every fit, its refits included, is the per-candidate loop,
+    applied row by row to each block.  A result means every replica was
+    refitted by the loop."""
+    vectorised = bootstrap_outcome(goodness_of_fit, xs, m, seed)
+    loop, refitted = block_fit(per_candidate_fit)
+    with patch.object(heavytail, "fit_power_law", loop):
+        assert bootstrap_outcome(goodness_of_fit, xs, m, seed) == vectorised
+    if isinstance(vectorised, FitResult):
+        assert len(refitted) == m

@@ -100,6 +100,9 @@ RUNS = {
     "resilience": ["resilience", "--with-null", "--degree-mode",
                    "adaptive_recompute", "--reps", "20"],
     "metrics": ["metrics", "--directed-paths"],
+    # bootstrap refits in several blocks, across a process pool
+    "powerlaw": ["powerlaw", "--direction", "out", "--bootstrap", "300",
+                 "--threads", "2"],
 }
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 DIGESTS = {
@@ -117,6 +120,10 @@ DIGESTS = {
         "d0e3f294d389d57bf6c1eb4c5832b2c28a93763a6edd22b026f885cd16d35666",
     "metrics/metrics_lorenz.csv":
         "9ac1e039020f6b517d35e17dc08ac4f4ae5d86cd857fb44a0953b7ec1d5ee777",
+    "powerlaw/powerlaw.json":
+        "a215d8147c3e2894933862dc4179c5dd0a75201e190752d955659e7365bdc38d",
+    "powerlaw/powerlaw_ccdf_out.csv":
+        "3fcd5f27f3f89a2137f985a812db82bdea143653f1a5ebd95760686a3197abc4",
     "report-all/report.json":
         "dba3da360e26332b01dc5c519b1a2e1551ff61efae8f1701cda7d9a149090d0c",
     "report-all/report_ccdf_in.csv":
