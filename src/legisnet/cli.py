@@ -77,9 +77,10 @@ from .util import format_float, round_floats
 
 NETWORK_PRESETS = ("LN", "RN", "ICN", "LBN")
 
-# Replica, repetition and tail-size flags; each needs a value >= 1.
+# Replica, repetition, tail-size and worker-count flags; each needs a
+# value >= 1.
 COUNT_FLAGS = ("bootstrap", "min_tail", "replicas", "reps",
-               "smallworld_replicas", "resilience_reps")
+               "smallworld_replicas", "resilience_reps", "threads")
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -467,7 +468,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     started = _now()
     graph, report, digest = _ingest_input(args)
     _write_report(_output_dir(args), "ingest_report.json",
-                  _manifest(args, digest, started), report.to_json_dict())
+                  _manifest(args, digest, started), asdict(report))
     if args.out:
         _write_corpus(graph, args.out)
     return 0

@@ -65,15 +65,6 @@ class IngestReport:
     deduplicated: int = 0
     per_type_counts: dict[str, int] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "stubs": self.stubs,
-            "deduplicated": self.deduplicated,
-            "per_type_counts": dict(self.per_type_counts),
-        }
-
 
 def parse_date(raw: str) -> date:
     """The date ``raw`` spells as ``YYYY-MM-DD``; ValueError otherwise.

@@ -372,8 +372,8 @@ def path_stats_from_csr(csr: csr_matrix, restricted_to: str,
     diameter is a lower bound.  ``restricted_to`` names the node set
     in the report (the smallest id of the giant component).
     """
-    if mode == "sampled" and sources < 1:
-        raise ConfigError(f"sampled paths need >= 1 source, got {sources}")
+    if sources < 1:
+        raise ConfigError(f"path statistics need >= 1 source, got {sources}")
     n = csr.shape[0]
     if n < 2:
         raise AnalysisError("path metrics require a component with >= 2 nodes")

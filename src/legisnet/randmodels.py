@@ -150,6 +150,10 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
     """
     if replicas < 1:
         raise ConfigError("at least one null replica is required")
+    for name, factor in (("length_factor", length_factor),
+                         ("clustering_factor", clustering_factor)):
+        if not (math.isfinite(factor) and factor > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {factor}")
     measured = _gc_path_clustering(graph, path_mode, path_sources,
                                    derive_seed(seed, "net-path"))
     if measured is None or measured[0] < 10:

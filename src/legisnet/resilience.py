@@ -2,12 +2,14 @@
 
 Each step deletes ceil(step_fraction * remaining) nodes together with
 all their incident edges, then the largest weakly connected component
-of what is left is measured.  Nodes are chosen uniformly at random
-(failures) or highest-degree-first (attacks); attack ordering either
-freezes the initial degrees or re-ranks after every step.  Random
-curves are averaged pointwise over many repetitions.  The removal
-schedule depends only on the node count, so curves from graphs of
-equal size share their removed-fraction grid and compare pointwise.
+of what is left is measured.  Each strategy yields a removal rank for
+one kernel: a uniform random permutation (failures) or highest total
+degree first, ties by smallest document id (attacks), with the degrees
+either frozen at the start or re-ranked after every step.  Random
+curves are averaged pointwise over many repetitions, an attack curve
+over its one rank.  The removal schedule depends only on the node
+count, so curves from graphs of equal size share their removed-fraction
+grid and compare pointwise.
 
 Every curve (random, static or adaptive attack) is measured by one
 reverse-percolation pass (Newman & Ziff, PRL 85, 4104, 2000) over a
@@ -40,7 +42,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import AnalysisError, ConfigError
 from .graph import LegislationGraph
-from .util import derive_seed, parallel_map
+from .util import derive_seed, parallel_map, rng_for
 
 MIN_NODES = 20
 
@@ -110,15 +112,6 @@ def removal_boundaries(n: int, step_fraction: float, stop_at: float) -> list[int
     return boundaries
 
 
-def _curve_for_order(order: np.ndarray, pair_u: np.ndarray, pair_v: np.ndarray,
-                     n: int, boundaries: list[int]) -> np.ndarray:
-    """gc sizes for the intact graph plus every removal boundary;
-    ``order[r]`` is the r-th node removed."""
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return _curve_for_rank(rank, pair_u, pair_v, n, boundaries)
-
-
 def _curve_for_rank(rank: np.ndarray, pair_u: np.ndarray, pair_v: np.ndarray,
                     n: int, boundaries: list[int]) -> np.ndarray:
     """gc sizes for the intact graph plus every removal boundary.
@@ -172,45 +165,45 @@ def _curve_for_rank(rank: np.ndarray, pair_u: np.ndarray, pair_v: np.ndarray,
 def _random_repetition(rep: int, seed: int, pair_u: np.ndarray,
                        pair_v: np.ndarray, n: int,
                        boundaries: list[int]) -> np.ndarray:
-    rng = np.random.default_rng(derive_seed(seed, "removal-rep", rep))
-    order = rng.permutation(n)
-    return _curve_for_order(order, pair_u, pair_v, n, boundaries)
+    order = rng_for(seed, "removal-rep", rep).permutation(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return _curve_for_rank(rank, pair_u, pair_v, n, boundaries)
 
 
-def _static_attack_order(graph: LegislationGraph) -> np.ndarray:
-    degrees = graph.degree_array("total")
-    # highest degree first, ties by smallest document id
-    return np.lexsort((graph.id_ranks(), -degrees))
-
-
-def _adaptive_attack_curve(graph: LegislationGraph, pair_u: np.ndarray,
-                           pair_v: np.ndarray,
-                           boundaries: list[int]) -> np.ndarray:
+def _attack_rank(graph: LegislationGraph, boundaries: list[int],
+                 adaptive: bool) -> np.ndarray:
+    """Removal rank of a degree attack: highest total degree first, ties
+    by smallest document id.  The adaptive attack re-ranks the nodes
+    left at every boundary; the static one ranks every node once."""
     n = graph.node_count
     src, dst, _ = graph.edge_arrays()
     id_rank = graph.id_ranks()
     alive = np.ones(n, dtype=bool)
-    rank = np.empty(n, dtype=np.int64)  # assembled removal order
+    rank = np.empty(n, dtype=np.int64)
     removed = 0
-    for boundary in boundaries:
-        step = boundary - removed
+    for boundary in boundaries if adaptive else [n]:
         live_edges = alive[src] & alive[dst]
         degrees = (np.bincount(src[live_edges], minlength=n)
                    + np.bincount(dst[live_edges], minlength=n))
         candidates = np.flatnonzero(alive)
         order = candidates[np.lexsort((id_rank[candidates],
                                        -degrees[candidates]))]
-        victims = order[:step]
+        victims = order[:boundary - removed]
         rank[victims] = np.arange(removed, boundary)
         alive[victims] = False
         removed = boundary
     rank[alive] = np.arange(removed, n)
-    return _curve_for_rank(rank, pair_u, pair_v, n, boundaries)
+    return rank
 
 
 def simulate(graph: LegislationGraph, config: ResilienceConfig,
              n_jobs: int = 1) -> ResilienceCurve:
     """Run the removal protocol; deterministic for a fixed seed.
+
+    Each random repetition or the one attack yields a removal rank, the
+    one kernel turns each rank into a curve of giant sizes, and the
+    stack of curves is averaged pointwise.
 
     Run it on a point-in-time snapshot when only active legislation
     should be at stake; the simulation itself removes from whatever
@@ -221,25 +214,16 @@ def simulate(graph: LegislationGraph, config: ResilienceConfig,
         raise AnalysisError(f"resilience needs >= {MIN_NODES} nodes, got {n}")
     pair_u, pair_v = graph.simple_projection()
     boundaries = removal_boundaries(n, config.step_fraction, config.stop_at)
-    reps = config.effective_repetitions()
-
     if config.strategy == "random":
         worker = partial(_random_repetition, seed=config.seed, pair_u=pair_u,
                          pair_v=pair_v, n=n, boundaries=boundaries)
-        curves = np.stack(parallel_map(worker, list(range(reps)), n_jobs=n_jobs))
-        sizes = curves.mean(axis=0)
-        averaged_over = reps
-        degree_mode = None
-    elif config.degree_mode == "static_initial":
-        order = _static_attack_order(graph)
-        sizes = _curve_for_order(order, pair_u, pair_v, n, boundaries).astype(float)
-        averaged_over = 1
-        degree_mode = config.degree_mode
+        curves = parallel_map(worker, list(range(config.effective_repetitions())),
+                              n_jobs=n_jobs)
     else:
-        sizes = _adaptive_attack_curve(graph, pair_u, pair_v,
-                                       boundaries).astype(float)
-        averaged_over = 1
-        degree_mode = config.degree_mode
+        rank = _attack_rank(graph, boundaries,
+                            config.degree_mode == "adaptive_recompute")
+        curves = [_curve_for_rank(rank, pair_u, pair_v, n, boundaries)]
+    sizes = np.stack(curves).mean(axis=0)
 
     removed_counts = [0] + boundaries
     points = []
@@ -250,7 +234,8 @@ def simulate(graph: LegislationGraph, config: ResilienceConfig,
             gc_size / remaining if remaining else 0.0,
             gc_size / n,
         ))
-    return ResilienceCurve(points, averaged_over, config.strategy, degree_mode)
+    degree_mode = None if config.strategy == "random" else config.degree_mode
+    return ResilienceCurve(points, len(curves), config.strategy, degree_mode)
 
 
 def compare_with_null(graph: LegislationGraph, config: ResilienceConfig,

@@ -277,15 +277,29 @@ class TestMetrics:
         assert gini == float(f"{gini:.9g}")
 
     @pytest.mark.parametrize("command", ["metrics", "smallworld"])
-    @pytest.mark.parametrize("sources", ["-5", "0"])
+    @pytest.mark.parametrize("sources, mode", [
+        pytest.param("-5", ["--path-mode", "sampled"], id="-5"),
+        pytest.param("0", ["--path-mode", "sampled"], id="0"),
+        pytest.param("0", [], id="0-default-mode"),
+    ])
     def test_bad_path_sources_exit_2(self, tmp_path, capsys, corpus_path,
-                                     command, sources):
-        assert main([command, "--input", str(corpus_path), "--path-mode",
-                     "sampled", "--path-sources", sources,
+                                     command, sources, mode):
+        assert main([command, "--input", str(corpus_path), *mode,
+                     "--path-sources", sources,
                      "--output-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"legisnet {command} [legisnet.metrics]:" in err
         assert "Traceback" not in err
+
+    def test_bad_smallworld_factors_exit_2(self, tmp_path, capsys, corpus_path):
+        out = tmp_path / "out"
+        assert main(["smallworld", "--input", str(corpus_path),
+                     "--length-factor", "nan", "--clustering-factor", "-1",
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet smallworld [legisnet.randmodels]: length_factor must be"
+            " finite and > 0, got nan"]
+        assert not (out / "smallworld.json").exists()
 
     def test_compute_error_exit_4(self, tmp_path, capsys):
         src = tmp_path / "tiny.jsonl"
@@ -327,6 +341,8 @@ class TestOtherCommands:
         ["report-all", "--min-tail", "0"],
         ["report-all", "--smallworld-replicas", "0"],
         ["report-all", "--resilience-reps", "-3"],
+        ["resilience", "--threads", "0"],
+        ["resilience", "--threads", "-3"],
     ])
     def test_count_below_one_exits_2_before_any_stage(self, tmp_path, capsys,
                                                       corpus_path, argv):

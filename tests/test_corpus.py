@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import asdict
 from datetime import date
 
 import numpy as np
@@ -156,8 +157,8 @@ class TestIngest:
     def test_empty_stream(self):
         graph, report = ingest([])
         assert graph.node_count == 0 and graph.edge_count == 0
-        assert report.to_json_dict()["nodes"] == 0
-        assert report.to_json_dict()["edges"] == 0
+        assert asdict(report)["nodes"] == 0
+        assert asdict(report)["edges"] == 0
 
     def test_strict_dangling_reference_names_both_ids(self):
         lines = ['{"id": "A", "sector": 3, "date_of_effect": "1980-01-01",'

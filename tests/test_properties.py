@@ -15,7 +15,9 @@ kernel and every strategy of ``simulate``), and the per-node
 neighbour-set loop for the wedge closure clustering, bit for bit and
 under tiny wedge budgets.  The per-degree clustering profile is checked
 against its one-mask-per-degree loop, and the undirected projection of
-drawn multigraphs against a set of sorted pairs.  The
+drawn multigraphs against a set of sorted pairs.  The attacks' one
+removal ranking is checked against the static lexsort and the adaptive
+re-ranking loop it replaced, on multigraphs under shuffled ids.  The
 bound-and-prune power-law threshold scan is checked against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
 bootstrap; each row of a block fit against that row's 1-D fit; and the
@@ -68,7 +70,8 @@ from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, FitResult,
 from legisnet.metrics import (ClusteringProfile, clustering_profile_from_pairs,
                               distance_histogram, giant_projection,
                               local_clustering_from_pairs)
-from legisnet.resilience import MIN_NODES, _curve_for_order, removal_boundaries
+from legisnet.resilience import (MIN_NODES, _attack_rank, _curve_for_rank,
+                                 removal_boundaries)
 
 from conftest import (bowtie_sets, edge_triples, export_text, make_graph,
                       node_rows, random_digraph)
@@ -477,7 +480,7 @@ def test_union_find_curve_equals_recount(drawn, step, stop_at):
     pair_v = np.array([v for _, v in pairs], dtype=np.int64)
     order = np.array(order, dtype=np.int64)
     boundaries = removal_boundaries(n, step, stop_at)
-    curve = _curve_for_order(order, pair_u, pair_v, n, boundaries)
+    curve = _curve_for_rank(np.argsort(order), pair_u, pair_v, n, boundaries)
     assert curve.tolist() == recount_curve(order, pair_u, pair_v, n, boundaries)
 
 
@@ -559,8 +562,9 @@ def test_forest_curve_equals_all_edge_walk(graph, seed, step, stop_at):
     n, pair_u, pair_v = graph
     order = np.random.default_rng(seed).permutation(n)
     boundaries = removal_boundaries(n, step, stop_at)
-    assert np.array_equal(_curve_for_order(order, pair_u, pair_v, n, boundaries),
-                          all_edge_curve(order, pair_u, pair_v, n, boundaries))
+    assert np.array_equal(
+        _curve_for_rank(np.argsort(order), pair_u, pair_v, n, boundaries),
+        all_edge_curve(order, pair_u, pair_v, n, boundaries))
 
 
 @settings(max_examples=40, deadline=None)
@@ -588,19 +592,73 @@ def test_simulated_curves_equal_all_edge_walk(graph, seed, step):
 
 
 @st.composite
-def multigraphs(draw):
-    """A graph on 0-30 nodes with parallel edges of several types and
-    pairs joined in both directions."""
-    n = draw(st.integers(0, 30))
+def multigraphs(draw, min_nodes: int = 0):
+    """A graph on ``min_nodes``-30 nodes under shuffled ids, with
+    parallel edges of several types, pairs joined in both directions and
+    isolated nodes.  Small degrees tie often, and the index order of
+    tied nodes is not their id order."""
+    n = draw(st.integers(min_nodes, 30))
+    names = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
     edges = []
     if n >= 2:
         edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                         st.integers(0, n - 1),
-                                        st.sampled_from(list(RefType)))
+                                        st.sampled_from(list(RefType)),
+                                        st.booleans())
                               .filter(lambda e: e[0] != e[1]), max_size=4 * n))
-    names = [f"p{i:02d}" for i in range(n)]
-    return make_graph([(names[u], names[v], kind) for u, v, kind in edges],
-                      names)
+    triples = [(names[u], names[v], kind) for u, v, kind, _ in edges]
+    triples += [(names[v], names[u], kind) for u, v, kind, back in edges if back]
+    return make_graph(triples, names)
+
+
+def static_attack_order(graph: LegislationGraph) -> np.ndarray:
+    """Oracle: the static attack's removal order, by one lexsort over
+    the initial degrees."""
+    degrees = graph.degree_array("total")
+    # highest degree first, ties by smallest document id
+    return np.lexsort((graph.id_ranks(), -degrees))
+
+
+def adaptive_attack_rank(graph: LegislationGraph,
+                         boundaries: list[int]) -> np.ndarray:
+    """Oracle: the adaptive attack's removal rank, by a lexsort of the
+    nodes left over their live degrees at every boundary."""
+    n = graph.node_count
+    src, dst, _ = graph.edge_arrays()
+    id_rank = graph.id_ranks()
+    alive = np.ones(n, dtype=bool)
+    rank = np.empty(n, dtype=np.int64)  # assembled removal order
+    removed = 0
+    for boundary in boundaries:
+        step = boundary - removed
+        live_edges = alive[src] & alive[dst]
+        degrees = (np.bincount(src[live_edges], minlength=n)
+                   + np.bincount(dst[live_edges], minlength=n))
+        candidates = np.flatnonzero(alive)
+        order = candidates[np.lexsort((id_rank[candidates],
+                                       -degrees[candidates]))]
+        victims = order[:step]
+        rank[victims] = np.arange(removed, boundary)
+        alive[victims] = False
+        removed = boundary
+    rank[alive] = np.arange(removed, n)
+    return rank
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(min_nodes=1), st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+       st.sampled_from([0.5, 0.99, 1.0]))
+@example(make_graph([("z", "y"), ("y", "z"), ("a", "m")],
+                    ["z", "m", "y", "a", "q"]), 0.2, 1.0)
+def test_attack_rank_equals_lexsort_oracles(graph, step, stop_at):
+    """The merged ranking gives the static lexsort's rank and the
+    adaptive loop's rank."""
+    n = graph.node_count
+    boundaries = removal_boundaries(n, step, stop_at)
+    assert np.array_equal(_attack_rank(graph, boundaries, adaptive=False),
+                          np.argsort(static_attack_order(graph)))
+    assert np.array_equal(_attack_rank(graph, boundaries, adaptive=True),
+                          adaptive_attack_rank(graph, boundaries))
 
 
 @settings(max_examples=80, deadline=None)

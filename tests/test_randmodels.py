@@ -129,6 +129,17 @@ class TestSmallWorldCompare:
         with pytest.raises(ConfigError):
             small_world_compare(g, replicas=0)
 
+    @pytest.mark.parametrize("factors", [
+        {"length_factor": float("nan")},
+        {"length_factor": 0.0},
+        {"clustering_factor": -1.0},
+        {"clustering_factor": float("inf")},
+    ])
+    def test_factors_validated(self, factors):
+        g = erdos_renyi(100, 300, seed=2)
+        with pytest.raises(ConfigError, match="must be finite and > 0"):
+            small_world_compare(g, replicas=1, **factors)
+
     def test_deterministic_across_parallelism(self):
         g = erdos_renyi(300, 900, seed=7)
         a = small_world_compare(g, replicas=4, seed=5, n_jobs=1)
