@@ -25,8 +25,9 @@ analysis is undefined for the input holds ``{"error": message}``: the
 other sections and their CSVs are still written, each failure prints
 one line to stderr, and the command exits 4.
 
-A count flag (``COUNT_FLAGS``) below 1 or a bad ``--years`` range exits
-2 before any stage runs, and warnings print as one stderr line each.
+A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, or a
+``--step`` outside (0, 1) or ``--stop-at`` outside (0, 1] exits 2
+before any stage runs, and warnings print as one stderr line each.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 compute.
 """
@@ -77,9 +78,9 @@ from .util import format_float, round_floats
 
 NETWORK_PRESETS = ("LN", "RN", "ICN", "LBN")
 
-# Replica, repetition, tail-size and worker-count flags; each needs a
-# value >= 1.
-COUNT_FLAGS = ("bootstrap", "min_tail", "replicas", "reps",
+# Replica, repetition, tail-size, path-source and worker-count flags;
+# each needs a value >= 1.
+COUNT_FLAGS = ("bootstrap", "min_tail", "path_sources", "replicas", "reps",
                "smallworld_replicas", "resilience_reps", "threads")
 
 
@@ -722,6 +723,9 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if vars(args).get("years"):
         _parse_years(args.years)
+    if "step" in vars(args):
+        # the removal schedule's ranges are ResilienceConfig's to check
+        ResilienceConfig(step_fraction=args.step, stop_at=args.stop_at)
 
 
 def main(argv: list[str] | None = None) -> int:

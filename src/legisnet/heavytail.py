@@ -32,7 +32,9 @@ distance; values beyond the grid add nothing to it.  Candidates are
 finished in ascending bound order, one exact ``zeta`` row each, until a
 bound exceeds the least distance found; only the minimum is used, and
 the candidates left cannot reach it.  Memory is O(K * WIDTH + U) for U
-tail values.  A pinned ``x_min`` uses the same scan.
+tail values.  When the bounds prune nothing (many distinct values that
+fit no power law), every candidate is finished: O(K * U) ``zeta``
+values for K candidates.
 
 The scan runs on a block of samples, one per row; a 1-D sample is a
 block of one row.  One sort orders the rows, one flat mask finds their
@@ -139,15 +141,19 @@ def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
     return xs[zeros:], zeros
 
 
-def fit_power_law(degrees, x_min: int | None = None,
-                  min_tail: int = MIN_TAIL) -> TailFit:
+def fit_power_law(degrees, min_tail: int = MIN_TAIL) -> TailFit:
     """Fit the discrete power-law tail, selecting x_min by minimum KS.
 
     Zero degrees are excluded before fitting (their count is reported
     on the result).  Candidate thresholds are the unique observed
     values whose tail holds at least ``min_tail`` observations (with
-    none, the fit is undefined); pass ``x_min`` to pin the threshold
-    instead.  Ties in KS go to the lowest threshold.
+    none, the fit is undefined).  Ties in KS go to the lowest
+    threshold.  To fit at an observed threshold ``t`` instead, keep
+    that tail alone as the only candidate:
+    ``fit_power_law(xs[xs >= t], min_tail=int((xs >= t).sum()))``
+    gives the gamma, n_tail and KS of the fit at ``t`` whenever that
+    tail holds at least ``MIN_OBSERVATIONS`` values and two distinct
+    ones.
 
     A 2-D array is a block of samples, one per row, fitted in one
     scan.  Each field of the result is then an array with one entry
@@ -158,17 +164,17 @@ def fit_power_law(degrees, x_min: int | None = None,
     """
     block = np.ndim(degrees) == 2
     xs = _sorted_degrees(degrees, rows=block)
-    fit = _fit_rows(xs if block else xs[None], x_min, min_tail)
+    fit = _fit_rows(xs if block else xs[None], min_tail)
     if block:
         return fit
     zeros = int(fit.zeros_excluded[0])
     if not np.isfinite(fit.ks_statistic[0]):
-        raise AnalysisError(_unfit_reason(xs[zeros:], x_min, min_tail))
+        raise AnalysisError(_unfit_reason(xs[zeros:], min_tail))
     return TailFit(float(fit.gamma[0]), int(fit.x_min[0]), int(fit.n_tail[0]),
                    float(fit.ks_statistic[0]), zeros_excluded=zeros)
 
 
-def _unfit_reason(xs: np.ndarray, x_min: int | None, min_tail: int) -> str:
+def _unfit_reason(xs: np.ndarray, min_tail: int) -> str:
     """Why the sorted positive sample ``xs`` has no fit."""
     n = len(xs)
     if n < MIN_OBSERVATIONS:
@@ -176,15 +182,13 @@ def _unfit_reason(xs: np.ndarray, x_min: int | None, min_tail: int) -> str:
                 f"observations, got {n}")
     if xs[0] == xs[-1]:
         return "degenerate input: all degree values are equal"
-    if x_min is not None and xs[-1] < x_min:
-        return f"no observations at or above x_min={x_min}"
-    if x_min is None and n < min_tail:
+    if n < min_tail:
         return (f"no threshold keeps min_tail={min_tail} observations in its "
                 f"tail; the sample has {n} positive values")
     return "no usable power-law threshold candidate"
 
 
-def _fit_rows(xs: np.ndarray, x_min: int | None, min_tail: int) -> TailFit:
+def _fit_rows(xs: np.ndarray, min_tail: int) -> TailFit:
     """Fit every row of the row-sorted int64 block ``xs`` at once, as
     ``fit_power_law`` describes for 2-D input."""
     rows, cols = xs.shape
@@ -198,8 +202,6 @@ def _fit_rows(xs: np.ndarray, x_min: int | None, min_tail: int) -> TailFit:
         ok[ok] = xs[ok, zeros[ok]] != xs[ok, -1]
     if not ok.any():
         return fit
-    if x_min is not None and not (x_min >= 1 and float(x_min).is_integer()):
-        raise ValidationError("x_min must be a positive integer")
 
     # value runs, row by row: a run starts at a row's start or where the
     # value changes, and the zeros' run drops out
@@ -218,8 +220,7 @@ def _fit_rows(xs: np.ndarray, x_min: int | None, min_tail: int) -> TailFit:
     cum = below + counts                                # count of values <= uniq
     tail_sizes = n[run_row] - below                     # count of values >= uniq
     runs = np.bincount(run_row, minlength=rows)
-    row_first = np.cumsum(runs) - runs                  # each row's first run
-    row_stop = row_first + runs
+    row_stop = np.cumsum(runs)                          # past each row's last run
     # sum of ln x over each tail, added from the row's largest value down
     # as a lone row's reversed cumsum adds it: each row goes reversed
     # into a grid row, and the zeros padding its end add nothing before
@@ -228,18 +229,13 @@ def _fit_rows(xs: np.ndarray, x_min: int | None, min_tail: int) -> TailFit:
     grid[run_row, back] = counts * np.log(uniq)
     tail_logsums = np.cumsum(grid, axis=1)[run_row, back]
 
-    # candidate c's tail is its row's runs cand[c] .. row_stop - 1
-    if x_min is None:
-        # tail sizes fall as the threshold rises: the candidates are a
-        # prefix of each row's runs
-        cand = np.flatnonzero(ok[run_row] & (tail_sizes >= min_tail))
-    else:
-        first = row_first + np.bincount(run_row[uniq < x_min], minlength=rows)
-        cand = first[ok & (first < row_stop)]
+    # candidate c's tail is its row's runs cand[c] .. row_stop - 1; tail
+    # sizes fall as the threshold rises, so the candidates are a prefix
+    # of each row's runs
+    cand = np.flatnonzero(ok[run_row] & (tail_sizes >= min_tail))
     if not len(cand):
         return fit
-    thresholds = (uniq[cand] if x_min is None
-                  else np.full(len(cand), x_min, dtype=np.int64))
+    thresholds = uniq[cand]
     row = run_row[cand]
     sizes = tail_sizes[cand]
     # a log-sum that rounds to 0 (or below) gives gamma = inf (or <= 1),
@@ -277,17 +273,14 @@ def _ks_distances(uniq: np.ndarray, cum: np.ndarray, start: np.ndarray,
     exceeds the minimum, so the first minimum is unchanged.
     """
     z_first = zeta(gammas, thresholds + 1.0)            # zeta(g, t + 1)
-    # norm = zeta(g, t), with an observed threshold's own term split off;
-    # the power stays a scalar per candidate, because numpy's array
+    # norm = zeta(g, t), with the threshold's own term split off; the
+    # power stays a scalar per candidate, because numpy's array
     # power can differ from it in the last place.  gamma > 1 always
     # holds exactly; a rounded gamma <= 1 gets no norm (its zeta is not
     # finite either), as a Python float power would overflow.
     norms = z_first + np.array([
         float(t) ** -g if g > 1.0 else np.inf
         for t, g in zip(thresholds.tolist(), gammas.tolist())])
-    unseen = np.flatnonzero(uniq[start] != thresholds)  # a pinned x_min not observed
-    if len(unseen):
-        norms[unseen] = zeta(gammas[unseen], thresholds[unseen].astype(float))
     bounds = _ks_bounds(uniq, cum, start, stop, below, sizes, gammas,
                         thresholds, z_first, norms)
     ks = np.full(len(gammas), np.inf)

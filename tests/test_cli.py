@@ -276,21 +276,6 @@ class TestMetrics:
         gini = json.loads(text)["results"]["lorenz_gini"]["in"]["gini"]
         assert gini == float(f"{gini:.9g}")
 
-    @pytest.mark.parametrize("command", ["metrics", "smallworld"])
-    @pytest.mark.parametrize("sources, mode", [
-        pytest.param("-5", ["--path-mode", "sampled"], id="-5"),
-        pytest.param("0", ["--path-mode", "sampled"], id="0"),
-        pytest.param("0", [], id="0-default-mode"),
-    ])
-    def test_bad_path_sources_exit_2(self, tmp_path, capsys, corpus_path,
-                                     command, sources, mode):
-        assert main([command, "--input", str(corpus_path), *mode,
-                     "--path-sources", sources,
-                     "--output-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"legisnet {command} [legisnet.metrics]:" in err
-        assert "Traceback" not in err
-
     def test_bad_smallworld_factors_exit_2(self, tmp_path, capsys, corpus_path):
         out = tmp_path / "out"
         assert main(["smallworld", "--input", str(corpus_path),
@@ -343,16 +328,45 @@ class TestOtherCommands:
         ["report-all", "--resilience-reps", "-3"],
         ["resilience", "--threads", "0"],
         ["resilience", "--threads", "-3"],
+        ["metrics", "--path-sources", "-5", "--path-mode", "sampled"],
+        ["metrics", "--path-sources", "0", "--path-mode", "sampled"],
+        ["metrics", "--path-sources", "0"],
+        ["smallworld", "--path-sources", "-5", "--path-mode", "sampled"],
+        ["smallworld", "--path-sources", "0", "--path-mode", "sampled"],
+        ["smallworld", "--path-sources", "0"],
+        ["report-all", "--path-sources", "0"],
     ])
     def test_count_below_one_exits_2_before_any_stage(self, tmp_path, capsys,
                                                       corpus_path, argv):
         out = tmp_path / "out"
         assert main([*argv, "--input", str(corpus_path),
                      "--output-dir", str(out)]) == 2
-        command, flag, value = argv
+        command, flag, value = argv[:3]
         assert capsys.readouterr().err.splitlines() == [
             f"legisnet {command} [legisnet.cli]: {flag} must be >= 1,"
             f" got {value}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report-all", "resilience"])
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--step", "0", "step_fraction must be in (0, 1)",
+                     id="step-0"),
+        pytest.param("--step", "1", "step_fraction must be in (0, 1)",
+                     id="step-1"),
+        pytest.param("--stop-at", "1.5", "stop_at must be in (0, 1]",
+                     id="stop-at-1.5"),
+        pytest.param("--stop-at", "0", "stop_at must be in (0, 1]",
+                     id="stop-at-0"),
+    ])
+    def test_bad_removal_schedule_exits_2_before_reading_input(
+            self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        # an unreadable input would exit 3 once read
+        assert main([command, flag, value,
+                     "--input", str(tmp_path / "missing.jsonl"),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"legisnet {command} [legisnet.resilience]: {message}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

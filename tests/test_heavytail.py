@@ -99,7 +99,9 @@ class TestFit:
 
     def test_mle_on_exact_probability_table(self):
         sample = quantile_matched_sample(2.5, 10, 100_000)
-        fit = fit_power_law(sample, x_min=10)
+        # the whole sample is the one tail that keeps min_tail values
+        fit = fit_power_law(sample, min_tail=len(sample))
+        assert fit.x_min == 10
         assert fit.gamma == pytest.approx(2.5, abs=0.01)
 
     def test_scale_consistency_at_chosen_threshold(self):
@@ -107,7 +109,8 @@ class TestFit:
         data = draw_pl_table(2.3, 4, 8_000, rng)
         fit = fit_power_law(data)
         truncated = data[data >= fit.x_min]
-        refit = fit_power_law(truncated, x_min=fit.x_min)
+        refit = fit_power_law(truncated, min_tail=len(truncated))
+        assert refit.x_min == fit.x_min
         assert refit.gamma == pytest.approx(fit.gamma, abs=1e-9)
 
     def test_zeros_excluded_and_counted(self):
@@ -117,13 +120,6 @@ class TestFit:
         fit = fit_power_law(padded)
         assert fit.zeros_excluded == 321
         assert fit.gamma == pytest.approx(fit_power_law(data).gamma)
-
-    def test_non_integral_x_min_rejected(self):
-        data = np.random.default_rng(3).zipf(2.5, 2000)
-        with pytest.raises(ValidationError,
-                           match="^x_min must be a positive integer$"):
-            fit_power_law(data, x_min=5.5)
-        assert fit_power_law(data, x_min=5.0) == fit_power_law(data, x_min=5)
 
     def test_too_few_observations(self):
         with pytest.raises(AnalysisError):
@@ -136,6 +132,10 @@ class TestFit:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             fit_power_law(np.array([-1] * 100))
+        # one negative row refuses the whole block
+        data = np.random.default_rng(3).zipf(2.5, (2, 400))
+        with pytest.raises(ValidationError):
+            fit_power_law(np.vstack([data[0], -data[1]]))
 
     def test_block_rows_equal_single_fits(self):
         rng = np.random.default_rng(9)
@@ -159,17 +159,6 @@ class TestFit:
                            int(block.zeros_excluded[r])) == single
         assert np.isfinite(block.ks_statistic).tolist() == [True, True, False,
                                                             False, False]
-
-    def test_block_checks_x_min_once_a_row_is_fitted(self):
-        data = np.random.default_rng(3).zipf(2.5, (3, 400))
-        with pytest.raises(ValidationError,
-                           match="^x_min must be a positive integer$"):
-            fit_power_law(data, x_min=5.5)
-        # as in 1-D, rows refused before x_min is read refuse it silently
-        short = fit_power_law(data[:, :40], x_min=5.5)
-        assert np.isinf(short.ks_statistic).all()
-        with pytest.raises(ValidationError):
-            fit_power_law(np.vstack([data[0], -data[1]]))
 
     def test_non_integral_degrees_rejected(self):
         data = np.random.default_rng(3).zipf(2.5, 2000)

@@ -744,7 +744,7 @@ def test_giant_projection_equals_brute_force_pairs(seed, n, density):
     assert all(u < v for u, v in pairs)
 
 
-def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL) -> TailFit:
+def per_candidate_fit(degrees, min_tail=MIN_TAIL) -> TailFit:
     """Oracle: the power-law threshold scan with one zeta call per
     candidate, as ``fit_power_law`` ran it before the pairs were
     vectorised.  It differs only where ``min_tail`` exceeds every tail,
@@ -761,18 +761,12 @@ def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL) -> TailFit:
     below = cum_counts - counts
     tail_sizes = n - below
     tail_logsums = (counts * np.log(uniq))[::-1].cumsum()[::-1]
-    if x_min is not None:
-        j = int(np.searchsorted(uniq, x_min))
-        if j >= len(uniq):
-            raise AnalysisError(f"no observations at or above x_min={x_min}")
-        candidates = [(j, int(x_min))]
-    else:
-        candidates = [(j, int(uniq[j])) for j in range(len(uniq))
-                      if tail_sizes[j] >= min_tail]
-        if not candidates:
-            raise AnalysisError(
-                f"no threshold keeps min_tail={min_tail} observations in its "
-                f"tail; the sample has {n} positive values")
+    candidates = [(j, int(uniq[j])) for j in range(len(uniq))
+                  if tail_sizes[j] >= min_tail]
+    if not candidates:
+        raise AnalysisError(
+            f"no threshold keeps min_tail={min_tail} observations in its "
+            f"tail; the sample has {n} positive values")
     best = None
     for j, threshold in candidates:
         n_tail = int(tail_sizes[j])
@@ -782,8 +776,7 @@ def per_candidate_fit(degrees, x_min=None, min_tail=MIN_TAIL) -> TailFit:
                                 - n_tail * np.log(threshold - 0.5))
         empirical = (cum_counts[j:] - below[j]) / n_tail
         z_upper = zeta(gamma, uniq[j:] + 1.0)
-        z_norm = (z_upper[0] + float(threshold) ** (-gamma)
-                  if uniq[j] == threshold else zeta(gamma, float(threshold)))
+        z_norm = z_upper[0] + float(threshold) ** (-gamma)
         if not np.isfinite(z_norm) or z_norm <= 0:
             continue
         ks = np.max(np.abs(empirical - (1.0 - z_upper / z_norm)))
@@ -920,16 +913,12 @@ SUBNORMAL_NORM = np.repeat(
 @example(SUBNORMAL_NORM, 26, 0, heavytail.WIDTH)
 def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, width):
     """Equal TailFits or equal AnalysisErrors: selected by KS over all
-    candidates, near a min_tail of n, and pinned at every observed value,
-    at an unobserved value below each and above the maximum.  The bound
-    phase covers tail values within ``width`` of each threshold, or the
-    whole value range (up to WHOLE_ROW) when ``width`` is None."""
+    candidates, and near a min_tail of n.  The bound phase covers tail
+    values within ``width`` of each threshold, or the whole value range
+    (up to WHOLE_ROW) when ``width`` is None."""
     positive = xs[xs > 0]
     seen = sorted(set(positive.tolist()))
-    unseen = sorted({x - 1 for x in seen if x > 1} - set(seen)
-                    | {max(seen, default=0) + 1})
     runs = [{"min_tail": min_tail}, {"min_tail": max(len(positive) + past_n, 1)}]
-    runs += [{"x_min": x} for x in seen + unseen]
     if width is None:
         width = min(max(max(seen) - min(seen), 1), WHOLE_ROW)
 
@@ -947,23 +936,18 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, width):
 
 
 @settings(max_examples=150, deadline=None)
-@given(degree_blocks(), st.integers(1, 60), st.data())
+@given(degree_blocks(), st.integers(1, 60))
 # a ragged block: one row to fit, one with a single value, one too short
 @example(np.vstack([np.random.default_rng(5).zipf(2.0, 300),
                     np.full(300, 4), np.repeat([0, 3, 9], [280, 10, 10])]),
-         25, None)
-def test_block_fit_rows_equal_single_fits(block, min_tail, data):
-    """Each row of a 2-D fit equals that row's 1-D fit, selected by KS
-    or pinned at a drawn value, and a row is refused (ks inf) exactly
-    where its 1-D fit raises AnalysisError."""
-    values = sorted(set(block[block > 0].tolist())) or [1]
-    kwargs = {"min_tail": min_tail}
-    if data is not None and data.draw(st.booleans()):
-        kwargs = {"x_min": data.draw(st.sampled_from(
-            values + [values[0] + 1, values[-1] + 1]))}
+         25)
+def test_block_fit_rows_equal_single_fits(block, min_tail):
+    """Each row of a 2-D fit equals that row's 1-D fit, selected by KS,
+    and a row is refused (ks inf) exactly where its 1-D fit raises
+    AnalysisError."""
     with np.errstate(divide="ignore"):
-        singles = single_outcomes(block, **kwargs)
-        rows = row_outcomes(fit_power_law(block, **kwargs))
+        singles = single_outcomes(block, min_tail=min_tail)
+        rows = row_outcomes(fit_power_law(block, min_tail=min_tail))
     assert rows == singles
 
 
