@@ -17,14 +17,16 @@ and takes the default label, DISCONNECTED.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import AnalysisError
 from .graph import LegislationGraph
 from .metrics import largest_label
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 COMPONENT_NAMES = ("core", "in", "out", "tubes", "tendrils", "disconnected")
 
@@ -65,6 +67,8 @@ def decompose(graph: LegislationGraph) -> BowTieDecomposition:
     """Label every node of a non-empty graph with its bow-tie class."""
     if graph.node_count == 0:
         raise AnalysisError("bow-tie decomposition is undefined on an empty graph")
+    from scipy.sparse.csgraph import connected_components
+
     adj = graph.adjacency()
     adj_t = adj.T
     _, scc_labels = connected_components(adj, directed=True, connection="strong")

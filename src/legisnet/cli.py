@@ -27,7 +27,8 @@ one line to stderr, and the command exits 4.
 
 A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, or a
 ``--step`` outside (0, 1) or ``--stop-at`` outside (0, 1] exits 2
-before any stage runs, and warnings print as one stderr line each.
+before any stage runs, and warnings print as one stderr line each.  An
+output path that cannot be written exits 2 too.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 compute.
 """
@@ -47,7 +48,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import zeta
 
 from . import __version__
 from .bowtie import COMPONENT_NAMES, decompose
@@ -105,7 +105,11 @@ def _read_input(path: str) -> tuple[str, str]:
 def _output_dir(args: argparse.Namespace) -> Path:
     raw = args.output_dir or os.environ.get("LEGISNET_OUTPUT_DIR") or "."
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot make output directory {raw!r}: {exc.strerror}") from None
     return path
 
 
@@ -219,9 +223,14 @@ def _corpus_years(graph: LegislationGraph) -> tuple[int, int]:
 def _write_corpus(graph: LegislationGraph, destination: str) -> None:
     if destination == "-":
         write_records(export(graph), sys.stdout)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            write_records(export(graph), fh)
+        return
+    try:
+        fh = open(destination, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write output {destination!r}: {exc.strerror}") from None
+    with fh:
+        write_records(export(graph), fh)
 
 
 # -- analysis stages ---------------------------------------------------------
@@ -320,6 +329,8 @@ def _bowtie_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[di
 
 
 def _powerlaw_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
+    from scipy.special import zeta
+
     degrees = graph.degree_array(args.direction)
     fit = fit_power_law(degrees, min_tail=args.min_tail)
     result = goodness_of_fit(degrees, fit, m=args.bootstrap, seed=args.seed,
@@ -724,8 +735,10 @@ def _check_flags(args: argparse.Namespace) -> None:
     if vars(args).get("years"):
         _parse_years(args.years)
     if "step" in vars(args):
-        # the removal schedule's ranges are ResilienceConfig's to check
-        ResilienceConfig(step_fraction=args.step, stop_at=args.stop_at)
+        if not 0.0 < args.step < 1.0:
+            raise ConfigError(f"--step must be in (0, 1), got {args.step}")
+        if not 0.0 < args.stop_at <= 1.0:
+            raise ConfigError(f"--stop-at must be in (0, 1], got {args.stop_at}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,6 +24,10 @@ undirected projection.  The projection is not a second graph object;
 it is two pair columns ``(pair_u, pair_v)`` with u < v, one pair per
 node pair joined by a typed edge in either direction, over the same
 node indices.
+
+``scipy.sparse`` is imported by ``adjacency`` on its first build, not
+with this module, so commands that never build a CSR (generate, ingest,
+filter) load no scipy.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ from __future__ import annotations
 from datetime import date
 from enum import Enum
 from itertools import compress
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Documents adopted without an explicit sunset clause are modelled as
 # expiring at the end of year 9999; the sentinel is an ordinary
@@ -165,6 +171,8 @@ class LegislationGraph:
     def adjacency(self) -> sparse.csr_matrix:
         """Boolean CSR adjacency of the directed structure (types merged)."""
         if self._csr is None:
+            from scipy import sparse
+
             n = self.node_count
             data = np.ones(len(self._src), dtype=np.int8)
             mat = sparse.csr_matrix(

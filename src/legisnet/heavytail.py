@@ -52,6 +52,9 @@ values (traced on the benchmark corpus's in- and out-degrees).  The
 bound grid costs about 1.2 kB per candidate, so a block of distinct
 values peaks near 160 MB, as one fit of a sample of that many distinct
 values does.
+
+``scipy.special`` is imported on the first ``zeta`` call, not with this
+module, so the commands that fit no power law do not load it.
 """
 
 from __future__ import annotations
@@ -62,10 +65,24 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import AnalysisError, ValidationError
 from .util import parallel_map, rng_for
+
+
+def _import_zeta(*args, **kwargs):
+    """``scipy.special.zeta``, imported on the first call.  That call also
+    binds the scipy function as this module's ``zeta``, so later calls
+    reach it directly; a ``zeta`` patched in the meantime stays."""
+    global zeta
+    from scipy.special import zeta as scipy_zeta
+
+    if zeta is _import_zeta:
+        zeta = scipy_zeta
+    return scipy_zeta(*args, **kwargs)
+
+
+zeta = _import_zeta
 
 DEFAULT_BOOTSTRAP_M = 2500
 MIN_OBSERVATIONS = 50

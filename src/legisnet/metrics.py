@@ -33,20 +33,26 @@ sqrt(2m)) forms a chunk alone.  A chunk peaks at about 55 bytes per
 wedge, 14 MB at the 2^18 budget, on top of about 60 bytes per edge: the
 whole call peaks at 24 MB on the criterion-11 projection (166,339
 pairs, 316,554 oriented wedges).
+
+scipy is imported inside the two functions that call it, not with this
+module: ``giant_component_mask`` loads ``scipy.sparse.csgraph`` and
+``symmetric_csr`` loads ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import AnalysisError, ConfigError, ValidationError
 from .graph import LegislationGraph
 from .util import rng_for
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 CHUNK_WORDS = 8  # uint64 words of sources per BFS chunk: 512 sources
 WEDGE_CHUNK = 1 << 18  # oriented wedges listed per clustering chunk
@@ -281,6 +287,8 @@ def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
     """Mask of the largest weakly connected component (ties: smallest id)."""
     if graph.node_count == 0:
         return np.zeros(0, dtype=bool)
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(graph.adjacency(), directed=True,
                                      connection="weak")
     return labels == largest_label(labels, graph.id_ranks())
@@ -317,6 +325,8 @@ def components(graph: LegislationGraph) -> ComponentReport:
 def symmetric_csr(n: int, pair_u: np.ndarray, pair_v: np.ndarray) -> csr_matrix:
     """Boolean CSR adjacency of the undirected graph on ``n`` nodes whose
     edges are the unique pairs ``(pair_u, pair_v)``."""
+    from scipy.sparse import csr_matrix
+
     rows = np.concatenate([pair_u, pair_v])
     cols = np.concatenate([pair_v, pair_u])
     data = np.ones(len(rows), dtype=np.int8)

@@ -37,8 +37,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import AnalysisError, ConfigError
 from .graph import LegislationGraph
@@ -126,6 +124,9 @@ def _curve_for_rank(rank: np.ndarray, pair_u: np.ndarray, pair_v: np.ndarray,
     0 adds those edges, each a merge, to a union-find (union by size,
     path halving) whose largest component is the giant.
     """
+    from scipy import sparse
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     label = (n - 1) - rank
     lu, lv = label[pair_u], label[pair_v]
     row = np.maximum(lu, lv)

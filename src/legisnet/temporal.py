@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .errors import AnalysisError
 from .filters import annual_series
@@ -51,6 +50,8 @@ def snapshot_stat(year: int, graph: LegislationGraph,
     per_reftype = {kind.value: int(count) for kind, count in zip(RefType, types)}
     scc_fraction = gc_fraction = 0.0
     if n > 0:
+        from scipy.sparse.csgraph import connected_components
+
         adj = graph.adjacency()[mask][:, mask]
         _, strong = connected_components(adj, directed=True, connection="strong")
         _, weak = connected_components(adj, directed=True, connection="weak")

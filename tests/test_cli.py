@@ -294,6 +294,9 @@ class TestMetrics:
                      "--output-dir", str(tmp_path)]) == 4
 
 
+UNWRITABLE_OUT = "cannot write output {target!r}: No such file or directory"
+
+
 class TestOtherCommands:
     def test_bowtie(self, tmp_path, corpus_path):
         assert main(["bowtie", "--input", str(corpus_path), "--dump-members",
@@ -349,13 +352,13 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("command", ["report-all", "resilience"])
     @pytest.mark.parametrize("flag, value, message", [
-        pytest.param("--step", "0", "step_fraction must be in (0, 1)",
+        pytest.param("--step", "0", "--step must be in (0, 1), got 0.0",
                      id="step-0"),
-        pytest.param("--step", "1", "step_fraction must be in (0, 1)",
+        pytest.param("--step", "1", "--step must be in (0, 1), got 1.0",
                      id="step-1"),
-        pytest.param("--stop-at", "1.5", "stop_at must be in (0, 1]",
+        pytest.param("--stop-at", "1.5", "--stop-at must be in (0, 1], got 1.5",
                      id="stop-at-1.5"),
-        pytest.param("--stop-at", "0", "stop_at must be in (0, 1]",
+        pytest.param("--stop-at", "0", "--stop-at must be in (0, 1], got 0.0",
                      id="stop-at-0"),
     ])
     def test_bad_removal_schedule_exits_2_before_reading_input(
@@ -366,8 +369,34 @@ class TestOtherCommands:
                      "--input", str(tmp_path / "missing.jsonl"),
                      "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"legisnet {command} [legisnet.resilience]: {message}"]
+            f"legisnet {command} [legisnet.cli]: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, target, message", [
+        (["generate", "--years", "1990:1991", "--out", "{missing}"],
+         "{missing}", UNWRITABLE_OUT),
+        (["ingest", "--input", "{corpus}", "--out", "{missing}"],
+         "{missing}", UNWRITABLE_OUT),
+        (["filter", "--input", "{corpus}", "--sector", "3", "--out", "{missing}"],
+         "{missing}", UNWRITABLE_OUT),
+        (["ingest", "--input", "{corpus}", "--output-dir", "{corpus}"],
+         "{corpus}", "cannot make output directory {target!r}: File exists"),
+    ], ids=["generate-out", "ingest-out", "filter-out", "ingest-output-dir"])
+    def test_unwritable_output_exits_2_with_one_line(
+            self, tmp_path, corpus_path, argv, target, message):
+        # a fresh process, so that a traceback would reach stderr
+        paths = {"missing": str(tmp_path / "missing" / "c.jsonl"),
+                 "corpus": str(corpus_path)}
+        argv = [arg.format(**paths) for arg in argv]
+        target = target.format(**paths)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}
+        run = subprocess.run([sys.executable, "-m", "legisnet.cli", *argv],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            f"legisnet {argv[0]} [legisnet.cli]: " + message.format(target=target)]
 
     @pytest.mark.parametrize("argv", [
         ["report-all", "--years", "abc"],

@@ -5,9 +5,15 @@ reports stay the same.
 by name, so deleting or renaming one of them breaks the benchmark.  The
 tracer is installed in a fresh interpreter, so its patches never reach
 the package this test session imports.  ``__all__`` is kept apart from
-the package's import list, and only a star import reads it.  Importing
-the CLI must not load the process pool, which only ``--threads`` > 1
-uses.  A bare ``np.unique`` (no index, inverse or counts asked for)
+the package's import list, and only a star import reads it.
+
+Every command starts a fresh process, so importing the package loads
+no scipy and no process pool (only ``--threads`` > 1 uses one), and a
+command loads only the scipy parts its stages call: none for
+``generate``, ``ingest`` and ``filter``, ``scipy.special`` alone for
+``powerlaw``.  Each case is probed in a fresh interpreter, and a static
+check finds any module-level scipy import.  A bare ``np.unique`` (no
+index, inverse or counts asked for)
 goes through numpy's hash table, many times slower than a sort at the
 package's sizes, so the package may not call it.
 
@@ -38,6 +44,10 @@ from legisnet.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
+CORPUS = ["generate", "--years", "1951:2000", "--docs-per-year", "40",
+          "--densification", "1.128", "--mixing", "0.8", "--sunset-prob",
+          "0.15", "--sunset-horizon", "25", "--seed", "11"]  # 2,000 docs
+
 INSTALL = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -54,14 +64,54 @@ def test_bench_tracer_installs():
     assert run.returncode == 0, run.stderr
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    probe = ("import sys; import legisnet.cli; "
-             "print('concurrent.futures.process' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+def _in_package(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+@pytest.fixture(scope="module")
+def tooling_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tooling") / "corpus.jsonl"
+    assert main([*CORPUS, "--out", str(path)]) == 0
+    return path
+
+
+LOADED = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+argv = json.loads(sys.argv[2])
+if argv:
+    assert sys.modules["legisnet.cli"].main(argv) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("module, argv, absent, present", [
+    ("legisnet", [], ["scipy"], []),
+    ("legisnet.cli", [], ["scipy"], []),
+    ("legisnet.cli", [], ["concurrent.futures.process"], []),
+    ("legisnet.cli", [*CORPUS, "--out", "{out}/g.jsonl"], ["scipy"], []),
+    ("legisnet.cli", ["ingest", "--input", "{corpus}", "--out",
+                      "{out}/i.jsonl", "--output-dir", "{out}"], ["scipy"], []),
+    ("legisnet.cli", ["filter", "--input", "{corpus}", "--sector", "3",
+                      "--out", "{out}/f.jsonl"], ["scipy"], []),
+    ("legisnet.cli", ["powerlaw", "--input", "{corpus}", "--bootstrap", "20",
+                      "--output-dir", "{out}"], ["scipy.sparse"],
+     ["scipy.special"]),
+], ids=["package-scipy", "cli-scipy", "cli-process-pool", "generate",
+        "ingest", "filter", "powerlaw"])
+def test_fresh_process_loads_only_what_it_runs(tmp_path, tooling_corpus,
+                                               module, argv, absent, present):
+    argv = [arg.format(corpus=tooling_corpus, out=tmp_path) for arg in argv]
+    run = subprocess.run(
+        [sys.executable, "-c", LOADED, module, json.dumps(argv)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    loaded = json.loads(run.stdout)
+    assert [name for name in loaded for package in absent
+            if _in_package(name, package)] == []
+    assert [package for package in present
+            if not any(_in_package(name, package) for name in loaded)] == []
 
 
 def test_star_import_resolves_every_public_name():
@@ -85,9 +135,38 @@ def test_package_calls_no_bare_unique():
     assert bare == []
 
 
-CORPUS = ["generate", "--years", "1951:2000", "--docs-per-year", "40",
-          "--densification", "1.128", "--mixing", "0.8", "--sunset-prob",
-          "0.15", "--sunset-horizon", "25", "--seed", "11"]  # 2,000 docs
+def _runs_at_import(body):
+    """Statements of ``body`` that run when the module is imported, nested
+    ones included, leaving out function bodies and ``if TYPE_CHECKING:``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if (isinstance(node, ast.If)
+                and "TYPE_CHECKING" in {getattr(node.test, "id", None),
+                                        getattr(node.test, "attr", None)}):
+            yield from _runs_at_import(node.orelse)
+            continue
+        yield node
+        for field in ("body", "handlers", "orelse", "finalbody"):
+            yield from _runs_at_import(getattr(node, field, []))
+
+
+def test_package_imports_scipy_only_inside_functions():
+    eager = []
+    for path in sorted((ROOT / "src" / "legisnet").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _runs_at_import(tree.body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(_in_package(name, "scipy") for name in names):
+                eager.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert eager == []
+
+
 # output directory: command and flags
 RUNS = {
     "report-all": ["report-all", "--bootstrap", "20",
