@@ -28,7 +28,8 @@ one line to stderr, and the command exits 4.
 A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, or a
 ``--step`` outside (0, 1) or ``--stop-at`` outside (0, 1] exits 2
 before any stage runs, and warnings print as one stderr line each.  An
-output path that cannot be written exits 2 too.
+unusable ``--out`` exits 2 before the input is read or generated, and
+so does an output directory that cannot be made, before any stage runs.
 
 Exit codes: 0 success, 2 usage or configuration, 3 data, 4 compute.
 """
@@ -520,8 +521,8 @@ def _cmd_analysis(args: argparse.Namespace) -> int:
     """One analysis subcommand: <command>.json plus <command>_<key>.csv."""
     started = _now()
     graph, digest = _load_graph(args)
-    results, tables = STAGES[args.command](graph, args)
     out_dir = _output_dir(args)
+    results, tables = STAGES[args.command](graph, args)
     _write_report(out_dir, f"{args.command}.json",
                   _manifest(args, digest, started), results)
     _write_tables(out_dir, args.command, tables)
@@ -739,6 +740,12 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"--step must be in (0, 1), got {args.step}")
         if not 0.0 < args.stop_at <= 1.0:
             raise ConfigError(f"--stop-at must be in (0, 1], got {args.stop_at}")
+    out = vars(args).get("out")
+    try:  # open the directory, not the file: --out may name the input
+        if out not in (None, "-"):
+            os.scandir(Path(out).parent).close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out!r}: {exc.strerror}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -207,12 +207,10 @@ def ingest(records: Iterable[Row],
             expiry.append(_SENTINEL)
         dst[at] = index[target]
 
-    # each reciprocal edge directly follows the reference it mirrors
     twin = _RECIPROCAL[kind] != kind
-    mirror = np.cumsum(1 + twin)[twin] - 1
-    src, dst, kind = (np.repeat(col, 1 + twin) for col in (src, dst, kind))
-    src[mirror], dst[mirror], kind[mirror] = (dst[mirror], src[mirror],
-                                              _RECIPROCAL[kind[mirror]])
+    src, dst, kind = (np.concatenate([src, dst[twin]]),
+                      np.concatenate([dst, src[twin]]),
+                      np.concatenate([kind, _RECIPROCAL[kind[twin]]]))
 
     graph = LegislationGraph(ids, sector, effect, expiry, src, dst, kind)
     counts = np.bincount(graph.edge_arrays()[2], minlength=len(RefType))
@@ -231,7 +229,7 @@ def export(graph: LegislationGraph) -> Iterator[Row]:
 
     References are sorted by (target, type) so repeated
     ingest/export cycles are byte-stable; ``ingest(export(g))``
-    reproduces the node and typed-edge sets of ``g`` exactly.
+    reproduces the seven columns of ``g`` exactly, edge order included.
     """
     ids = graph.ids
     src, dst, kind = graph.edge_arrays()

@@ -110,8 +110,13 @@ class GeneratorConfig:
                 and end + self.sunset_horizon_years > date.max.year):
             raise ConfigError("sunset_horizon_years may carry expiry dates "
                               f"past {date.max}")
-        if not 0 < self.citation_scale < math.inf:
-            raise ConfigError("citation_scale must be positive and finite")
+        # the last year's cumulative edge target is the largest
+        if not (0 < self.citation_scale * sum(self.schedule())
+                ** self.densification_exponent < math.inf):
+            raise ConfigError("citation_scale must be positive, with a finite "
+                              "edge target citation_scale * documents**exponent")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _add_years(day: date, count: int) -> date:

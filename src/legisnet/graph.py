@@ -7,14 +7,15 @@ same ordered pair of documents; the triple (source, target, type) is
 unique.
 
 The graph is stored as columns.  Node columns hold the id, the sector
-code and the effect/expiry date ordinals, in input order; edge
-columns hold the source index, the target index and the type code,
-ordered by source, then input order.  Dates are proleptic-Gregorian
-ordinals and reference types are ``reftype_code`` values.
+code and the effect/expiry date ordinals, in input order; edge columns
+hold the source index, the target index and the type code of the
+distinct (source, target, type) triples in ascending order, so they
+depend only on the node order and the edge set.  Dates are
+proleptic-Gregorian ordinals and types are ``reftype_code`` values.
 
 A graph is immutable from construction, so every analysis operation is
 a read-only, concurrency-safe query.  The constructor takes the seven
-columns, turns them into numpy arrays and drops duplicate triples.
+columns, turns them into numpy arrays and sorts the distinct triples.
 Builders (ingest, the generator, random nulls) and derived views
 (filters, snapshots) pass their columns to it directly.
 
@@ -79,8 +80,7 @@ RECIPROCAL_TYPES = {
     RefType.AMENDED_BY: RefType.AMENDMENT_TO,
 }
 
-_REFTYPE_ORDER = tuple(RefType)
-_REFTYPE_CODE = {kind: i for i, kind in enumerate(_REFTYPE_ORDER)}
+_REFTYPE_CODE = {kind: i for i, kind in enumerate(RefType)}
 
 
 def reftype_code(kind: RefType) -> int:
@@ -94,10 +94,10 @@ class LegislationGraph:
     Immutable once built.  The node columns are the id, the sector code
     and the effect and expiry ordinals; the edge columns are the source
     index, the target index and the type code.  The constructor turns
-    them into arrays, keeps the first occurrence of each (source,
-    target, type) triple and orders edges by source index, then input
-    order.  Nothing is validated: callers check outside input before
-    building the columns.
+    them into arrays and stores the distinct (source, target, type)
+    triples in ascending order, whatever the order and repetition of
+    the rows it is given.  Nothing is validated: callers check outside
+    input before building the columns.
     """
 
     def __init__(self, ids: Sequence[str], sector, effect, expiry,
@@ -109,12 +109,11 @@ class LegislationGraph:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         kind = np.asarray(kind, dtype=np.int8)
-        order = np.argsort(src, kind="stable")
-        codes = ((src[order] * len(self._ids) + dst[order]) * len(_REFTYPE_ORDER)
-                 + kind[order])
-        _, first = np.unique(codes, return_index=True)
-        keep = order[np.sort(first)]
-        self._src, self._dst, self._kind = src[keep], dst[keep], kind[keep]
+        codes = np.sort((src * len(self._ids) + dst) * len(RefType) + kind)
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        pairs, kind = np.divmod(codes, len(RefType))
+        self._src, self._dst = np.divmod(pairs, len(self._ids))
+        self._kind = kind.astype(np.int8)
         self._csr: sparse.csr_matrix | None = None
         self._projection: tuple[np.ndarray, np.ndarray] | None = None
         self._id_rank: np.ndarray | None = None

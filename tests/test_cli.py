@@ -65,6 +65,9 @@ class TestGenerate:
         # past int64, where the horizon draw fails even with no sunsets
         ["--sunset-horizon", "100000000000000000000"],
         ["--sunset-horizon", str(2**63)],
+        ["--seed", "-1"],
+        # finite, but the edge schedule overflows
+        ["--citation-scale", "1e308"],
     ])
     def test_unusable_config_exits_2_with_one_line(self, tmp_path, capsys,
                                                    flags):
@@ -375,8 +378,8 @@ class TestOtherCommands:
     @pytest.mark.parametrize("argv, target, message", [
         (["generate", "--years", "1990:1991", "--out", "{missing}"],
          "{missing}", UNWRITABLE_OUT),
-        (["ingest", "--input", "{corpus}", "--out", "{missing}"],
-         "{missing}", UNWRITABLE_OUT),
+        (["ingest", "--input", "{corpus}", "--out", "{missing}",
+          "--output-dir", "{reports}"], "{missing}", UNWRITABLE_OUT),
         (["filter", "--input", "{corpus}", "--sector", "3", "--out", "{missing}"],
          "{missing}", UNWRITABLE_OUT),
         (["ingest", "--input", "{corpus}", "--output-dir", "{corpus}"],
@@ -386,7 +389,7 @@ class TestOtherCommands:
             self, tmp_path, corpus_path, argv, target, message):
         # a fresh process, so that a traceback would reach stderr
         paths = {"missing": str(tmp_path / "missing" / "c.jsonl"),
-                 "corpus": str(corpus_path)}
+                 "corpus": str(corpus_path), "reports": str(tmp_path / "reports")}
         argv = [arg.format(**paths) for arg in argv]
         target = target.format(**paths)
         env = {**os.environ,
@@ -397,6 +400,21 @@ class TestOtherCommands:
         assert run.returncode == 2
         assert run.stderr.splitlines() == [
             f"legisnet {argv[0]} [legisnet.cli]: " + message.format(target=target)]
+        # an unusable --out is found before any report is written
+        assert not (tmp_path / "reports").exists()
+
+    def test_unmakeable_output_dir_exits_2_before_the_stage(
+            self, capsys, monkeypatch, corpus_path):
+        calls = []
+        monkeypatch.setitem(legisnet.cli.STAGES, "metrics",
+                            lambda *args: calls.append(args))
+        out = str(corpus_path / "sub")
+        assert main(["metrics", "--input", str(corpus_path),
+                     "--output-dir", out]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"legisnet metrics [legisnet.cli]: cannot make output directory "
+            f"{out!r}: Not a directory"]
 
     @pytest.mark.parametrize("argv", [
         ["report-all", "--years", "abc"],

@@ -154,6 +154,8 @@ class TestConfigValidation:
         {"years": (9999, 10000)},
         {"sunset_probability": 1.0, "sunset_horizon_years": 100_000},
         {"years": (9998, 9999), "sunset_probability": 1.0},
+        {"seed": -1},
+        {"citation_scale": 1e308},
     ])
     def test_rejects_what_generate_cannot_honour(self, settings):
         config = GeneratorConfig(**{"years": (1990, 1991), **settings})

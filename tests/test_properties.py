@@ -4,10 +4,13 @@ Corpora have unsorted ids, duplicate reference triples, one- and
 two-sided amendment pairs, and dangling targets (ingested leniently).
 Every derived graph is checked against a recount from the parent's
 node rows and edge triples, and the graph constructor's edge columns
-against a pure-Python de-duplication.  Drawn digraphs check that the
-bow-tie classes partition the nodes, that the classes of disjoint
-bow-tie anatomies match the brute-force oracle, and that resilience
-curves only fall.  The three traversal kernels are checked against the
+against the sorted distinct triples, under any shuffle or repetition of
+its rows.  Ingesting an export reproduces every column of drawn and
+generated corpora, and every builder stores strictly increasing edge
+codes.  Drawn digraphs check that the bow-tie classes partition the
+nodes, that the classes of disjoint bow-tie anatomies match the
+brute-force oracle, and that resilience curves only fall.  The three
+traversal kernels are checked against the
 algorithms they replaced: scipy ``dijkstra`` for the BFS distance
 histogram, a per-boundary ``connected_components`` recount and the
 all-edge union-find walk for resilience curves (the spanning-forest
@@ -136,9 +139,38 @@ def test_export_ingest_export_is_byte_stable(records):
     graph, _ = ingest(read_records(lines(records)), mode="lenient")
     text = export_text(graph)
     again, _ = ingest(read_records(text.splitlines()))
-    assert node_rows(again) == node_rows(graph)
-    assert set(edge_triples(again)) == set(edge_triples(graph))
     assert export_text(again) == text
+
+
+@st.composite
+def generated_graphs(draw) -> LegislationGraph:
+    start = draw(st.integers(1950, 2000))
+    return generate(GeneratorConfig(
+        years=(start, start + draw(st.integers(0, 5))),
+        docs_per_year=draw(st.integers(4, 20)),
+        preferential_mixing=draw(st.floats(0, 1)),
+        sunset_probability=draw(st.floats(0, 0.5)),
+        seed=draw(st.integers(0, 2**32))))
+
+
+def assert_same_columns(graph, other):
+    """Equal ids, and equal arrays of one dtype in the other six columns."""
+    assert graph.ids == other.ids
+    arrays = [(g.sector_codes(), *g.date_ordinals(), *g.edge_arrays())
+              for g in (graph, other)]
+    for got, want in zip(*arrays):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    # lenient stubs, one- and two-sided amendments, repeated references
+    corpora().map(lambda records: ingest(read_records(lines(records)),
+                                         mode="lenient")[0]),
+    generated_graphs()))
+def test_ingest_of_export_reproduces_every_column(graph):
+    again, _ = ingest(read_records(export_text(graph).splitlines()))
+    assert_same_columns(again, graph)
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,31 +225,66 @@ def test_ingest_report_counts(records):
 
 @st.composite
 def edge_columns(draw):
-    """Node count and (src, dst, kind) triples, many of them repeated."""
+    """Node count and two shuffles of the same drawn (src, dst, kind)
+    triples, each with its own repeats."""
     n = draw(st.integers(1, 12))
     drawn = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1),
                                     st.integers(0, len(RefType) - 1)),
                           max_size=25))
-    repeats = draw(st.lists(st.sampled_from(drawn), max_size=15)) if drawn else []
-    return n, draw(st.permutations(drawn + repeats))
+
+    def shuffle():
+        repeats = draw(st.lists(st.sampled_from(drawn), max_size=15)) if drawn else []
+        return draw(st.permutations(drawn + repeats))
+
+    return n, shuffle(), shuffle()
 
 
 @settings(max_examples=80, deadline=None)
 @given(edge_columns())
-def test_constructor_keeps_first_triples_by_source(case):
-    n, edges = case
+def test_constructor_stores_sorted_distinct_triples(case):
+    n, edges, shuffled = case
     ids = [f"d{i:02d}" for i in range(n)]
-    src, dst, kind = ([edge[col] for edge in edges] for col in range(3))
     day = START.toordinal()
-    graph = LegislationGraph(ids, [3] * n, [day] * n, [day] * n, src, dst, kind)
-    # first occurrence of each triple, then a stable sort by source
-    expected = sorted(dict.fromkeys(edges), key=lambda edge: edge[0])
+
+    def build(rows):
+        src, dst, kind = ([row[col] for row in rows] for col in range(3))
+        return LegislationGraph(ids, [3] * n, [day] * n, [day] * n,
+                                src, dst, kind)
+
+    graph = build(edges)
     got_src, got_dst, got_kind = graph.edge_arrays()
     assert list(zip(got_src.tolist(), got_dst.tolist(),
-                    got_kind.tolist())) == expected
+                    got_kind.tolist())) == sorted(set(edges))
     assert graph.ids == tuple(ids)
-    assert graph.edge_count == len(expected)
+    assert graph.edge_count == len(set(edges))
+    assert_same_columns(build(shuffled), graph)
+
+
+BUILDERS = {
+    "ingest-strict": lambda g, lines: ingest(read_records(lines))[0],
+    # the newest half, whose citations dangle
+    "ingest-lenient": lambda g, lines: ingest(
+        read_records(lines[:len(lines) // 2]), mode="lenient")[0],
+    "generate": lambda g, lines: g,
+    "erdos_renyi": lambda g, lines: erdos_renyi(300, 1200, seed=4),
+    "filter_sector": lambda g, lines: filter_sector(g, Sector.LEGISLATION),
+    "filter_reftype": lambda g, lines: filter_reftype(g, RefType.AMENDED_BY),
+    "snapshot": lambda g, lines: snapshot(g, date(1994, 12, 31)),
+}
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_every_builder_stores_increasing_edge_codes(builder):
+    base = generate(GeneratorConfig(years=(1990, 1999), docs_per_year=30,
+                                    sunset_probability=0.3, seed=5))
+    # newest document first, so the input order is not the stored one
+    corpus = export_text(base).splitlines()[::-1]
+    graph = BUILDERS[builder](base, corpus)
+    src, dst, kind = graph.edge_arrays()
+    codes = (src * graph.node_count + dst) * len(RefType) + kind
+    assert graph.edge_count > 0
+    assert (np.diff(codes) > 0).all()
 
 
 def digraph(n: int, pairs):

@@ -20,7 +20,9 @@ package's sizes, so the package may not call it.
 Refactors that promise byte-identical output are held to it: a small
 corpus built with the criterion-11 generator flags is run through five
 commands, and the sha256 of every report body (manifest dropped) and
-every CSV must equal the digest recorded before the refactor.  Float
+every CSV must equal the digest recorded before the refactor.  So must
+the generated corpus and one filtered export, which guard the
+generator's random stream and the byte order of ``export``.  Float
 results can move with the numerical libraries, so the check is skipped
 under other numpy or scipy versions than the recorded ones.
 """
@@ -233,13 +235,25 @@ ICN_DIGESTS = {
         "88d5639f1dab6fd1a5a4272b7578ad5b23782b1f1a9fb8df017ac7113c005b90",
 }
 
+EXPORT_DIGESTS = {
+    "generate/corpus.jsonl":
+        "fa453b80551ab7a56c40cf78f8d9a4aedc15b59ee2d713f653b23053408be8a4",
+    "filter-rn/corpus.jsonl":
+        "716c9aff6d00a07c4bb942c01ae44f216db2bf210647f61205a7aa6491a52665",
+}
+
 
 @pytest.mark.skipif(
     {"numpy": np.__version__, "scipy": scipy.__version__} != RECORDED_WITH,
     reason=f"digests recorded with {RECORDED_WITH}")
 def test_report_digests_stay_the_same(tmp_path):
-    corpus = tmp_path / "corpus.jsonl"
+    corpus = tmp_path / "generate" / "corpus.jsonl"
+    filtered = tmp_path / "filter-rn" / "corpus.jsonl"
+    corpus.parent.mkdir()
+    filtered.parent.mkdir()
     assert main([*CORPUS, "--out", str(corpus)]) == 0
+    assert main(["filter", "--input", str(corpus), "--network", "RN",
+                 "--current", "1990-12-31", "--out", str(filtered)]) == 0
     for out, (command, *flags) in RUNS.items():
         assert main([command, "--input", str(corpus), "--output-dir",
                      str(tmp_path / out), *flags]) == 0
@@ -251,4 +265,4 @@ def test_report_digests_stay_the_same(tmp_path):
             data = json.dumps(body, indent=2, sort_keys=True).encode()
         name = f"{path.parent.name}/{path.name}"
         digests[name] = hashlib.sha256(data).hexdigest()
-    assert digests == {**DIGESTS, **ICN_DIGESTS}
+    assert digests == {**DIGESTS, **ICN_DIGESTS, **EXPORT_DIGESTS}
