@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import legisnet
-from legisnet.cli import main
+from legisnet.cli import _ingest_input, build_parser, main
 
 from test_corpus import INGEST_FAULTS
 
@@ -212,6 +213,65 @@ class TestIngest:
                      "--output-dir", str(tmp_path)]) == 0
 
 
+class TestCollectorPause:
+    """Loading a corpus pauses the cyclic collector and restores it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_load_leaves_the_collector_as_it_found_it(
+            self, tmp_path, corpus_path, enabled):
+        if not enabled:
+            gc.disable()
+        assert main(["ingest", "--input", str(corpus_path),
+                     "--output-dir", str(tmp_path)]) == 0
+        assert gc.isenabled() == enabled
+
+    def test_collector_is_on_after_a_failed_load(self, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        good = '{"id": "%s", "sector": 3, "date_of_effect": "1990-01-01"}'
+        src.write_text("\n".join([good % "A", good % "B", "{nope"]) + "\n")
+        assert main(["ingest", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 3
+        assert "line 3: invalid JSON" in capsys.readouterr().err
+        assert gc.isenabled()
+
+    def test_no_collection_while_loading(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        assert main(["generate", "--years", "1990:1999", "--docs-per-year",
+                     "200", "--seed", "5", "--out", str(path)]) == 0
+        args = build_parser().parse_args(["ingest", "--input", str(path)])
+        generations, loading = [], []
+
+        def hook(phase, info):
+            if phase == "start" and loading:
+                generations.append(info["generation"])
+
+        def traced_ingest(records, **kwargs):
+            # ingest draws the records from read_records as it goes, so
+            # this window covers parsing too
+            loading.append(True)
+            try:
+                return ingest(records, **kwargs)
+            finally:
+                loading.clear()
+
+        ingest = legisnet.cli.ingest
+        monkeypatch.setattr(legisnet.cli, "ingest", traced_ingest)
+        gc.callbacks.append(hook)
+        try:
+            graph, _, _ = _ingest_input(args)
+        finally:
+            gc.callbacks.remove(hook)
+        assert graph.node_count >= 2000
+        assert generations == []
+
+
 class TestFilter:
     def test_sector_filter_roundtrip(self, tmp_path, corpus_path):
         out = tmp_path / "rn.jsonl"
@@ -298,6 +358,7 @@ class TestMetrics:
 
 
 UNWRITABLE_OUT = "cannot write output {target!r}: No such file or directory"
+DIRECTORY_OUT = "cannot write output {target!r}: Is a directory"
 
 
 class TestOtherCommands:
@@ -382,14 +443,21 @@ class TestOtherCommands:
           "--output-dir", "{reports}"], "{missing}", UNWRITABLE_OUT),
         (["filter", "--input", "{corpus}", "--sector", "3", "--out", "{missing}"],
          "{missing}", UNWRITABLE_OUT),
+        (["generate", "--years", "1990:1999", "--docs-per-year", "40",
+          "--out", "{adir}"], "{adir}", DIRECTORY_OUT),
+        (["ingest", "--input", "{corpus}", "--out", "{adir}",
+          "--output-dir", "{reports}"], "{adir}", DIRECTORY_OUT),
         (["ingest", "--input", "{corpus}", "--output-dir", "{corpus}"],
          "{corpus}", "cannot make output directory {target!r}: File exists"),
-    ], ids=["generate-out", "ingest-out", "filter-out", "ingest-output-dir"])
+    ], ids=["generate-out", "ingest-out", "filter-out", "generate-out-dir",
+            "ingest-out-dir", "ingest-output-dir"])
     def test_unwritable_output_exits_2_with_one_line(
             self, tmp_path, corpus_path, argv, target, message):
         # a fresh process, so that a traceback would reach stderr
         paths = {"missing": str(tmp_path / "missing" / "c.jsonl"),
+                 "adir": str(tmp_path / "adir"),
                  "corpus": str(corpus_path), "reports": str(tmp_path / "reports")}
+        (tmp_path / "adir").mkdir()
         argv = [arg.format(**paths) for arg in argv]
         target = target.format(**paths)
         env = {**os.environ,
@@ -402,6 +470,18 @@ class TestOtherCommands:
             f"legisnet {argv[0]} [legisnet.cli]: " + message.format(target=target)]
         # an unusable --out is found before any report is written
         assert not (tmp_path / "reports").exists()
+
+    def test_out_directory_exits_2_before_generating(
+            self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(legisnet.cli, "generate",
+                            lambda *args: calls.append(args))
+        assert main(["generate", "--years", "1990:1999", "--docs-per-year",
+                     "40", "--out", str(tmp_path)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet generate [legisnet.cli]: "
+            + DIRECTORY_OUT.format(target=str(tmp_path))]
 
     def test_unmakeable_output_dir_exits_2_before_the_stage(
             self, capsys, monkeypatch, corpus_path):

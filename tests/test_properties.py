@@ -50,6 +50,7 @@ from legisnet import (
     GeneratorConfig,
     SENTINEL_EXPIRY,
     AnalysisError,
+    ConfigError,
     LegislationGraph,
     RefType,
     ResilienceConfig,
@@ -145,12 +146,18 @@ def test_export_ingest_export_is_byte_stable(records):
 @st.composite
 def generated_graphs(draw) -> LegislationGraph:
     start = draw(st.integers(1950, 2000))
-    return generate(GeneratorConfig(
+    config = GeneratorConfig(
         years=(start, start + draw(st.integers(0, 5))),
         docs_per_year=draw(st.integers(4, 20)),
         preferential_mixing=draw(st.floats(0, 1)),
         sunset_probability=draw(st.floats(0, 0.5)),
-        seed=draw(st.integers(0, 2**32))))
+        seed=draw(st.integers(0, 2**32)))
+    try:
+        return generate(config)
+    except ConfigError:
+        # a schedule this small can ask for more citations than there
+        # are earlier documents to cite, which generate rejects
+        assume(False)
 
 
 def assert_same_columns(graph, other):
