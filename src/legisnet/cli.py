@@ -21,7 +21,8 @@ same stages on one graph and nests their results in ``report.json``:
 ``powerlaw`` holds both directions, keyed by direction; ``resilience``
 is the list of curves (random with its null, then targeted); ``bowtie``
 omits ``nodes`` and ``temporal`` omits ``network``.  A section whose
-analysis is undefined for the input holds ``{"error": message}``: the
+analysis is undefined for the input (a null, say, asked for more typed
+edges than its nodes have distinct pairs) holds ``{"error": message}``: the
 other sections and their CSVs are still written, each failure prints
 one line to stderr, and the command exits 4.
 
@@ -51,7 +52,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import fields
 from datetime import date, datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -71,7 +72,8 @@ from .errors import (
 from .filters import filter_reftype, filter_sector, snapshot
 from .generator import GeneratorConfig, generate
 from .graph import LegislationGraph, RefType, Sector
-from .heavytail import DEFAULT_BOOTSTRAP_M, ccdf, fit_power_law, goodness_of_fit
+from .heavytail import (DEFAULT_BOOTSTRAP_M, ccdf, fit_power_law,
+                        goodness_of_fit, zeta)
 from .metrics import (
     assortativity,
     clustering,
@@ -258,10 +260,15 @@ def _write_corpus(graph: LegislationGraph, destination: str) -> None:
 # whatever wraps those names (tracing, say) sees every run.
 
 
-def _path_metrics_dict(pm) -> dict:
-    d = asdict(pm)
-    d["distance_histogram"] = {str(k): v for k, v in sorted(pm.distance_histogram.items())}
-    return d
+# result fields written as CSV tables, not into the report section
+TABLE_FIELDS = ("histogram", "lorenz_points", "per_degree")
+
+
+def _section(result, **extra) -> dict:
+    """The report section of a result dataclass: its fields, minus
+    ``TABLE_FIELDS``, with ``extra`` added or replacing fields."""
+    return {**{f.name: getattr(result, f.name) for f in fields(result)
+               if f.name not in TABLE_FIELDS}, **extra}
 
 
 def _metrics_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
@@ -281,29 +288,12 @@ def _metrics_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[d
     results = {
         "nodes": graph.node_count,
         "edges": graph.edge_count,
-        "components": {
-            "gc_size": comp.gc_size,
-            "gc_fraction": comp.gc_fraction,
-            "isolated_count": comp.isolated_count,
-        },
-        "degree_stats": {
-            d: {"n": s.n, "mean": s.mean, "stddev": s.stddev, "max": s.max}
-            for d, s in stats.items()
-        },
-        "lorenz_gini": {
-            d: {
-                "gini": lg.gini,
-                "top1_share": lg.top1_share,
-                "pareto80_node_fraction": lg.pareto80_node_fraction,
-                "all_zero": lg.all_zero,
-            }
-            for d, lg in lorenz.items()
-        },
-        "clustering": {
-            "global_avg": profile.global_avg,
-            "loglog_slope": profile.loglog_slope,
-        },
-        "path_metrics": _path_metrics_dict(pm),
+        "components": _section(comp),
+        "degree_stats": {d: _section(s) for d, s in stats.items()},
+        "lorenz_gini": {d: _section(lg) for d, lg in lorenz.items()},
+        "clustering": _section(profile),
+        "path_metrics": _section(pm, distance_histogram={
+            str(k): v for k, v in sorted(pm.distance_histogram.items())}),
         "assortativity": mixing,
     }
     tables = {
@@ -346,8 +336,6 @@ def _bowtie_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[di
 
 
 def _powerlaw_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
-    from scipy.special import zeta
-
     degrees = graph.degree_array(args.direction)
     fit = fit_power_law(degrees, min_tail=args.min_tail)
     result = goodness_of_fit(degrees, fit, m=args.bootstrap, seed=args.seed,
@@ -365,7 +353,7 @@ def _powerlaw_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[
     rows = [[k, e, "" if np.isnan(f) else format_float(float(f))]
             for (k, e), f in zip(points, fitted)]
     table = (["degree", "empirical_ccdf", "fitted_ccdf"], rows)
-    return ({"direction": args.direction, **asdict(result)},
+    return (_section(result, direction=args.direction),
             {f"ccdf_{args.direction}": table})
 
 
@@ -377,7 +365,7 @@ def _smallworld_stage(graph: LegislationGraph, args: argparse.Namespace) -> tupl
         path_mode=args.path_mode, path_sources=args.path_sources,
         n_jobs=args.threads,
     )
-    return asdict(report), {}
+    return _section(report), {}
 
 
 def _temporal_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
@@ -385,7 +373,7 @@ def _temporal_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[
     stats = evolution_series(graph, years)
     fit = densification_fit(stats)
     results = {"years": list(years), "network": args.network,
-               "densification": asdict(fit)}
+               "densification": _section(fit)}
     header = (["year", "nodes", "edges"]
               + [f"sector_{s.value}" for s in Sector]
               + [f"reftype_{k.value}" for k in RefType]
@@ -400,16 +388,6 @@ def _temporal_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[
 
 POINT_FIELDS = ("fraction_removed", "gc_fraction_of_remaining",
                 "gc_fraction_of_original")
-
-
-def _resilience_curve_dict(curve) -> dict:
-    return {
-        "strategy": curve.strategy,
-        "degree_mode": curve.degree_mode,
-        "averaged_over": curve.averaged_over,
-        "area_under_curve": curve.area_under_curve(),
-        "points": [dict(zip(POINT_FIELDS, p)) for p in curve.points],
-    }
 
 
 def _resilience_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
@@ -430,7 +408,10 @@ def _resilience_stage(graph: LegislationGraph, args: argparse.Namespace) -> tupl
         else:
             runs = [(strategy, simulate(graph, config, n_jobs=args.threads), {})]
         for label, curve, extra in runs:
-            curves.append({**_resilience_curve_dict(curve), **extra})
+            curves.append(_section(
+                curve, area_under_curve=curve.area_under_curve(),
+                points=[dict(zip(POINT_FIELDS, p)) for p in curve.points],
+                **extra))
             rows += [[label, *point] for point in curve.points]
     return {"curves": curves}, {"curve": (["strategy", *POINT_FIELDS], rows)}
 
@@ -497,7 +478,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     started = _now()
     graph, report, digest = _ingest_input(args)
     _write_report(_output_dir(args), "ingest_report.json",
-                  _manifest(args, digest, started), asdict(report))
+                  _manifest(args, digest, started), _section(report))
     if args.out:
         _write_corpus(graph, args.out)
     return 0

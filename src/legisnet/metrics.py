@@ -346,8 +346,6 @@ def distance_histogram(csr: csr_matrix, source_indices: np.ndarray) -> dict[int,
     n = csr.shape[0]
     incoming = csr.T.tocsr()  # row v lists every u with an edge u -> v
     rows = np.flatnonzero(np.diff(incoming.indptr))
-    if len(rows) == 0:
-        return {}
     starts = incoming.indptr[rows]
     hist = [0]
     for start in range(0, len(sources), 64 * CHUNK_WORDS):

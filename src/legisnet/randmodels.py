@@ -80,19 +80,13 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
     if n < 0 or m < 0:
         raise ConfigError("node and edge counts must be non-negative")
     if m > n * (n - 1):
-        raise ConfigError(
+        raise AnalysisError(
             f"cannot place {m} distinct directed edges on {n} nodes "
             f"(max {n * (n - 1)})"
         )
-    rng = np.random.default_rng(seed)
-    if m:
-        codes = _sample_edge_codes(n, m, rng)
-        src = codes // (n - 1)
-        rem = codes % (n - 1)
-        dst = rem + (rem >= src)
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
+    codes = _sample_edge_codes(n, m, np.random.default_rng(seed))
+    src, rem = np.divmod(codes, n - 1)
+    dst = rem + (rem >= src)
     kind = np.full(len(src), reftype_code(RefType.INSTRUMENTS_CITED),
                    dtype=np.int8)
     return LegislationGraph(

@@ -17,6 +17,13 @@ from legisnet import (
 from legisnet.bowtie import COMPONENT_NAMES
 from legisnet.graph import reftype_code
 
+
+def pytest_configure(config):
+    # numpy's divide-by-zero and invalid-value warnings are RuntimeWarnings;
+    # in this suite every one of them is a fault
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
 D3 = Sector.LEGISLATION
 KINDS = tuple(RefType)  # reference type by type code
 # sector, effect and expiry of a node given by its id alone

@@ -25,6 +25,27 @@ def corpus_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def doubly_cited_path(tmp_path):
+    """25 documents, each citing every other one as both ``legal_basis``
+    and ``other``: 1,200 typed edges, more than the 600 distinct
+    directed pairs of 25 nodes that a null could hold."""
+    ids = [f"D{i:02d}" for i in range(25)]
+    path = tmp_path / "doubly-cited.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": doc_id, "sector": 3,
+                    "date_of_effect": f"{1990 + i}-01-01",
+                    "references": [{"target": target, "type": kind}
+                                   for target in ids if target != doc_id
+                                   for kind in ("legal_basis", "other")]})
+        + "\n" for i, doc_id in enumerate(ids)))
+    return path
+
+
+NO_NULL = ("cannot place 1200 distinct directed edges on 25 nodes"
+           " (max 600)")
+
+
 def read_report(path: Path) -> dict:
     return json.loads(path.read_text())
 
@@ -69,6 +90,10 @@ class TestGenerate:
         ["--seed", "-1"],
         # finite, but the edge schedule overflows
         ["--citation-scale", "1e308"],
+        ["--sector-weights", "1,2"],
+        ["--docs-per-year", "0"],
+        ["--sunset-prob", "1.5"],
+        ["--sunset-horizon", "0"],
     ])
     def test_unusable_config_exits_2_with_one_line(self, tmp_path, capsys,
                                                    flags):
@@ -78,6 +103,20 @@ class TestGenerate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("legisnet generate [")
         assert not out.exists()
+
+    def test_closed_pipe_exits_0(self):
+        # like ``generate ... | head -1``: the reader leaves after one line
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}
+        run = subprocess.Popen(
+            [sys.executable, "-m", "legisnet.cli", "generate", "--years",
+             "1990:1999", "--docs-per-year", "500", "--seed", "3"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        json.loads(run.stdout.readline())
+        run.stdout.close()  # far more than a pipe buffer is still unwritten
+        assert run.wait(timeout=60) == 0
+        assert run.stderr.read() == b""
+        run.stderr.close()
 
     def test_largest_int64_horizon_still_generates(self, capsys):
         assert main(["generate", "--years", "1990:1990", "--docs-per-year",
@@ -142,6 +181,17 @@ class TestIngest:
                      "--output-dir", str(tmp_path)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "legisnet ingest " + message.format(path=src)]
+
+    @pytest.mark.parametrize("name", ["missing.jsonl", "adir"])
+    def test_unreadable_input_exit_3(self, tmp_path, capsys, name):
+        (tmp_path / "adir").mkdir()
+        src = tmp_path / name
+        assert main(["ingest", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"legisnet ingest [legisnet.cli]: cannot read input {str(src)!r}: ")
 
     @pytest.mark.parametrize("lines, message", INGEST_FAULTS)
     def test_ingest_check_exit_3(self, tmp_path, capsys, lines, message):
@@ -325,12 +375,46 @@ class TestMetrics:
                     "tool_version"):
             assert rep_a["manifest"][key] == rep_b["manifest"][key]
 
-    def test_network_preset(self, tmp_path, corpus_path):
+    @pytest.mark.parametrize("network, reftype", [
+        ("ICN", "instruments_cited"), ("LBN", "legal_basis")])
+    def test_network_preset(self, tmp_path, corpus_path, network, reftype):
+        assert main(["ingest", "--input", str(corpus_path),
+                     "--output-dir", str(tmp_path)]) == 0
+        counts = read_report(tmp_path / "ingest_report.json")["results"][
+            "per_type_counts"]
         assert main(["metrics", "--input", str(corpus_path), "--network",
-                     "ICN", "--output-dir", str(tmp_path)]) == 0
+                     network, "--output-dir", str(tmp_path)]) == 0
         report = read_report(tmp_path / "metrics.json")
         assert report["results"]["nodes"] == 400
-        assert report["manifest"]["config"]["network"] == "ICN"
+        assert report["results"]["edges"] == counts[reftype] > 0
+        assert report["manifest"]["config"]["network"] == network
+
+    def test_two_documents_note_why_mixing_is_undefined(self, tmp_path):
+        src = tmp_path / "two.jsonl"
+        src.write_text(
+            '{"id": "A", "sector": 3, "date_of_effect": "1990-01-01"}\n'
+            '{"id": "B", "sector": 3, "date_of_effect": "1991-01-01",'
+            ' "references": [{"target": "A", "type": "other"}]}\n')
+        assert main(["metrics", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 0
+        note = {"value": None,
+                "note": "assortativity requires at least 2 projection edges"}
+        assert read_report(tmp_path / "metrics.json")["results"][
+            "assortativity"] == {"degree": note, "sector": note}
+
+    def test_more_sources_than_the_giant_is_exact(self, tmp_path, corpus_path):
+        paths = {}
+        for mode in ("exact", "sampled"):
+            out = tmp_path / mode
+            assert main(["metrics", "--input", str(corpus_path), "--path-mode",
+                         mode, "--path-sources", "100000",
+                         "--output-dir", str(out)]) == 0
+            paths[mode] = read_report(out / "metrics.json")["results"]
+        sampled = paths["sampled"]["path_metrics"]
+        assert sampled["mode"] == "exact"
+        assert sampled["sources"] == paths["sampled"]["components"]["gc_size"]
+        assert sampled["diameter_is_lower_bound"] is False
+        assert sampled == paths["exact"]["path_metrics"]
 
     def test_float_formatting_nine_digits(self, tmp_path, corpus_path):
         assert main(["metrics", "--input", str(corpus_path),
@@ -549,6 +633,17 @@ class TestOtherCommands:
         csv_lines = (tmp_path / "temporal_snapshots.csv").read_text().splitlines()
         assert len(csv_lines) == 11  # header + one row per year
 
+    def test_temporal_of_an_empty_corpus_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "empty.jsonl"
+        src.write_text("")
+        out = tmp_path / "out"
+        assert main(["temporal", "--input", str(src),
+                     "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet temporal [legisnet.cli]: corpus has no documents;"
+            " no year range to analyze"]
+        assert not (out / "temporal.json").exists()
+
     def test_resilience(self, tmp_path, corpus_path):
         assert main(["resilience", "--input", str(corpus_path), "--strategy",
                      "both", "--reps", "3", "--output-dir", str(tmp_path),
@@ -557,6 +652,19 @@ class TestOtherCommands:
         strategies = {c["strategy"] for c in report["results"]["curves"]}
         assert strategies == {"random", "targeted_by_degree"}
         assert (tmp_path / "resilience_curve.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["smallworld", "--replicas", "2"],
+        ["resilience", "--with-null", "--reps", "2"],
+    ])
+    def test_edges_no_null_can_hold_exit_4(self, tmp_path, capsys,
+                                           doubly_cited_path, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(doubly_cited_path),
+                     "--output-dir", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"legisnet {argv[0]} [legisnet.randmodels]: {NO_NULL}"]
+        assert not (out / f"{argv[0]}.json").exists()
 
     def test_resilience_with_null(self, tmp_path, corpus_path):
         assert main(["resilience", "--input", str(corpus_path), "--strategy",
@@ -670,6 +778,30 @@ class TestReportAll:
             "report_degree_histogram.csv", "report_lorenz.csv",
             "report_distances.csv", "report_clustering_by_degree.csv",
             "report_resilience.csv"}
+
+
+    def test_edges_no_null_can_hold_end_their_sections(
+            self, tmp_path, capsys, doubly_cited_path):
+        out = tmp_path / "out"
+        code = main(["report-all", "--input", str(doubly_cited_path),
+                     "--output-dir", str(out), "--smallworld-replicas", "2",
+                     "--resilience-reps", "2", *self.FLAGS])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet report-all [legisnet.heavytail]: power-law fit needs"
+            " >= 50 positive observations, got 25",
+            f"legisnet report-all [legisnet.randmodels]: {NO_NULL}",
+            f"legisnet report-all [legisnet.randmodels]: {NO_NULL}",
+        ]
+        report = read_report(out / "report.json")["results"]
+        assert report["edges"] == 1200 and report["nodes"] == 25
+        assert report["smallworld"] == report["resilience"] == {"error": NO_NULL}
+        assert report["structure"]["edges"] == 1200
+        assert report["temporal"]["years"] == [1990, 2014]
+        assert {p.name for p in out.glob("report_*.csv")} == {
+            "report_degree_histogram.csv", "report_lorenz.csv",
+            "report_distances.csv", "report_clustering_by_degree.csv",
+            "report_snapshots.csv"}
 
 
 class TestEnvironment:

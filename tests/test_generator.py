@@ -102,8 +102,9 @@ def test_pure_preferential_in_degree_is_power_law_plausible():
                                  preferential_mixing=1.0, seed=19))
     assert g.node_count == 10_000
     degrees = g.degree_array("in")
-    result = goodness_of_fit(degrees, fit_power_law(degrees), m=100, seed=1,
-                             n_jobs=2)
+    with pytest.warns(UserWarning, match="resolution"):
+        result = goodness_of_fit(degrees, fit_power_law(degrees), m=100,
+                                 seed=1, n_jobs=2)
     assert result.p_value > 0.10
 
 

@@ -259,29 +259,35 @@ class TestGoodnessOfFit:
     def test_true_model_not_ruled_out(self):
         rng = np.random.default_rng(11)
         data = draw_pl_table(2.5, 5, 10_000, rng)
-        res = goodness_of_fit(data, m=100, seed=3)
+        with pytest.warns(UserWarning, match="resolution"):
+            res = goodness_of_fit(data, m=100, seed=3)
         assert res.p_value > 0.10
 
     def test_geometric_data_ruled_out(self):
         # frozen rejection case: an exponential-family tail whose refit
         # escape is caught by the bootstrap at this sample size
         geo = np.random.default_rng(200).geometric(0.125, size=10_000)
-        res = goodness_of_fit(geo, m=100, seed=0)
+        with pytest.warns(UserWarning, match="resolution"):
+            res = goodness_of_fit(geo, m=100, seed=0)
         assert res.p_value < 0.10
 
     def test_deterministic_and_parallel_identical(self):
         rng = np.random.default_rng(4)
         data = draw_pl_table(2.4, 6, 3_000, rng)
         fit = fit_power_law(data)
-        one = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=1)
-        two = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=2)
-        again = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=1)
+        with pytest.warns(UserWarning, match="resolution"):
+            one = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=1)
+        with pytest.warns(UserWarning, match="resolution"):
+            two = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=2)
+        with pytest.warns(UserWarning, match="resolution"):
+            again = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=1)
         assert one == two == again
 
     def test_spreads_are_populated(self):
         rng = np.random.default_rng(6)
         data = draw_pl_table(2.5, 5, 4_000, rng)
-        res = goodness_of_fit(data, m=25, seed=1)
+        with pytest.warns(UserWarning, match="resolution"):
+            res = goodness_of_fit(data, m=25, seed=1)
         assert res.gamma_spread > 0
         assert res.n_tail_spread >= 0
 

@@ -24,9 +24,10 @@ def edge_pairs(graph):
 
 
 class TestErdosRenyi:
-    def test_no_edges(self):
-        g = erdos_renyi(10, 0, seed=1)
-        assert g.node_count == 10 and g.edge_count == 0
+    @pytest.mark.parametrize("n", [0, 1, 2, 10])
+    def test_no_edges(self, n):
+        g = erdos_renyi(n, 0, seed=1)
+        assert g.node_count == n and g.edge_count == 0
         assert (g.degree_array("total") == 0).all()
 
     def test_saturation_complete(self):
@@ -47,8 +48,14 @@ class TestErdosRenyi:
         assert edge_pairs(a) == edge_pairs(b)
 
     def test_infeasible(self):
-        with pytest.raises(ConfigError):
+        # a valid corpus can carry more typed edges than n(n-1) pairs, so
+        # this ends the analysis; a negative count is a bad configuration
+        with pytest.raises(AnalysisError, match=r"^cannot place 91 distinct "
+                           r"directed edges on 10 nodes \(max 90\)$"):
             erdos_renyi(10, 91)
+        for n, m in ((-1, 0), (10, -1)):
+            with pytest.raises(ConfigError, match="must be non-negative"):
+                erdos_renyi(n, m)
 
     def test_placeholder_documents(self):
         g = erdos_renyi(3, 2, seed=0)
