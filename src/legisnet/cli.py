@@ -99,15 +99,17 @@ COUNT_FLAGS = ("bootstrap", "min_tail", "path_sources", "replicas", "reps",
 
 
 def _read_input(path: str) -> tuple[str, str]:
-    """(text, digest) of the --input corpus, which must be UTF-8."""
+    """(text, digest) of the --input corpus, read as UTF-8 bytes whatever
+    the locale; CRLF and CR line ends become LF before the digest."""
     try:
-        # read_text translates line ends to "\n"; stdin on POSIX does not
-        text = (sys.stdin.read().replace("\r\n", "\n").replace("\r", "\n")
-                if path == "-" else Path(path).read_text(encoding="utf-8"))
-        # stdin may decode undecodable bytes to lone surrogates instead
-        data = text.encode("utf-8")
+        data = (sys.stdin.buffer.read() if path == "-"
+                else Path(path).read_bytes())
     except OSError as exc:
         raise CorpusError(f"cannot read input {path!r}: {exc}") from None
+    if b"\r" in data:  # never a byte of a multi-byte UTF-8 sequence
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8")
     except UnicodeError:
         raise CorpusError(f"input {path!r} is not valid UTF-8") from None
     return text, "sha256:" + hashlib.sha256(data).hexdigest()
@@ -148,7 +150,8 @@ def _now() -> str:
 def _write_report(out_dir: Path, name: str, manifest: dict, results: dict) -> None:
     payload = {"manifest": manifest, "results": round_floats(results)}
     (out_dir / name).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8")
 
 
 def _write_csv(out_dir: Path, name: str, header: list[str],

@@ -43,13 +43,14 @@ def parallel_map(fn: Callable, items: Sequence, n_jobs: int = 1) -> list:
 
 
 def round_floats(obj: Any, significant: int = 9) -> Any:
-    """Recursively round floats to ``significant`` digits for stable reports."""
+    """Recursively round floats to ``significant`` digits for stable reports;
+    NaN and infinities become None, which strict JSON writes as null."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if x == 0.0 or not np.isfinite(x):
-            return x
+        if not np.isfinite(x):
+            return None
         return float(f"{x:.{significant}g}")
     if isinstance(obj, (int, np.integer)):
         return int(obj)

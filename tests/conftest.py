@@ -18,6 +18,11 @@ from legisnet.bowtie import COMPONENT_NAMES
 from legisnet.graph import reftype_code
 
 
+def reject_constant(name: str):
+    """``json.loads`` hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def pytest_configure(config):
     # numpy's divide-by-zero and invalid-value warnings are RuntimeWarnings;
     # in this suite every one of them is a fault

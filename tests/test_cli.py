@@ -13,6 +13,7 @@ import pytest
 import legisnet
 from legisnet.cli import _ingest_input, build_parser, main
 
+from conftest import reject_constant
 from test_corpus import INGEST_FAULTS
 
 
@@ -47,7 +48,7 @@ NO_NULL = ("cannot place 1200 distinct directed edges on 25 nodes"
 
 
 def read_report(path: Path) -> dict:
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 class TestGenerate:
@@ -226,7 +227,8 @@ class TestIngest:
                         for doc_id in "AB") + end
         src = tmp_path / "in.jsonl"
         src.write_bytes(text.encode())
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))  # untranslated
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(text.encode())))
         reports = []
         for source in (str(src), "-"):
             out_dir = tmp_path / str(len(reports))
@@ -236,8 +238,10 @@ class TestIngest:
         assert [r["results"]["nodes"] for r in reports] == [2, 2]
         assert len({r["manifest"]["input_digest"] for r in reports}) == 1
 
-    def test_non_utf8_stdin_exit_3(self, tmp_path):
-        env = {**os.environ,
+    @pytest.mark.parametrize("locale_env", [
+        {}, {"PYTHONIOENCODING": "latin-1"}], ids=["default", "latin-1"])
+    def test_non_utf8_stdin_exit_3(self, tmp_path, locale_env):
+        env = {**os.environ, **locale_env,
                "PYTHONPATH": str(Path(legisnet.__file__).parent.parent)}
         run = subprocess.run(
             [sys.executable, "-m", "legisnet.cli", "ingest", "--input", "-"],
@@ -258,7 +262,8 @@ class TestIngest:
                      "--output-dir", str(tmp_path)]) == 0
 
     def test_stdin_input(self, tmp_path, monkeypatch, amendment_chain_jsonl):
-        monkeypatch.setattr("sys.stdin", io.StringIO(amendment_chain_jsonl))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(amendment_chain_jsonl.encode())))
         assert main(["ingest", "--input", "-",
                      "--output-dir", str(tmp_path)]) == 0
 
@@ -415,6 +420,15 @@ class TestMetrics:
         assert sampled["sources"] == paths["sampled"]["components"]["gc_size"]
         assert sampled["diameter_is_lower_bound"] is False
         assert sampled == paths["exact"]["path_metrics"]
+
+    def test_undefined_numbers_are_strict_json_null(self, tmp_path):
+        corpus = tmp_path / "two-years.jsonl"
+        assert main(["generate", "--years", "1990:1991", "--docs-per-year",
+                     "15", "--seed", "2", "--out", str(corpus)]) == 0
+        assert main(["metrics", "--input", str(corpus),
+                     "--output-dir", str(tmp_path)]) == 0
+        results = read_report(tmp_path / "metrics.json")["results"]
+        assert results["clustering"]["loglog_slope"] is None
 
     def test_float_formatting_nine_digits(self, tmp_path, corpus_path):
         assert main(["metrics", "--input", str(corpus_path),
@@ -731,6 +745,9 @@ class TestReportAll:
 
         assert report["smallworld"] == sub(
             "smallworld", "smallworld", "--replicas", "2", *paths)
+        # one sampled path length for the one giant component
+        assert report["smallworld"]["l_net"] == (
+            report["structure"]["path_metrics"]["average_path_length"])
 
         temporal = sub("temporal", "temporal")
         assert temporal.pop("network") == "LN"

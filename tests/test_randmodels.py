@@ -14,6 +14,7 @@ from legisnet import (
     generate,
     small_world_compare,
 )
+from legisnet.graph import reftype_code
 
 from conftest import make_graph, node_rows
 
@@ -37,10 +38,19 @@ class TestErdosRenyi:
         assert len(pairs) == 90
         assert all(u != v for u, v in pairs)
 
-    def test_exact_edge_count_and_no_duplicates(self):
-        g = erdos_renyi(500, 2_000, seed=3)
-        assert g.edge_count == 2_000
-        assert len(edge_pairs(g)) == 2_000
+    # numpy draws sparse codes by Floyd's algorithm and shuffles the
+    # code range once m > n(n-1)/20 (with more than 10,000 codes)
+    @pytest.mark.parametrize("n, m", [
+        (500, 2_000), (200, 3_000), (60, 3_540), (2, 2)],
+        ids=["floyd", "shuffle", "complete", "two-nodes"])
+    def test_exact_edge_count_and_no_duplicates(self, n, m):
+        g = erdos_renyi(n, m, seed=3)
+        src, dst, kind = g.edge_arrays()
+        assert g.edge_count == m
+        assert len(edge_pairs(g)) == m
+        assert not (src == dst).any()
+        assert src.max() < n and dst.max() < n
+        assert (kind == reftype_code(RefType.INSTRUMENTS_CITED)).all()
 
     def test_deterministic(self):
         a = erdos_renyi(100, 400, seed=9)
