@@ -56,6 +56,7 @@ from dataclasses import fields
 from datetime import date, datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -202,6 +203,19 @@ def _parse_weights(raw: str) -> tuple[float, ...]:
     return weights
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The items of ``text.split("\\n")``, made one at a time.
+
+    JSON strings may hold raw U+2028, U+2029 and U+0085, at which
+    ``str.splitlines`` would break a line; line ends are already "\\n".
+    """
+    start = 0
+    while (stop := text.find("\n", start)) >= 0:
+        yield text[start:stop]
+        start = stop + 1
+    yield text[start:]
+
+
 def _ingest_input(args: argparse.Namespace) -> tuple:
     """(graph, ingest report, input digest) of the --input corpus."""
     text, digest = _read_input(args.input)
@@ -211,9 +225,7 @@ def _ingest_input(args: argparse.Namespace) -> tuple:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        # JSON strings may hold raw U+2028, U+2029 and U+0085, at which
-        # str.splitlines would break a line; line ends are already "\n"
-        graph, report = ingest(read_records(text.split("\n")), mode=mode)
+        graph, report = ingest(read_records(_lines(text)), mode=mode)
     finally:
         if was_enabled:
             gc.enable()

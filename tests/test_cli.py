@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import legisnet
-from legisnet.cli import _ingest_input, build_parser, main
+from legisnet.cli import _ingest_input, _lines, build_parser, main
 
 from conftest import reject_constant
-from test_corpus import INGEST_FAULTS
+from test_corpus import DOC, INGEST_FAULTS
 
 
 @pytest.fixture
@@ -218,6 +218,35 @@ class TestIngest:
         assert [json.loads(line)["id"]
                 for line in out.read_text(encoding="utf-8").split("\n")
                 if line] == [doc_id]
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1f", "\xa0", "\u3000"],
+                             ids=["form-feed", "unit-separator",
+                                  "no-break-space", "ideographic-space"])
+    def test_non_json_whitespace_line_exit_3(self, tmp_path, capsys, char):
+        src = tmp_path / "in.jsonl"
+        src.write_text(f'{{{DOC}}}\n\n{char}\n', encoding="utf-8")
+        assert main(["ingest", "--input", str(src),
+                     "--output-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "legisnet ingest [legisnet.corpus]: line 3: invalid JSON: "
+            "Expecting value: line 1 column 1 (char 0)"]
+
+    def test_padded_lines_export_alike(self, tmp_path, corpus_path):
+        padded = tmp_path / "padded.jsonl"
+        padded.write_text("".join(f" \t {line} \t\n" for line in
+                                  corpus_path.read_text().splitlines()))
+        exported = []
+        for source in (corpus_path, padded):
+            out = tmp_path / f"{source.stem}.out.jsonl"
+            assert main(["ingest", "--input", str(source), "--out", str(out),
+                         "--output-dir", str(tmp_path)]) == 0
+            exported.append(out.read_bytes())
+        assert exported[0] == exported[1]
+
+    @pytest.mark.parametrize("text", ["", "a", "a\n", "\n\n", "a\nb\n\nc",
+                                      "a\u2028b\x85c\rd"])
+    def test_lines_split_at_line_feeds_only(self, text):
+        assert list(_lines(text)) == text.split("\n")
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_ends_read_alike_from_file_and_stdin(self, tmp_path,

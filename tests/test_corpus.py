@@ -7,7 +7,10 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legisnet import corpus
 from legisnet import (
     CorpusError,
     GeneratorConfig,
@@ -21,6 +24,7 @@ from legisnet import (
     read_records,
     write_records,
 )
+from legisnet.graph import reftype_code
 
 from conftest import edge_triples, export_text, node_rows
 
@@ -124,11 +128,69 @@ INGEST_FAULTS = [
      f"unknown reference type [1]; expected one of {TOKENS}"),
     ('{%s, "references": [{"target": "Y", "type": "other"}, 5]}' % DOC,
      "reference entries must be objects"),
+    # whitespace that JSON does not allow is no blank line
+    *[(char, "invalid JSON: Expecting value: line 1 column 1 (char 0)")
+      for char in ("\x0c", "\x1f", "\xa0", "\u3000")],
 ])
 def test_parse_error_names_line(line, message):
     with pytest.raises(CorpusError) as err:
         list(read_records([GOOD_LINE, "", line, GOOD_LINE]))
     assert str(err.value) == f"line 3: {message}"
+
+
+def test_only_json_whitespace_makes_a_blank_line():
+    rows = list(read_records(["", " \t\r\n", GOOD_LINE + "\n", "\n"]))
+    assert [row[0] for row in rows] == ["A"]
+
+
+def outcome(decode, text):
+    """What ``decode(text)`` gives: its value's repr (NaN != NaN), or the
+    type and message of the error it raises."""
+    try:
+        return repr(decode(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+# every code point, lone surrogates and non-ASCII characters included
+any_text = st.text(st.characters(exclude_categories=()))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | any_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(any_text, inner, max_size=4),
+    max_leaves=12)
+# JSON whitespace, other whitespace, a BOM and characters that continue
+# or follow a value
+junk = st.text(" \t\n\r\x0c\xa0\ufeff,]}0x\"", max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values, st.booleans(), junk, junk)
+def test_decode_agrees_with_json_loads(value, ascii_only, before, after):
+    text = before + json.dumps(value, ensure_ascii=ascii_only) + after
+    assert outcome(corpus._decode, text) == outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff{}", "NaN", "[Infinity, -Infinity, NaN]", '{"a": 1} {"b": 2}',
+    '"\\ud800"', '{"\\udfff": "\\ud83d"}',
+    "[" * 100_000, "[" * 100_000 + "]" * 100_000,
+    " {}", "{} \t\r\n", "{}\x0c", "", "   ",
+], ids=["bom", "nan", "infinities", "extra-data", "lone-surrogate",
+        "lone-surrogates", "deep-open", "deep-closed", "leading-space",
+        "trailing-space", "trailing-form-feed", "empty", "spaces"])
+def test_decode_agrees_with_json_loads_on_edge_cases(text):
+    assert outcome(corpus._decode, text) == outcome(json.loads, text)
+
+
+@pytest.mark.parametrize("line", [GOOD_LINE, GOOD_LINE + "\n",
+                                  GOOD_LINE + " \t\r\n"])
+def test_a_value_that_ends_its_line_skips_json_loads(monkeypatch, line):
+    def loads(text):
+        raise AssertionError(f"json.loads called on {text!r}")
+    monkeypatch.setattr(json, "loads", loads)
+    assert corpus._decode(line) == {"id": "A", "sector": 1,
+                                    "date_of_effect": "1970-01-01"}
 
 
 @pytest.mark.parametrize("raw", ["1970-W01-1", "19700101", "1970-001",
@@ -257,3 +319,15 @@ class TestWriteRecords:
         write_records(export(g), buf)
         again = list(read_records(io.StringIO(buf.getvalue())))
         assert {row[0] for row in again} == {"370L0220", "383L0351", "389L0491"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_text, any_text.filter(bool))
+    def test_ids_are_quoted_as_json_dumps_quotes_them(self, doc_id, target):
+        buf = io.StringIO()
+        write_records([(doc_id, 3, date(1970, 1, 1).toordinal(),
+                        SENTINEL_EXPIRY.toordinal(), [target],
+                        [reftype_code(RefType.OTHER)])], buf)
+        assert buf.getvalue() == json.dumps(
+            {"id": doc_id, "sector": 3, "date_of_effect": "1970-01-01",
+             "references": [{"target": target, "type": "other"}]},
+            separators=(",", ":")) + "\n"
