@@ -12,14 +12,25 @@ Citation targets are drawn preferentially: with probability
 ``preferential_mixing`` a target is chosen proportionally to
 (in-degree + 1), otherwise uniformly among existing documents.  Strong
 mixing yields heavy-tailed in-degree distributions.
+
+A seed fixes the corpus byte for byte, because the draws from the one
+``numpy`` generator come in a fixed order.  Each year draws, as arrays
+of one value per document, the sectors, the day offsets, the sunset
+flags, the sunset spans and the citation propensities.  Each citation
+then draws its target (per try, a mixing draw when
+``preferential_mixing`` > 0 and an index; at most 200 tries, then one
+index into the uncited remainder) and then its reference type.
+Changing this order, or the number of draws, changes every generated
+corpus: the benchmark's corpora and the digests that the tests record.
 """
 
 from __future__ import annotations
 
 import calendar
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +45,18 @@ from .graph import (
     reftype_code,
 )
 
-_SECTORS = tuple(Sector)
-_REFTYPES = tuple(RefType)
+_SECTOR_CODES = tuple(sector.value for sector in Sector)
+_SENTINEL_ORDINAL = SENTINEL_EXPIRY.toordinal()
+# the backward half of an amendment pair is the amending act pointing at
+# the act it amends, so a drawn AMENDED_BY is stored as AMENDMENT_TO
+_STORED_TYPES = tuple(RefType.AMENDMENT_TO if kind is RefType.AMENDED_BY
+                      else kind for kind in RefType)
+# by drawn type index: the stored type code, and the code of the
+# reciprocal edge stored with it (None: no reciprocal edge)
+_STORED_CODES = tuple(reftype_code(kind) for kind in _STORED_TYPES)
+_TWIN_CODES = tuple(reftype_code(RECIPROCAL_TYPES[kind])
+                    if kind in RECIPROCAL_TYPES else None
+                    for kind in _STORED_TYPES)
 
 # Pareto shape of per-document citation appetite; smaller = heavier
 # out-degree tail.
@@ -140,42 +161,41 @@ def generate(config: GeneratorConfig) -> LegislationGraph:
     config.validate()
     rng = np.random.default_rng(config.seed)
     sector_cum = _cumulative(config.sector_weights)
-    reftype_cum = _cumulative(config.reftype_weights)
+    reftype_cum = _cumulative(config.reftype_weights).tolist()
     schedule = config.schedule()
-    years = list(config.year_range())
     total_docs = sum(schedule)
 
     ids: list[str] = []
     sector_codes: list[int] = []
     effect_ords: list[int] = []
     expiry_ords: list[int] = []
-    edges: list[tuple[int, int, int]] = []  # (source, target, type code)
+    edges: list[int] = []  # flat (source, target, type code) triples
     # preference pool: one entry per node plus one per received in-edge,
     # so uniform sampling over it is proportional to (in-degree + 1)
     pool: list[int] = []
-    edges_emitted = 0
 
-    for year, n_year in zip(years, schedule):
+    for year, n_year in zip(config.year_range(), schedule):
         n_before = len(ids)
         sectors = np.searchsorted(sector_cum, rng.random(n_year))
         day_offsets = np.sort(rng.integers(0, _days_in_year(year), size=n_year))
         sunset_flags = rng.random(n_year) < config.sunset_probability
         sunset_spans = rng.integers(1, config.sunset_horizon_years + 1, size=n_year)
 
-        year_start = date(year, 1, 1)
-        for local in range(n_year):
-            effect = year_start + timedelta(days=int(day_offsets[local]))
-            expiry = (_add_years(effect, int(sunset_spans[local]))
-                      if sunset_flags[local] else SENTINEL_EXPIRY)
-            sector = _SECTORS[int(sectors[local])]
-            ids.append(f"{sector.value}{year}X{n_before + local:05d}")
-            sector_codes.append(sector.value)
-            effect_ords.append(effect.toordinal())
-            expiry_ords.append(expiry.toordinal())
+        codes = [_SECTOR_CODES[i] for i in sectors.tolist()]
+        effects = (date(year, 1, 1).toordinal() + day_offsets).tolist()
+        expiries = [_SENTINEL_ORDINAL] * n_year
+        for local in np.flatnonzero(sunset_flags).tolist():
+            expiries[local] = _add_years(date.fromordinal(effects[local]),
+                                         int(sunset_spans[local])).toordinal()
+        ids += [f"{code}{year}X{n_before + local:05d}"
+                for local, code in enumerate(codes)]
+        sector_codes += codes
+        effect_ords += effects
+        expiry_ords += expiries
 
         target_total = int(round(config.citation_scale
                                  * (n_before + n_year) ** config.densification_exponent))
-        budget = max(0, target_total - edges_emitted)
+        budget = max(0, target_total - len(edges) // 3)
         budget = _emit_citations(
             rng, config, edges, pool,
             first_index=n_before, count=n_year, budget=budget,
@@ -186,7 +206,6 @@ def generate(config: GeneratorConfig) -> LegislationGraph:
                 f"infeasible schedule: year {year} requests more citations "
                 f"than there are available targets"
             )
-        edges_emitted = len(edges)
 
     assert len(ids) == total_docs
     src, dst, kind = np.array(edges, dtype=np.int64).reshape(-1, 3).T
@@ -205,17 +224,20 @@ def _citation_propensities(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _emit_citations(rng: np.random.Generator, config: GeneratorConfig,
-                    edges: list[tuple[int, int, int]], pool: list[int],
+                    edges: list[int], pool: list[int],
                     first_index: int, count: int, budget: int,
-                    reftype_cum: np.ndarray) -> int:
+                    reftype_cum: list[float]) -> int:
     """Emit this year's citations; returns the unspent edge budget."""
     mixing = config.preferential_mixing
+    mixed = mixing > 0
+    random, integers = rng.random, rng.integers
     weights = _citation_propensities(rng, count)
+    # numpy's pairwise sum: sum() or math.fsum can differ in the last bit
     weight_left = float(weights.sum())
-    for offset in range(count):
+    for offset, weight in enumerate(weights.tolist()):
         source = first_index + offset
-        share = weights[offset] / weight_left if weight_left > 0 else 1.0
-        weight_left -= float(weights[offset])
+        share = weight / weight_left if weight_left > 0 else 1.0
+        weight_left -= weight
         if offset == count - 1:
             quota = budget  # last document absorbs rounding leftovers
         else:
@@ -224,36 +246,32 @@ def _emit_citations(rng: np.random.Generator, config: GeneratorConfig,
         emitted = 0
         reciprocal_hits = 0
         while emitted < quota and len(cited) < source:
-            target = _draw_target(rng, pool, source, cited, mixing)
+            for _ in range(200):
+                if mixed and random() < mixing:
+                    target = pool[integers(len(pool))]
+                else:
+                    target = int(integers(source))
+                if target not in cited:
+                    break
+            else:
+                target = _draw_uncited(rng, source, cited)
             cited.add(target)
-            kind = _REFTYPES[int(np.searchsorted(reftype_cum, rng.random()))]
-            if kind is RefType.AMENDED_BY:
-                # the backward half of an amendment pair is the amending
-                # act pointing at the act it amends
-                kind = RefType.AMENDMENT_TO
-            edges.append((source, target, reftype_code(kind)))
+            drawn = bisect_left(reftype_cum, random())
+            edges += (source, target, _STORED_CODES[drawn])
             pool.append(target)  # target gained an in-edge
             emitted += 1
-            reciprocal = RECIPROCAL_TYPES.get(kind)
-            if reciprocal is not None:
-                edges.append((target, source, reftype_code(reciprocal)))
+            twin = _TWIN_CODES[drawn]
+            if twin is not None:
+                edges += (target, source, twin)
                 reciprocal_hits += 1
                 emitted += 1
         budget = max(0, budget - emitted)
-        pool.append(source)
-        pool.extend([source] * reciprocal_hits)
+        pool += [source] * (1 + reciprocal_hits)
     return budget
 
 
-def _draw_target(rng: np.random.Generator, pool: list[int], source: int,
-                 cited: set[int], mixing: float) -> int:
-    for _ in range(200):
-        if mixing > 0 and rng.random() < mixing:
-            candidate = pool[int(rng.integers(len(pool)))]
-        else:
-            candidate = int(rng.integers(source))
-        if candidate not in cited:
-            return candidate
-    # dense corner: nearly every existing document already cited
+def _draw_uncited(rng: np.random.Generator, source: int,
+                  cited: set[int]) -> int:
+    """Dense corner: nearly every existing document is already cited."""
     remaining = np.setdiff1d(np.arange(source), np.fromiter(cited, dtype=np.int64))
     return int(remaining[int(rng.integers(len(remaining)))])

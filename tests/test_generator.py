@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 
 from legisnet import (
@@ -15,12 +19,92 @@ from conftest import edge_triples, export_text, node_rows
 
 AMENDMENT_KINDS = {RefType.AMENDMENT_TO, RefType.AMENDED_BY}
 
+# numpy's bounded-integer and float draws are fixed only within one
+# numpy version, as in test_tooling's RECORDED_WITH
+GENERATED_WITH = "2.4.6"
+_SMALL = dict(years=(1951, 1970), docs_per_year=30, densification_exponent=1.2,
+              seed=3)
+# sha256 of export_text(generate(config)); each config reaches a branch
+# of the generator that the tooling corpus does not pin
+GENERATED_DIGESTS = {
+    "mixing-0": (
+        GeneratorConfig(**_SMALL, preferential_mixing=0.0),
+        "4fa8dab6f55ae01d7d5d63c440cd7b7821b3dc7e16f76d9a179949d4b70a0fd8"),
+    "mixing-1": (
+        GeneratorConfig(**_SMALL, preferential_mixing=1.0),
+        "26bb7fe03673f16fa9e4ca8b44a6a2619ee202a60b4801ffbbf455e2db51b2af"),
+    # three leap years, every document sunsets within three years
+    "sunset-leap": (
+        GeneratorConfig(years=(1992, 2000), docs_per_year=100,
+                        sunset_probability=1.0, sunset_horizon_years=3,
+                        seed=0),
+        "ad81de125befd28e4eb84e8b9b94b5aa59d7ad089f4edf79f4a8a803fd309969"),
+    "per-year": (
+        GeneratorConfig(years=(1990, 1994), docs_per_year=(5, 40, 15, 60, 25),
+                        densification_exponent=1.3, sunset_probability=0.3,
+                        seed=7),
+        "6e0347caa14121e237252d254a1fdf4c829c83a8b721d317b6f9282d821e2054"),
+    # amended_by (stored as an amendment pair), instruments_cited, other
+    "zero-reftypes": (
+        GeneratorConfig(years=(1980, 1989), docs_per_year=40,
+                        reftype_weights=(1, 0, 0, 2, 0, 1), seed=5),
+        "a1da1c5579cc4a4dc57ffda1e61dcb0910f14170b5bcc00b58b2da43751ba9a8"),
+    # so dense that some sources exhaust 200 tries at drawing a new target
+    "dense-corner": (
+        GeneratorConfig(years=(2000, 2004), docs_per_year=12,
+                        densification_exponent=1.7, preferential_mixing=1.0,
+                        seed=2),
+        "e5874df3b60429b1be60e9982081e04c8999e1814ed5fcf6511530995a515695"),
+    # ... while up to three documents are still uncited
+    "dense-remainder": (
+        GeneratorConfig(years=(2000, 2004), docs_per_year=20,
+                        densification_exponent=1.5, preferential_mixing=1.0,
+                        seed=2),
+        "e79351517192e5ed44ceb16114e671bece7af9490134a9479a02c19a2ee8571a"),
+}
+
 
 def test_deterministic_per_seed():
     cfg = GeneratorConfig(years=(1970, 1979), docs_per_year=30,
                           densification_exponent=1.1, sunset_probability=0.2,
                           seed=42)
     assert export_text(generate(cfg)) == export_text(generate(cfg))
+
+
+@pytest.mark.skipif(np.__version__ != GENERATED_WITH,
+                    reason=f"digests recorded with numpy {GENERATED_WITH}")
+@pytest.mark.parametrize("name", sorted(GENERATED_DIGESTS))
+def test_generated_corpus_digest_stays_the_same(name):
+    config, digest = GENERATED_DIGESTS[name]
+    text = export_text(generate(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sunset_of_a_leap_day_falls_back_to_feb_28():
+    config, _ = GENERATED_DIGESTS["sunset-leap"]
+    leap_days = [(effect, expiry) for _, _, effect, expiry
+                 in node_rows(generate(config))
+                 if (effect.month, effect.day) == (2, 29)]
+    assert leap_days
+    for effect, expiry in leap_days:
+        assert (expiry.month, expiry.day) == (2, 28)
+        assert 1 <= expiry.year - effect.year <= 3
+
+
+@pytest.mark.parametrize("name, widest", [("dense-corner", 1),
+                                           ("dense-remainder", 3)])
+def test_dense_corner_draws_from_the_uncited_remainder(name, widest):
+    config, _ = GENERATED_DIGESTS[name]
+    remainders = []
+
+    def uncited(everyone, cited):
+        remainders.append(setdiff1d(everyone, cited))
+        return remainders[-1]
+
+    setdiff1d = np.setdiff1d
+    with patch.object(np, "setdiff1d", uncited):
+        generate(config)
+    assert max(map(len, remainders)) == widest
 
 
 def test_different_seed_differs():

@@ -11,7 +11,9 @@ Every command starts a fresh process, so importing the package loads
 no scipy and no process pool (only ``--threads`` > 1 uses one), and a
 command loads only the scipy parts its stages call: none for
 ``generate``, ``ingest`` and ``filter``, ``scipy.special`` alone for
-``powerlaw``.  Each case is probed in a fresh interpreter, and a static
+``powerlaw``.  ``bench/worker.py`` times set-up by wrapping
+``legisnet.cli.generate``, so ``generate`` must write what that global
+returns.  Each case is probed in a fresh interpreter, and a static
 check finds any module-level scipy import.  A bare ``np.unique`` (no
 index, inverse or counts asked for)
 goes through numpy's hash table, many times slower than a sort at the
@@ -47,7 +49,7 @@ import scipy
 import legisnet
 from legisnet.cli import main
 
-from conftest import reject_constant
+from conftest import export_text, reject_constant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,6 +71,25 @@ def test_bench_tracer_installs():
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_generate_runs_through_the_cli_global(tmp_path, monkeypatch):
+    """``bench/worker.py`` times set-up by wrapping ``legisnet.cli.generate``,
+    so the command must call the module global and write what it returns."""
+    import legisnet.cli as cli
+    graphs = []
+
+    def counted(config):
+        graphs.append(cli_generate(config))
+        return graphs[-1]
+
+    cli_generate = cli.generate
+    monkeypatch.setattr(cli, "generate", counted)
+    out = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--years", "1990:1994", "--docs-per-year", "20",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert len(graphs) == 1
+    assert out.read_text(encoding="utf-8") == export_text(graphs[0])
 
 
 def _in_package(name: str, package: str) -> bool:
