@@ -24,7 +24,10 @@ CSR adjacency of the directed structure (types merged) and the simple
 undirected projection.  The projection is not a second graph object;
 it is two pair columns ``(pair_u, pair_v)`` with u < v, one pair per
 node pair joined by a typed edge in either direction, over the same
-node indices.
+node indices.  ``derived`` keeps what the analyses compute once per
+graph (the giant component's projection, the local clustering
+coefficients and the giant component's path statistics, see
+``metrics``) with the graph, so it lives and dies with it.
 
 ``scipy.sparse`` is imported by ``adjacency`` on its first build, not
 with this module, so commands that never build a CSR (generate, ingest,
@@ -117,6 +120,14 @@ class LegislationGraph:
         self._csr: sparse.csr_matrix | None = None
         self._projection: tuple[np.ndarray, np.ndarray] | None = None
         self._id_rank: np.ndarray | None = None
+        self._derived: dict = {}
+
+    def derived(self, key, build):
+        """What ``build()`` returns, built on the first call with ``key``
+        and kept with the graph.  Callers must not mutate it."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     # -- queries -------------------------------------------------------------
 

@@ -34,15 +34,28 @@ wedge, 14 MB at the 2^18 budget, on top of about 60 bytes per edge: the
 whole call peaks at 24 MB on the criterion-11 projection (166,339
 pairs, 316,554 oriented wedges).
 
+Three giant-component quantities are computed once per graph and kept
+with it (``LegislationGraph.derived``), so the structure and
+small-world stages of one run share a single pass: the giant
+projection ``(mask, pair_u, pair_v)``, the projection's local
+clustering coefficients, and ``path_metrics`` per (mode, sources, seed,
+directed).  The arrays are read-only, and every ``path_metrics`` call
+returns a new result with its own histogram.  Small-world's C is the
+mean of the cached coefficients over the giant mask.  That is exact: a
+node's coefficient is the quotient of the same integers 2t and
+d(d - 1) whether it is computed on the whole projection or on its
+component alone, and the masked values keep their order, so their mean
+is the same float.
+
 scipy is imported inside the two functions that call it, not with this
-module: ``giant_component_mask`` loads ``scipy.sparse.csgraph`` and
+module: ``giant_projection`` loads ``scipy.sparse.csgraph`` and
 ``symmetric_csr`` loads ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -175,9 +188,10 @@ def lorenz_gini_from_degrees(degrees: np.ndarray) -> LorenzGini:
     top1_share = float(descending[:top_k].sum() / total)
     cum_desc = np.cumsum(descending)
     pareto_k = int(np.searchsorted(cum_desc, 0.8 * total) + 1)
+    ranks = np.arange(1, n + 1, dtype=float)  # gini_sorted's formula
     return LorenzGini(
         lorenz_points=points,
-        gini=gini_sorted(degrees),
+        gini=float(2.0 * np.dot(ranks, ascending) / (n * total) - (n + 1) / n),
         top1_share=top1_share,
         pareto80_node_fraction=pareto_k / n,
     )
@@ -233,9 +247,17 @@ def local_clustering_from_pairs(n: int, pair_u: np.ndarray,
 
 def clustering_profile_from_pairs(n: int, pair_u: np.ndarray,
                                   pair_v: np.ndarray) -> ClusteringProfile:
+    return _profile(local_clustering_from_pairs(n, pair_u, pair_v),
+                    pair_u, pair_v)
+
+
+def _profile(local: np.ndarray, pair_u: np.ndarray,
+             pair_v: np.ndarray) -> ClusteringProfile:
+    """Clustering profile from the local coefficients of the graph whose
+    edges are the pairs."""
+    n = len(local)
     if n == 0:
         return ClusteringProfile(0.0, {}, float("nan"))
-    local = local_clustering_from_pairs(n, pair_u, pair_v)
     degrees = np.bincount(pair_u, minlength=n) + np.bincount(pair_v, minlength=n)
     # one slice per distinct degree, holding its nodes in index order
     by_degree = np.argsort(degrees, kind="stable")
@@ -262,14 +284,21 @@ def _loglog_slope(per_degree: dict[int, float], counts: dict[int, int]) -> float
     return float(slope)
 
 
+def local_clustering(graph: LegislationGraph) -> np.ndarray:
+    """Local clustering coefficient of every node of the projection,
+    computed once per graph (read-only)."""
+    return graph.derived("local_clustering", lambda: _read_only(
+        local_clustering_from_pairs(graph.node_count,
+                                    *graph.simple_projection())))
+
+
 def clustering(graph: LegislationGraph) -> ClusteringProfile:
     """Clustering profile of the simple undirected projection.
 
     The log-log slope regresses log C(k) on log k over degrees with at
     least ``MIN_DEGREE_COUNT`` nodes and positive mean coefficient.
     """
-    return clustering_profile_from_pairs(graph.node_count,
-                                         *graph.simple_projection())
+    return _profile(local_clustering(graph), *graph.simple_projection())
 
 
 # -- components --------------------------------------------------------------
@@ -283,30 +312,42 @@ def largest_label(labels: np.ndarray, id_rank: np.ndarray) -> int:
     return int(labels[tied[np.argmin(id_rank[tied])]])
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
     """Mask of the largest weakly connected component (ties: smallest id)."""
-    if graph.node_count == 0:
-        return np.zeros(0, dtype=bool)
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(graph.adjacency(), directed=True,
-                                     connection="weak")
-    return labels == largest_label(labels, graph.id_ranks())
+    return giant_projection(graph)[0]
 
 
 def giant_projection(graph: LegislationGraph,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mask, pair_u, pair_v)``: the giant component's mask and its
-    projection pairs, renumbered to positions among the masked nodes.
+    projection pairs, renumbered to positions among the masked nodes,
+    computed once per graph (read-only).
 
     The pairs keep the projection's ascending order and u < v.  A pair
     never crosses components, so testing one end selects it.
     """
-    mask = giant_component_mask(graph)
+    return graph.derived("giant_projection", lambda: _giant_projection(graph))
+
+
+def _giant_projection(graph: LegislationGraph,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    mask = np.zeros(graph.node_count, dtype=bool)
+    if graph.node_count:
+        from scipy.sparse.csgraph import connected_components
+
+        _, labels = connected_components(graph.adjacency(), directed=True,
+                                         connection="weak")
+        mask = labels == largest_label(labels, graph.id_ranks())
     pair_u, pair_v = graph.simple_projection()
     keep = mask[pair_u]
     new_index = np.cumsum(mask) - 1
-    return mask, new_index[pair_u[keep]], new_index[pair_v[keep]]
+    return (_read_only(mask), _read_only(new_index[pair_u[keep]]),
+            _read_only(new_index[pair_v[keep]]))
 
 
 def components(graph: LegislationGraph) -> ComponentReport:
@@ -418,8 +459,18 @@ def path_metrics(graph: LegislationGraph, mode: str = "exact",
 
     With ``directed=True`` distances follow edge orientation on the
     same node set (the weak giant component) and average over ordered
-    reachable pairs.
+    reachable pairs.  The BFS runs once per graph and argument set; each
+    call returns a new result holding its own histogram.
     """
+    found = graph.derived(("path_metrics", mode, sources, seed, directed),
+                          lambda: _giant_path_stats(graph, mode, sources,
+                                                    seed, directed))
+    return replace(found, distance_histogram=dict(found.distance_histogram),
+                   directed=directed)
+
+
+def _giant_path_stats(graph: LegislationGraph, mode: str, sources: int,
+                      seed: int, directed: bool) -> PathMetrics:
     mask, pair_u, pair_v = giant_projection(graph)
     n_gc = int(mask.sum())
     if n_gc < 2:
@@ -429,10 +480,8 @@ def path_metrics(graph: LegislationGraph, mode: str = "exact",
     else:
         sub = symmetric_csr(n_gc, pair_u, pair_v)
     smallest_id = min(itertools.compress(graph.ids, mask.tolist()))
-    result = path_stats_from_csr(sub, smallest_id, mode=mode, sources=sources,
-                                 seed=seed)
-    result.directed = directed
-    return result
+    return path_stats_from_csr(sub, smallest_id, mode=mode, sources=sources,
+                               seed=seed)
 
 
 # -- assortativity -----------------------------------------------------------

@@ -9,6 +9,20 @@ approximations are reported alongside for orientation).
 
 A null's edges are one numpy ``Generator.choice`` draw of m distinct
 codes from the n(n-1) ordered node pairs, in under 160 bytes per edge.
+
+The network and every null are measured through one path,
+``_gc_path_clustering``, on what ``metrics`` computes once per graph
+and keeps with it: the giant component's mask, the projection's local
+clustering coefficients and ``path_metrics``.  C is the mean of the
+local coefficients over the giant component's nodes.  A node's
+coefficient depends only on its neighbours, all of which lie in its
+component, so the masked values are the very floats that clustering
+the giant component alone gives (the same integers 2t and d(d - 1)
+divided), in the same order, and their mean is the same float.  L is
+the undirected ``path_metrics`` of the giant component, so in
+``report-all`` the network's C and L come from the structure stage's
+pass, with its sources.  A null is dropped, caches and all, once
+measured.
 """
 
 from __future__ import annotations
@@ -28,11 +42,14 @@ from .graph import (
     Sector,
     reftype_code,
 )
-from .metrics import (
+# clustering_profile_from_pairs and path_stats_from_csr go unused here;
+# bench/spans.py patches them until ROADMAP item 2 lands
+from .metrics import (  # noqa: F401
     clustering_profile_from_pairs,
     giant_projection,
+    local_clustering,
+    path_metrics,
     path_stats_from_csr,
-    symmetric_csr,
 )
 from .util import derive_seed, parallel_map
 
@@ -95,17 +112,15 @@ def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
 
     Returns None when the giant component is too small to measure.
     """
-    mask, pair_u, pair_v = giant_projection(graph)
+    mask, pair_u, _ = giant_projection(graph)
     n_gc = int(mask.sum())
     if n_gc < 2:
         return None
-    c_value = clustering_profile_from_pairs(n_gc, pair_u, pair_v).global_avg
+    c_value = float(local_clustering(graph)[mask].mean())
     mode = path_mode
     if mode == "auto":
         mode = "exact" if n_gc <= EXACT_BELOW else "sampled"
-    stats = path_stats_from_csr(symmetric_csr(n_gc, pair_u, pair_v), "",
-                                mode=mode, sources=path_sources,
-                                seed=path_seed)
+    stats = path_metrics(graph, mode=mode, sources=path_sources, seed=path_seed)
     return n_gc, len(pair_u), c_value, stats.average_path_length
 
 

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import legisnet
+from legisnet import metrics
 from legisnet.cli import _ingest_input, _lines, build_parser, main
 
 from conftest import reject_constant
@@ -794,6 +796,34 @@ class TestReportAll:
         assert report_csv("resilience") == (
             csv_bytes("random", "resilience_curve.csv")
             + targeted_rows.split(b"\r\n", 1)[1])
+
+    def test_one_pass_per_giant_component(self, tmp_path, corpus_path,
+                                          monkeypatch):
+        """The structure and small-world stages share the network's BFS
+        and local clustering, and each null adds one of each.  Directed
+        distances are one more BFS, which never feeds L_net."""
+        calls: Counter = Counter()
+        for name in ("distance_histogram", "local_clustering_from_pairs"):
+            def counted(*args, _name=name, _fn=getattr(metrics, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(metrics, name, counted)
+        replicas = 3
+        sections = []
+        for directed in ([], ["--directed-paths"]):
+            calls.clear()
+            out = tmp_path / f"paths{len(directed)}"
+            assert main(["report-all", "--input", str(corpus_path),
+                         "--output-dir", str(out), *self.FLAGS,
+                         "--smallworld-replicas", str(replicas),
+                         "--resilience-reps", "2", *directed]) == 0
+            smallworld = read_report(out / "report.json")["results"]["smallworld"]
+            assert smallworld["rand_replicas"] == replicas
+            assert calls == {
+                "distance_histogram": 1 + len(directed) + replicas,
+                "local_clustering_from_pairs": 1 + replicas}
+            sections.append(smallworld)
+        assert sections[0] == sections[1]
 
     def test_undefined_sections_keep_the_rest(self, tmp_path, capsys):
         corpus = tmp_path / "two-years.jsonl"

@@ -21,7 +21,11 @@ kernel and every strategy of ``simulate``), and the per-node
 neighbour-set loop for the wedge closure clustering, bit for bit and
 under tiny wedge budgets.  The per-degree clustering profile is checked
 against its one-mask-per-degree loop, and the undirected projection of
-drawn multigraphs against a set of sorted pairs.  The attacks' one
+drawn multigraphs against a set of sorted pairs.  Small-world's C and L
+of the network and its nulls, read off the per-graph giant-component
+pass that the structure stage shares, are checked against the giant
+component's own clustering profile and BFS, bit for bit, and a
+``path_metrics`` result is checked to share nothing with the cache.  The attacks' one
 removal ranking is checked against the static lexsort and the adaptive
 re-ranking loop it replaced, on multigraphs under shuffled ids.  The
 bound-and-prune power-law threshold scan is checked against the
@@ -34,9 +38,11 @@ exact KS distance of every candidate of every row.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import warnings
+from dataclasses import replace
 from datetime import date, timedelta
 from unittest.mock import patch
 
@@ -69,9 +75,10 @@ from legisnet import (
     ingest,
     read_records,
     simulate,
+    small_world_compare,
     snapshot,
 )
-from legisnet import heavytail, metrics, resilience
+from legisnet import heavytail, metrics, randmodels, resilience
 from legisnet.generator import (_add_years, _citation_propensities,
                                 _cumulative, _days_in_year)
 from legisnet.graph import reftype_code
@@ -962,6 +969,87 @@ def test_giant_projection_equals_brute_force_pairs(seed, n, density):
     assert pairs == expected
     assert len(set(pairs)) == len(pairs)
     assert all(u < v for u, v in pairs)
+
+
+def reference_gc_path_clustering(graph, path_mode, path_sources, path_seed):
+    """Oracle: small-world's (gc size, gc edges, C, L) as it measured
+    them before sharing the per-graph pass: a clustering profile and a
+    BFS over the giant component's own pairs."""
+    mask, pair_u, pair_v = giant_projection(graph)
+    n_gc = int(mask.sum())
+    if n_gc < 2:
+        return None
+    c_value = clustering_profile_from_pairs(n_gc, pair_u, pair_v).global_avg
+    mode = path_mode
+    if mode == "auto":
+        mode = "exact" if n_gc <= randmodels.EXACT_BELOW else "sampled"
+    stats = metrics.path_stats_from_csr(
+        metrics.symmetric_csr(n_gc, pair_u, pair_v), "", mode=mode,
+        sources=path_sources, seed=path_seed)
+    return n_gc, len(pair_u), c_value, stats.average_path_length
+
+
+def small_world_outcome(graph, **kwargs):
+    try:
+        report = small_world_compare(graph, **kwargs)
+    except (AnalysisError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return (report.gc_size, report.c_net, report.l_net, report.c_rand,
+            report.l_rand, report.rand_replicas, report.skipped_replicas)
+
+
+@st.composite
+def small_world_graphs(draw):
+    """A multigraph, whose giant component is often under 10 nodes, or a
+    sparser or denser digraph on 10-80 nodes."""
+    if draw(st.booleans()):
+        return draw(multigraphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_digraph(rng, draw(st.integers(10, 80)),
+                          draw(st.floats(0.4, 3.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_world_graphs(), st.sampled_from(["exact", "sampled", "auto"]),
+       st.integers(1, 40), st.integers(0, 40), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.booleans())
+@example(make_graph(), "auto", 5, 10, 1, 0, True)
+@example(make_graph([], ["solo"]), "exact", 5, 10, 1, 0, True)
+@example(make_graph([("a", "b", RefType.OTHER)], ["a", "b", "c"]),
+         "exact", 5, 10, 2, 0, True)  # a giant component of 2 nodes
+@example(make_graph([(f"p{i}", f"p{i + 1}", RefType.OTHER) for i in range(9)]),
+         "sampled", 4, 10, 2, 7, True)  # a path of 10 nodes
+def test_small_world_equals_the_giant_components_own_pass(
+        graph, path_mode, sources, exact_below, replicas, seed, warm):
+    kwargs = dict(replicas=replicas, seed=seed, path_mode=path_mode,
+                  path_sources=sources)
+    with patch.object(randmodels, "EXACT_BELOW", exact_below):
+        with patch.object(randmodels, "_gc_path_clustering",
+                          reference_gc_path_clustering):
+            expected = small_world_outcome(graph, **kwargs)
+        if warm:  # the structure stage fills the cache first
+            metrics.clustering(graph)
+            for mode in ("exact", "sampled"):
+                with contextlib.suppress(AnalysisError, ConfigError):
+                    metrics.path_metrics(graph, mode, sources, seed)
+        assert small_world_outcome(graph, **kwargs) == expected
+
+
+def test_path_metrics_results_share_nothing_with_the_cache():
+    graph = random_digraph(np.random.default_rng(5), 40, 2.0)
+    first = metrics.path_metrics(graph, mode="sampled", sources=10, seed=3)
+    expected = replace(first, distance_histogram=dict(first.distance_histogram))
+    first.distance_histogram.clear()
+    first.distance_histogram[99] = 1
+    first.directed = True
+    assert metrics.path_metrics(graph, mode="sampled", sources=10,
+                                seed=3) == expected
+    directed = metrics.path_metrics(graph, mode="sampled", sources=10, seed=3,
+                                    directed=True)
+    assert directed.directed and not expected.directed
+    for array in (*giant_projection(graph), metrics.local_clustering(graph)):
+        with pytest.raises(ValueError):
+            array[:1] = 0
 
 
 def per_candidate_fit(degrees, min_tail=MIN_TAIL) -> TailFit:
