@@ -19,15 +19,15 @@ columns, turns them into numpy arrays and sorts the distinct triples.
 Builders (ingest, the generator, random nulls) and derived views
 (filters, snapshots) pass their columns to it directly.
 
-Two derived structures are built on first use and cached: the boolean
-CSR adjacency of the directed structure (types merged) and the simple
-undirected projection.  The projection is not a second graph object;
-it is two pair columns ``(pair_u, pair_v)`` with u < v, one pair per
-node pair joined by a typed edge in either direction, over the same
-node indices.  ``derived`` keeps what the analyses compute once per
-graph (the giant component's projection, the local clustering
-coefficients and the giant component's path statistics, see
-``metrics``) with the graph, so it lives and dies with it.
+What a graph computes once lives in its one cache, a dict filled by
+the ``per_graph`` memo, so it lives and dies with the graph: here the
+boolean CSR adjacency of the directed structure (types merged), the
+simple undirected projection and the id ranks; in ``metrics`` the
+giant component's projection, the local clustering coefficients and
+the giant component's path statistics.  The projection is not a second
+graph object; it is two pair columns ``(pair_u, pair_v)`` with u < v,
+one pair per node pair joined by a typed edge in either direction,
+over the same node indices.
 
 ``scipy.sparse`` is imported by ``adjacency`` on its first build, not
 with this module, so commands that never build a CSR (generate, ingest,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from datetime import date
 from enum import Enum
+from functools import wraps
 from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
@@ -91,6 +92,22 @@ def reftype_code(kind: RefType) -> int:
     return _REFTYPE_CODE[kind]
 
 
+def per_graph(build):
+    """Memo: ``build(graph, *args)`` is computed on the first call and
+    kept in the graph's cache under ``(build, *args)``.
+
+    Arguments are positional only, so a result has one key.  Callers
+    must not mutate what it returns.
+    """
+    @wraps(build)
+    def once(graph: LegislationGraph, *args):
+        key = (build, *args)
+        if key not in graph._cache:
+            graph._cache[key] = build(graph, *args)
+        return graph._cache[key]
+    return once
+
+
 class LegislationGraph:
     """Typed temporal directed multigraph over legal documents.
 
@@ -117,17 +134,7 @@ class LegislationGraph:
         pairs, kind = np.divmod(codes, len(RefType))
         self._src, self._dst = np.divmod(pairs, len(self._ids))
         self._kind = kind.astype(np.int8)
-        self._csr: sparse.csr_matrix | None = None
-        self._projection: tuple[np.ndarray, np.ndarray] | None = None
-        self._id_rank: np.ndarray | None = None
-        self._derived: dict = {}
-
-    def derived(self, key, build):
-        """What ``build()`` returns, built on the first call with ``key``
-        and kept with the graph.  Callers must not mutate it."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+        self._cache: dict = {}
 
     # -- queries -------------------------------------------------------------
 
@@ -145,14 +152,13 @@ class LegislationGraph:
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
+    @per_graph
     def id_ranks(self) -> np.ndarray:
         """Position of every node's id in ascending id order."""
-        if self._id_rank is None:
-            order = sorted(range(self.node_count), key=self._ids.__getitem__)
-            rank = np.empty(self.node_count, dtype=np.int64)
-            rank[order] = np.arange(self.node_count)
-            self._id_rank = rank
-        return self._id_rank
+        order = sorted(range(self.node_count), key=self._ids.__getitem__)
+        rank = np.empty(self.node_count, dtype=np.int64)
+        rank[order] = np.arange(self.node_count)
+        return rank
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source index, target index, type code) arrays, one row per edge."""
@@ -178,34 +184,32 @@ class LegislationGraph:
         """(effect, expiry) as proleptic-Gregorian ordinals per node."""
         return self._effect, self._expiry
 
+    @per_graph
     def adjacency(self) -> sparse.csr_matrix:
         """Boolean CSR adjacency of the directed structure (types merged)."""
-        if self._csr is None:
-            from scipy import sparse
+        from scipy import sparse
 
-            n = self.node_count
-            data = np.ones(len(self._src), dtype=np.int8)
-            mat = sparse.csr_matrix(
-                (data, (self._src, self._dst)), shape=(n, n), dtype=np.int8
-            )
-            mat.data[:] = 1  # collapse parallel typed edges
-            self._csr = mat
-        return self._csr
+        n = self.node_count
+        data = np.ones(len(self._src), dtype=np.int8)
+        mat = sparse.csr_matrix(
+            (data, (self._src, self._dst)), shape=(n, n), dtype=np.int8
+        )
+        mat.data[:] = 1  # collapse parallel typed edges
+        return mat
 
+    @per_graph
     def simple_projection(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges of the simple undirected projection as ``(pair_u, pair_v)``.
 
         One pair per node pair joined by a typed edge in either
         direction, with u < v, in ascending (u, v) order.
         """
-        if self._projection is None:
-            n = self.node_count
-            lo = np.minimum(self._src, self._dst)
-            hi = np.maximum(self._src, self._dst)
-            codes = np.sort(lo * n + hi)
-            codes = codes[np.diff(codes, prepend=-1) != 0]
-            self._projection = (codes // n, codes % n)
-        return self._projection
+        n = self.node_count
+        lo = np.minimum(self._src, self._dst)
+        hi = np.maximum(self._src, self._dst)
+        codes = np.sort(lo * n + hi)
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        return codes // n, codes % n
 
     def induced_subgraph(self, node_mask: np.ndarray,
                          edge_mask: np.ndarray | None = None) -> "LegislationGraph":

@@ -35,12 +35,12 @@ whole call peaks at 24 MB on the criterion-11 projection (166,339
 pairs, 316,554 oriented wedges).
 
 Three giant-component quantities are computed once per graph and kept
-with it (``LegislationGraph.derived``), so the structure and
+in its cache by the ``graph.per_graph`` memo, so the structure and
 small-world stages of one run share a single pass: the giant
 projection ``(mask, pair_u, pair_v)``, the projection's local
-clustering coefficients, and ``path_metrics`` per (mode, sources, seed,
-directed).  The arrays are read-only, and every ``path_metrics`` call
-returns a new result with its own histogram.  Small-world's C is the
+clustering coefficients, and the path statistics per (mode, sources,
+seed, directed).  The arrays are read-only, and every ``path_metrics``
+call returns a new result with its own histogram.  Small-world's C is the
 mean of the cached coefficients over the giant mask.  That is exact: a
 node's coefficient is the quotient of the same integers 2t and
 d(d - 1) whether it is computed on the whole projection or on its
@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, ValidationError
-from .graph import LegislationGraph
+from .graph import LegislationGraph, per_graph
 from .util import rng_for
 
 if TYPE_CHECKING:
@@ -188,10 +188,9 @@ def lorenz_gini_from_degrees(degrees: np.ndarray) -> LorenzGini:
     top1_share = float(descending[:top_k].sum() / total)
     cum_desc = np.cumsum(descending)
     pareto_k = int(np.searchsorted(cum_desc, 0.8 * total) + 1)
-    ranks = np.arange(1, n + 1, dtype=float)  # gini_sorted's formula
     return LorenzGini(
         lorenz_points=points,
-        gini=float(2.0 * np.dot(ranks, ascending) / (n * total) - (n + 1) / n),
+        gini=gini_sorted(ascending),
         top1_share=top1_share,
         pareto80_node_fraction=pareto_k / n,
     )
@@ -284,12 +283,12 @@ def _loglog_slope(per_degree: dict[int, float], counts: dict[int, int]) -> float
     return float(slope)
 
 
+@per_graph
 def local_clustering(graph: LegislationGraph) -> np.ndarray:
     """Local clustering coefficient of every node of the projection,
     computed once per graph (read-only)."""
-    return graph.derived("local_clustering", lambda: _read_only(
-        local_clustering_from_pairs(graph.node_count,
-                                    *graph.simple_projection())))
+    return _read_only(local_clustering_from_pairs(graph.node_count,
+                                                  *graph.simple_projection()))
 
 
 def clustering(graph: LegislationGraph) -> ClusteringProfile:
@@ -322,6 +321,7 @@ def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
     return giant_projection(graph)[0]
 
 
+@per_graph
 def giant_projection(graph: LegislationGraph,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mask, pair_u, pair_v)``: the giant component's mask and its
@@ -331,11 +331,6 @@ def giant_projection(graph: LegislationGraph,
     The pairs keep the projection's ascending order and u < v.  A pair
     never crosses components, so testing one end selects it.
     """
-    return graph.derived("giant_projection", lambda: _giant_projection(graph))
-
-
-def _giant_projection(graph: LegislationGraph,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mask = np.zeros(graph.node_count, dtype=bool)
     if graph.node_count:
         from scipy.sparse.csgraph import connected_components
@@ -462,13 +457,12 @@ def path_metrics(graph: LegislationGraph, mode: str = "exact",
     reachable pairs.  The BFS runs once per graph and argument set; each
     call returns a new result holding its own histogram.
     """
-    found = graph.derived(("path_metrics", mode, sources, seed, directed),
-                          lambda: _giant_path_stats(graph, mode, sources,
-                                                    seed, directed))
+    found = _giant_path_stats(graph, mode, sources, seed, directed)
     return replace(found, distance_histogram=dict(found.distance_histogram),
                    directed=directed)
 
 
+@per_graph
 def _giant_path_stats(graph: LegislationGraph, mode: str, sources: int,
                       seed: int, directed: bool) -> PathMetrics:
     mask, pair_u, pair_v = giant_projection(graph)

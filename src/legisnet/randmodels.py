@@ -12,8 +12,8 @@ codes from the n(n-1) ordered node pairs, in under 160 bytes per edge.
 
 The network and every null are measured through one path,
 ``_gc_path_clustering``, on what ``metrics`` computes once per graph
-and keeps with it: the giant component's mask, the projection's local
-clustering coefficients and ``path_metrics``.  C is the mean of the
+and keeps in its cache: the giant component's mask, the projection's
+local clustering coefficients and ``path_metrics``.  C is the mean of the
 local coefficients over the giant component's nodes.  A node's
 coefficient depends only on its neighbours, all of which lie in its
 component, so the masked values are the very floats that clustering
@@ -22,7 +22,9 @@ divided), in the same order, and their mean is the same float.  L is
 the undirected ``path_metrics`` of the giant component, so in
 ``report-all`` the network's C and L come from the structure stage's
 pass, with its sources.  A null is dropped, caches and all, once
-measured.
+measured.  No null is skipped: the network's giant component has at
+least 10 nodes, so a null gets at least 9 edges and its giant
+component at least 2 nodes.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class SmallWorldReport:
     rand_replicas: int
     length_factor: float = 1.5
     clustering_factor: float = 10.0
-    skipped_replicas: int = 0
+    skipped_replicas: int = 0  # no null can be skipped; kept for the reports
     l_approx: float = float("nan")   # ln n / ln <k> on the giant component
     c_approx: float = float("nan")   # <k> / n on the giant component
     gc_size: int = 0
@@ -125,13 +127,11 @@ def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
 
 
 def _null_measure(replica: int, n: int, m: int, seed: int, path_mode: str,
-                  path_sources: int) -> tuple[float, float] | None:
+                  path_sources: int) -> tuple[float, float]:
     null = erdos_renyi(n, m, seed=derive_seed(seed, "er-null", replica))
-    measured = _gc_path_clustering(null, path_mode, path_sources,
-                                   derive_seed(seed, "er-null-path", replica))
-    if measured is None:
-        return None
-    _, _, c_value, l_value = measured
+    _, _, c_value, l_value = _gc_path_clustering(
+        null, path_mode, path_sources,
+        derive_seed(seed, "er-null-path", replica))
     return c_value, l_value
 
 
@@ -162,23 +162,17 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
     worker = partial(_null_measure, n=graph.node_count, m=graph.edge_count,
                      seed=seed, path_mode=path_mode, path_sources=path_sources)
     rows = parallel_map(worker, list(range(replicas)), n_jobs=n_jobs)
-    usable = [row for row in rows if row is not None]
-    skipped = replicas - len(usable)
-    if not usable:
-        raise AnalysisError("every null replica had a degenerate giant component")
-    c_rand = float(np.mean([row[0] for row in usable]))
-    l_rand = float(np.mean([row[1] for row in usable]))
+    c_rand = float(np.mean([row[0] for row in rows]))
+    l_rand = float(np.mean([row[1] for row in rows]))
 
-    mean_degree = 2.0 * gc_edges / n_gc if n_gc else 0.0
+    mean_degree = 2.0 * gc_edges / n_gc
     l_approx = (math.log(n_gc) / math.log(mean_degree)
                 if mean_degree > 1.0 else float("nan"))
     verdict = (l_net <= length_factor * l_rand
                and c_net >= clustering_factor * c_rand)
     return SmallWorldReport(
         l_net=l_net, c_net=c_net, l_rand=l_rand, c_rand=c_rand,
-        small_world_verdict=bool(verdict), rand_replicas=len(usable),
+        small_world_verdict=bool(verdict), rand_replicas=replicas,
         length_factor=length_factor, clustering_factor=clustering_factor,
-        skipped_replicas=skipped, l_approx=l_approx,
-        c_approx=mean_degree / n_gc if n_gc else float("nan"),
-        gc_size=n_gc,
+        l_approx=l_approx, c_approx=mean_degree / n_gc, gc_size=n_gc,
     )

@@ -67,9 +67,10 @@ class ResilienceConfig:
             raise ConfigError("stop_at must be in (0, 1]")
 
     def effective_repetitions(self) -> int:
-        if self.repetitions is not None:
-            return self.repetitions
-        return 1000 if self.strategy == "random" else 1
+        """Curves ``simulate`` averages: an attack has one rank."""
+        if self.strategy != "random":
+            return 1
+        return 1000 if self.repetitions is None else self.repetitions
 
 
 @dataclass
@@ -103,9 +104,9 @@ def removal_boundaries(n: int, step_fraction: float, stop_at: float) -> list[int
     """Cumulative removal counts after each step."""
     boundaries = []
     removed = 0
-    while removed / n < stop_at and removed < n:
-        step = min(math.ceil(step_fraction * (n - removed)), n - removed)
-        removed += step
+    while removed / n < stop_at:  # stop_at <= 1, so removed < n
+        # 0 < f < 1 keeps fl(f * r) in (0, r], so each step is 1 to r nodes
+        removed += math.ceil(step_fraction * (n - removed))
         boundaries.append(removed)
     return boundaries
 

@@ -94,6 +94,7 @@ class TestGenerate:
         # finite, but the edge schedule overflows
         ["--citation-scale", "1e308"],
         ["--sector-weights", "1,2"],
+        ["--sector-weights", "1,x,1,1,1,1"],
         ["--docs-per-year", "0"],
         ["--sunset-prob", "1.5"],
         ["--sunset-horizon", "0"],

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from datetime import date
 
 import numpy as np
+import pytest
 
-from legisnet import SENTINEL_EXPIRY, RefType, Sector
+from legisnet import SENTINEL_EXPIRY, RefType, Sector, metrics
 
 from conftest import edge_triples, make_graph, node_rows, random_digraph
 
@@ -123,3 +126,47 @@ class TestInvariants:
             smaller = make_graph(
                 [r for i, r in enumerate(refs) if i != drop], g.ids)
             assert pair_count(smaller) <= full
+
+
+def filled(graph):
+    """``graph`` after everything it computes once has been built."""
+    graph.adjacency()
+    graph.id_ranks()
+    metrics.giant_projection(graph)
+    metrics.local_clustering(graph)
+    metrics.path_metrics(graph, mode="sampled", sources=5, seed=1)
+    return graph
+
+
+def cached_objects(graph) -> list:
+    """Every result in the graph's cache, tuples opened one level."""
+    return [item for value in graph._cache.values()
+            for item in (value if isinstance(value, tuple) else (value,))]
+
+
+class TestCache:
+    def test_one_cache_holds_every_result(self):
+        graph = filled(random_digraph(np.random.default_rng(3), 30, 2.0))
+        # adjacency, ranks, projection, giant projection, clustering, paths
+        assert len(graph._cache) == 6
+        with pytest.raises(TypeError):  # keywords would give a second key
+            metrics._giant_path_stats(graph, mode="sampled", sources=5,
+                                      seed=1, directed=False)
+
+    def test_cached_results_are_freed_with_their_graph(self):
+        graph = filled(random_digraph(np.random.default_rng(3), 30, 2.0))
+        refs = [weakref.ref(obj) for obj in [graph, *cached_objects(graph)]]
+        del graph
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_equal_graphs_share_no_cached_object(self):
+        first, second = (
+            filled(random_digraph(np.random.default_rng(3), 30, 2.0))
+            for _ in range(2))
+        assert first._cache.keys() == second._cache.keys()
+        for a in cached_objects(first):
+            for b in cached_objects(second):
+                assert a is not b
+                if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+                    assert not np.shares_memory(a, b)

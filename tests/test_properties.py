@@ -27,7 +27,8 @@ pass that the structure stage shares, are checked against the giant
 component's own clustering profile and BFS, bit for bit, and a
 ``path_metrics`` result is checked to share nothing with the cache.  The attacks' one
 removal ranking is checked against the static lexsort and the adaptive
-re-ranking loop it replaced, on multigraphs under shuffled ids.  The
+re-ranking loop it replaced, on multigraphs under shuffled ids, and
+the removal schedule against its loop with a step cap and a stop at n.  The
 bound-and-prune power-law threshold scan is checked against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
 bootstrap; each row of a block fit against that row's 1-D fit; and the
@@ -41,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import warnings
 from dataclasses import replace
 from datetime import date, timedelta
@@ -672,6 +674,33 @@ def test_wedge_clustering_equals_set_loop_on_generated_networks():
     n_gc = int(mask.sum())
     assert np.array_equal(local_clustering_from_pairs(n_gc, pair_u, pair_v),
                           set_loop_clustering(n_gc, pair_u, pair_v))
+
+
+def capped_boundaries(n: int, step_fraction: float,
+                      stop_at: float) -> list[int]:
+    """Oracle: the removal schedule as it ran before its two guards were
+    dropped, capping each step at the nodes left and stopping at n."""
+    boundaries = []
+    removed = 0
+    while removed / n < stop_at and removed < n:
+        step = min(math.ceil(step_fraction * (n - removed)), n - removed)
+        removed += step
+        boundaries.append(removed)
+    return boundaries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2000),
+       st.floats(0, 1, exclude_min=True, exclude_max=True),
+       st.floats(0, 1, exclude_min=True))
+@example(1, 5e-324, 1.0)
+@example(2000, 5e-324, 1.0)
+@example(2**40, 1 - 2**-53, 1.0)
+@example(2**52 + 1, 1 - 2**-53, 1.0)
+@example(3, 0.5, 5e-324)
+def test_removal_boundaries_equal_the_capped_loop(n, step, stop_at):
+    assert (removal_boundaries(n, step, stop_at)
+            == capped_boundaries(n, step, stop_at))
 
 
 def recount_curve(order, pair_u, pair_v, n, boundaries) -> list[int]:

@@ -38,6 +38,15 @@ class TestConfig:
         assert ResilienceConfig(
             strategy="targeted_by_degree").effective_repetitions() == 1
 
+    @pytest.mark.parametrize("strategy,reps", [
+        ("random", 3), ("targeted_by_degree", None),
+        ("targeted_by_degree", 50)])
+    def test_effective_repetitions_count_the_averaged_curves(self, strategy,
+                                                             reps):
+        config = ResilienceConfig(strategy=strategy, repetitions=reps)
+        assert (simulate(star(30), config).averaged_over
+                == config.effective_repetitions())
+
     def test_stop_at_bounds(self):
         with pytest.raises(ConfigError):
             ResilienceConfig(stop_at=0.0)
