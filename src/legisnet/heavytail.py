@@ -37,21 +37,28 @@ fit no power law), every candidate is finished: O(K * U) ``zeta``
 values for K candidates.
 
 The scan runs on a block of samples, one per row; a 1-D sample is a
-block of one row.  One sort orders the rows, one flat mask finds their
-value runs, and a zero-padded grid of row-reversed running sums gives
-each tail's log-sum in the order a lone row adds it.  One bound grid
-and one zeta(g, t + 1) call cover every candidate of every row.
-Candidates are then finished in rounds, each one ``zeta`` call over the
-next candidate of every row still open, so each row's fit equals its
-fit alone bit for bit.  The bootstrap draws each replica from its own
-random stream and refits the replicas in blocks of ``BLOCK_VALUES``
-sample values: one ``fit_power_law`` call per block, looked up as this
-module's global, so wrapping that name counts blocks.  On degree
-samples one block peaks at 26-32 bytes per value, 3.3-4.2 MB at 2**17
-values (traced on the benchmark corpus's in- and out-degrees).  The
-bound grid costs about 1.2 kB per candidate, so a block of distinct
-values peaks near 160 MB, as one fit of a sample of that many distinct
-values does.
+block of one row.  It reads each sample as value runs, (value, count)
+pairs: a raw sample is sorted and split where the value changes, and a
+sample given as rising values and their counts is taken as it is.  Zeros
+are counted off the runs and dropped.  A zero-padded grid of
+row-reversed running sums gives each tail's log-sum in the order a lone
+row adds it.  One bound grid and one zeta(g, t + 1) call cover every
+candidate of every row.  Candidates are then finished in rounds, each
+one ``zeta`` call over the next candidate of every row still open, so
+each row's fit equals its fit alone bit for bit.  The bootstrap draws
+each replica from its own random stream straight into runs: its tail
+draws from sorted uniforms, so they come out rising (far-tail draws out
+of order are re-sorted), and its body resample as counts of the body's
+distinct values.  It refits the replicas in blocks of ``BLOCK_VALUES``
+sample values: one ``fit_power_law`` call per block, in the value-count
+form and looked up as this module's global, so wrapping that name counts
+blocks.  A block holds one row per replica: the body's distinct values
+and the tail's runs, 41-85 distinct values on the benchmark corpora
+(generator seeds 11 and 97).  Its refit peaks at 1.2-2.4 MB there
+(traced on the in- and out-degrees), most of it the bound grid.  That
+grid costs about 1.2 kB per candidate, so a block of distinct values
+peaks near 160 MB, as one fit of a sample of that many distinct values
+does.
 
 ``zeta`` imports ``scipy.special`` inside the call, so the commands
 that fit no power law do not load it.
@@ -125,10 +132,10 @@ class FitResult:
     zeros_excluded: int = 0
 
 
-def _sorted_degrees(degrees, rows: bool = False) -> np.ndarray:
-    """Degrees as int64, sorted: each row of a 2-D array when ``rows``,
-    else flattened.  Raises unless all are non-negative integers."""
-    xs = np.asarray(degrees)
+def _integers(values, rows: bool, what: str) -> np.ndarray:
+    """``values`` as int64: each row of a 2-D array when ``rows``, else
+    flattened.  Raises unless all are integers."""
+    xs = np.asarray(values)
     if not rows:
         xs = xs.ravel()
     if xs.dtype.kind not in "biu":
@@ -136,9 +143,15 @@ def _sorted_degrees(degrees, rows: bool = False) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             ints = xs.astype(np.int64)
         if not np.array_equal(ints, xs):
-            raise ValidationError("degrees must be non-negative integers")
+            raise ValidationError(f"{what} must be non-negative integers")
         xs = ints
-    xs = np.sort(xs.astype(np.int64, copy=False), axis=-1)
+    return xs.astype(np.int64, copy=False)
+
+
+def _sorted_degrees(degrees, rows: bool = False) -> np.ndarray:
+    """Degrees as int64, sorted: each row of a 2-D array when ``rows``,
+    else flattened.  Raises unless all are non-negative integers."""
+    xs = np.sort(_integers(degrees, rows, "degrees"), axis=-1)
     if xs.size and xs[..., 0].min() < 0:
         raise ValidationError("degrees must be non-negative integers")
     return xs
@@ -151,7 +164,49 @@ def _clean_degrees(degrees) -> tuple[np.ndarray, int]:
     return xs[zeros:], zeros
 
 
-def fit_power_law(degrees, min_tail: int = MIN_TAIL) -> TailFit:
+def _runs(values: np.ndarray, row: np.ndarray) -> tuple:
+    """The runs of equal ``values`` in one ``row``: (row, value, count)
+    of each run."""
+    starts = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    starts[1:] |= row[1:] != row[:-1]
+    start = np.flatnonzero(starts)
+    return row[start], values[start], np.diff(start, append=len(values))
+
+
+def _sample_runs(xs: np.ndarray) -> tuple:
+    """The value runs of the row-sorted int64 block ``xs``: (rows, row,
+    value, count), one entry per run, rows in order and values rising
+    within each row."""
+    rows, cols = xs.shape
+    return (rows, *_runs(xs.ravel(), np.repeat(np.arange(rows), cols)))
+
+
+def _count_runs(values, counts) -> tuple:
+    """The value runs, as ``_sample_runs`` gives them, of the samples
+    that hold ``counts[r, j]`` copies of ``values[r, j]``, one per row
+    of a 2-D array.  The values of positive counts must rise along
+    each row."""
+    block = np.ndim(values) == 2
+    values = _integers(values, block, "degrees")
+    counts = _integers(counts, block, "counts")
+    if values.shape != counts.shape:
+        raise ValidationError("counts must have the shape of the values")
+    values, counts = np.atleast_2d(values, counts)
+    if values.size and values.min() < 0:
+        raise ValidationError("degrees must be non-negative integers")
+    if counts.size and counts.min() < 0:
+        raise ValidationError("counts must be non-negative integers")
+    kept = np.flatnonzero(counts)
+    row = kept // max(values.shape[1], 1)
+    values = values.ravel()[kept]
+    if ((values[1:] <= values[:-1]) & (row[1:] == row[:-1])).any():
+        raise ValidationError("degrees with a positive count must rise "
+                              "along each row")
+    return len(counts), row, values, counts.ravel()[kept]
+
+
+def fit_power_law(degrees, min_tail: int = MIN_TAIL, counts=None) -> TailFit:
     """Fit the discrete power-law tail, selecting x_min by minimum KS.
 
     Zero degrees are excluded before fitting (their count is reported
@@ -171,26 +226,39 @@ def fit_power_law(degrees, min_tail: int = MIN_TAIL) -> TailFit:
     ``AnalysisError`` gets ``ks_statistic`` inf, ``gamma`` NaN and
     ``x_min`` and ``n_tail`` 0 instead; ``ValidationError`` still
     raises for the whole block.
+
+    With ``counts``, an array of the shape of ``degrees``, the sample
+    (or row r of a block) holds ``counts[j]`` (``counts[r, j]``) copies
+    of ``degrees[j]`` (``degrees[r, j]``).  The degrees of positive
+    counts must rise, along each row of a block; a count of 0 adds
+    nothing.  The fit equals that of the sample written out, bit for
+    bit.
     """
     block = np.ndim(degrees) == 2
-    xs = _sorted_degrees(degrees, rows=block)
-    fit = _fit_rows(xs if block else xs[None], min_tail)
+    if counts is None:
+        xs = _sorted_degrees(degrees, rows=block)
+        runs = _sample_runs(xs if block else xs[None])
+    else:
+        runs = _count_runs(degrees, counts)
+    fit = _fit_runs(*runs, min_tail)
     if block:
         return fit
-    zeros = int(fit.zeros_excluded[0])
     if not np.isfinite(fit.ks_statistic[0]):
-        raise AnalysisError(_unfit_reason(xs[zeros:], min_tail))
+        raise AnalysisError(_unfit_reason(*runs[2:], min_tail))
     return TailFit(float(fit.gamma[0]), int(fit.x_min[0]), int(fit.n_tail[0]),
-                   float(fit.ks_statistic[0]), zeros_excluded=zeros)
+                   float(fit.ks_statistic[0]),
+                   zeros_excluded=int(fit.zeros_excluded[0]))
 
 
-def _unfit_reason(xs: np.ndarray, min_tail: int) -> str:
-    """Why the sorted positive sample ``xs`` has no fit."""
-    n = len(xs)
+def _unfit_reason(values: np.ndarray, counts: np.ndarray, min_tail: int) -> str:
+    """Why the sample of ``counts[j]`` copies of each ``values[j]`` has
+    no fit."""
+    positive = values > 0
+    n = int(counts[positive].sum())
     if n < MIN_OBSERVATIONS:
         return (f"power-law fit needs >= {MIN_OBSERVATIONS} positive "
                 f"observations, got {n}")
-    if xs[0] == xs[-1]:
+    if np.count_nonzero(positive) == 1:
         return "degenerate input: all degree values are equal"
     if n < min_tail:
         return (f"no threshold keeps min_tail={min_tail} observations in its "
@@ -198,55 +266,47 @@ def _unfit_reason(xs: np.ndarray, min_tail: int) -> str:
     return "no usable power-law threshold candidate"
 
 
-def _fit_rows(xs: np.ndarray, min_tail: int) -> TailFit:
-    """Fit every row of the row-sorted int64 block ``xs`` at once, as
-    ``fit_power_law`` describes for 2-D input."""
-    rows, cols = xs.shape
-    zeros = np.count_nonzero(xs == 0, axis=1)
-    n = cols - zeros                                    # positive values per row
+def _fit_runs(rows: int, row: np.ndarray, uniq: np.ndarray,
+              counts: np.ndarray, min_tail: int) -> TailFit:
+    """Fit each of ``rows`` samples from its value runs, as
+    ``fit_power_law`` describes for 2-D input: ``counts[i]`` copies of
+    ``uniq[i]`` in row ``row[i]``, rows in order and values rising
+    within each row.  Runs of zeros are counted and dropped."""
+    zero = uniq == 0
+    zeros = np.zeros(rows, dtype=np.int64)
+    zeros[row[zero]] = counts[zero]
+    row, uniq, counts = row[~zero], uniq[~zero], counts[~zero]
+    runs = np.bincount(row, minlength=rows)
+    row_stop = np.cumsum(runs)                          # past each row's last run
+    total = np.concatenate(([0], np.cumsum(counts)))
+    before = total[row_stop - runs]
+    n = total[row_stop] - before                        # positive values per row
     fit = TailFit(np.full(rows, np.nan), np.zeros(rows, dtype=np.int64),
                   np.zeros(rows, dtype=np.int64), np.full(rows, np.inf),
                   zeros_excluded=zeros)
-    ok = n >= MIN_OBSERVATIONS
-    if ok.any():                                        # not all values equal
-        ok[ok] = xs[ok, zeros[ok]] != xs[ok, -1]
+    ok = (n >= MIN_OBSERVATIONS) & (runs >= 2)          # not all values equal
     if not ok.any():
         return fit
 
-    # value runs, row by row: a run starts at a row's start or where the
-    # value changes, and the zeros' run drops out
-    flat = xs.ravel()
-    starts = np.empty(flat.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
-    starts[::cols] = True
-    starts &= flat > 0
-    start = np.flatnonzero(starts)
-    run_row = start // cols
-    uniq = flat[start]
-    below = start - run_row * cols - zeros[run_row]     # count of values < uniq
-    counts = np.minimum(np.append(start[1:], flat.size),
-                        (run_row + 1) * cols) - start
-    cum = below + counts                                # count of values <= uniq
-    tail_sizes = n[run_row] - below                     # count of values >= uniq
-    runs = np.bincount(run_row, minlength=rows)
-    row_stop = np.cumsum(runs)                          # past each row's last run
+    cum = total[1:] - before[row]                       # count of values <= uniq
+    below = cum - counts                                # count of values < uniq
+    tail_sizes = n[row] - below                         # count of values >= uniq
     # sum of ln x over each tail, added from the row's largest value down
     # as a lone row's reversed cumsum adds it: each row goes reversed
     # into a grid row, and the zeros padding its end add nothing before
-    back = row_stop[run_row] - 1 - np.arange(len(start))
+    back = row_stop[row] - 1 - np.arange(len(uniq))
     grid = np.zeros((rows, runs.max()))
-    grid[run_row, back] = counts * np.log(uniq)
-    tail_logsums = np.cumsum(grid, axis=1)[run_row, back]
+    grid[row, back] = counts * np.log(uniq)
+    tail_logsums = np.cumsum(grid, axis=1)[row, back]
 
     # candidate c's tail is its row's runs cand[c] .. row_stop - 1; tail
     # sizes fall as the threshold rises, so the candidates are a prefix
     # of each row's runs
-    cand = np.flatnonzero(ok[run_row] & (tail_sizes >= min_tail))
+    cand = np.flatnonzero(ok[row] & (tail_sizes >= min_tail))
     if not len(cand):
         return fit
     thresholds = uniq[cand]
-    row = run_row[cand]
+    row = row[cand]
     sizes = tail_sizes[cand]
     # a log-sum that rounds to 0 (or below) gives gamma = inf (or <= 1),
     # whose powers and zeta values the scan rejects
@@ -367,8 +427,12 @@ class PowerLawSampler:
     survival probability) falls back to bisection on the zeta-based
     survival function.  The table grows only as far as the draws need
     it, with every entry from the same elementwise expression, so draws
-    do not depend on how much of it was built.  A draw past the int64
-    range raises ``AnalysisError``.
+    do not depend on how much of it was built.  The inverse CDF is
+    monotone, so sorted uniforms give sorted table draws, and every
+    far-tail draw exceeds them; the bisection compares rounded zeta
+    values, so far-tail draws are not proven to keep the uniforms'
+    order among themselves.  A draw past the int64 range raises
+    ``AnalysisError``.
     """
 
     def __init__(self, gamma: float, x_min: int) -> None:
@@ -391,8 +455,12 @@ class PowerLawSampler:
         self._cdf = np.empty(0)  # P(X <= x_min + i), ascending; see _extend
 
     def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(size)
-        if size:
+        return self.quantiles(rng.random(size))
+
+    def quantiles(self, u: np.ndarray) -> np.ndarray:
+        """The inverse CDF at each uniform in ``u``: the least x with
+        P(X <= x) >= u."""
+        if len(u):
             self._extend(float(u.max()))
         idx = np.searchsorted(self._cdf, u, side="left")
         out = idx + self.x_min              # the table holds x_min, x_min + 1, ...
@@ -435,31 +503,60 @@ class PowerLawSampler:
 # -- goodness of fit ---------------------------------------------------------
 
 
-def _gof_replica(replica: int, out: np.ndarray, seed: int, p_tail: float,
-                 body: np.ndarray, sampler: PowerLawSampler) -> None:
-    """Draw replica ``replica``'s synthetic sample into ``out``: a
-    binomial share ``p_tail`` of it from the fitted tail, the rest
-    resampled from ``body``."""
-    n = len(out)
-    rng = rng_for(seed, "gof-replica", replica)
-    n_tail_draw = int(rng.binomial(n, p_tail))
-    if n_tail_draw:
-        out[:n_tail_draw] = sampler.draw(n_tail_draw, rng)
-    if n - n_tail_draw:
-        out[n_tail_draw:] = body[rng.integers(0, len(body),
-                                              size=n - n_tail_draw)]
+def _gof_draws(replicas: range, n: int, seed: int, p_tail: float,
+               body_values: np.ndarray, body_counts: np.ndarray,
+               sampler: PowerLawSampler) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a block of synthetic samples of ``n`` values, one per
+    replica: a binomial share ``p_tail`` of each from the fitted tail,
+    the rest resampled from the body, ``body_counts[j]`` copies of each
+    ascending ``body_values[j]``.  Each sample is one row of (values,
+    counts) as ``fit_power_law`` takes them: the body's values, then
+    the tail's, then padding, with count 0 where none was drawn."""
+    width = len(body_values)
+    body_size = int(body_counts.sum())
+    body_starts = np.cumsum(body_counts) - body_counts
+    rows = len(replicas)
+    resampled = np.zeros((rows, width), dtype=np.int64)
+    uniforms = []
+    for i, replica in enumerate(replicas):
+        rng = rng_for(seed, "gof-replica", replica)
+        n_tail_draw = int(rng.binomial(n, p_tail))
+        u = rng.random(n_tail_draw) if n_tail_draw else np.empty(0)
+        u.sort()
+        uniforms.append(u)
+        if n - n_tail_draw:
+            picks = rng.integers(0, body_size, size=n - n_tail_draw)
+            resampled[i] = np.add.reduceat(
+                np.bincount(picks, minlength=body_size), body_starts)
+    tail_sizes = [len(u) for u in uniforms]
+    tail = sampler.quantiles(np.concatenate(uniforms))
+    tail_row = np.repeat(np.arange(rows), tail_sizes)
+    # ascending uniforms give ascending draws from the table, but the
+    # far tail bisects rounded zeta values, which need not rise with u
+    if ((tail[1:] < tail[:-1]) & (tail_row[1:] == tail_row[:-1])).any():
+        tail = tail[np.lexsort((tail, tail_row))]
+    run_row, run_values, run_counts = _runs(tail, tail_row)
+    runs = np.bincount(run_row, minlength=rows)
+    column = (width + np.arange(len(run_row))
+              - np.repeat(np.cumsum(runs) - runs, runs))
+    values = np.zeros((rows, width + runs.max()), dtype=np.int64)
+    values[:, :width] = body_values
+    values[run_row, column] = run_values
+    counts = np.zeros(values.shape, dtype=np.int64)
+    counts[:, :width] = resampled
+    counts[run_row, column] = run_counts
+    return values, counts
 
 
 def _gof_block(replicas: range, n: int, seed: int, p_tail: float,
-               body: np.ndarray, sampler: PowerLawSampler,
-               min_tail: int) -> np.ndarray:
+               body_values: np.ndarray, body_counts: np.ndarray,
+               sampler: PowerLawSampler, min_tail: int) -> np.ndarray:
     """Draw and refit a block of replicas with one ``fit_power_law``
     call: one (ks, gamma, x_min, n_tail) row each, ks inf where the
     refit failed."""
-    block = np.empty((len(replicas), n), dtype=np.int64)
-    for replica, out in zip(replicas, block):
-        _gof_replica(replica, out, seed, p_tail, body, sampler)
-    refit = fit_power_law(block, min_tail=min_tail)
+    values, counts = _gof_draws(replicas, n, seed, p_tail, body_values,
+                                body_counts, sampler)
+    refit = fit_power_law(values, min_tail=min_tail, counts=counts)
     return np.column_stack((refit.ks_statistic, refit.gamma, refit.x_min,
                             refit.n_tail))
 
@@ -488,12 +585,13 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     if fit is None:
         fit = fit_power_law(xs, min_tail=min_tail)
     n = len(xs)
-    body = xs[xs < fit.x_min]
+    body_values, body_counts = np.unique(xs[xs < fit.x_min], return_counts=True)
     p_tail = fit.n_tail / n
     sampler = PowerLawSampler(fit.gamma, fit.x_min)
     per_block = max(1, BLOCK_VALUES // n)
     blocks = [range(lo, min(lo + per_block, m)) for lo in range(0, m, per_block)]
-    worker = partial(_gof_block, n=n, seed=seed, p_tail=p_tail, body=body,
+    worker = partial(_gof_block, n=n, seed=seed, p_tail=p_tail,
+                     body_values=body_values, body_counts=body_counts,
                      sampler=sampler, min_tail=min_tail)
     stats = np.concatenate(parallel_map(worker, blocks, n_jobs=n_jobs))
     # a pathological replica counts as a poorer fit than any data
@@ -523,7 +621,7 @@ def ccdf(degrees) -> list[tuple[int, float]]:
     xs = _sorted_degrees(degrees)
     if len(xs) == 0:
         raise AnalysisError("ccdf of an empty degree multiset is undefined")
-    uniq, counts = np.unique(xs, return_counts=True)
+    _, _, uniq, counts = _sample_runs(xs[None])
     at_least = counts[::-1].cumsum()[::-1]
     n = len(xs)
     return [(int(k), float(c) / n) for k, c in zip(uniq, at_least)]

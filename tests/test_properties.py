@@ -34,7 +34,10 @@ per-candidate loop it replaced, bit for bit, in single fits and in the
 bootstrap; each row of a block fit against that row's 1-D fit; and the
 blocked bootstrap against one 1-D refit per replica, with one-row and
 ragged blocks.  The scan's power-sum bounds are checked against the
-exact KS distance of every candidate of every row.
+exact KS distance of every candidate of every row.  A fit from values
+and counts is checked against the fit of the sample written out, and
+each bootstrap replica's value runs against the distinct values of the
+row of draws it replaced, far-tail draws included.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from legisnet import (
     RefType,
     ResilienceConfig,
     Sector,
+    ValidationError,
     decompose,
     erdos_renyi,
     export,
@@ -85,12 +89,13 @@ from legisnet.generator import (_add_years, _citation_propensities,
                                 _cumulative, _days_in_year)
 from legisnet.graph import reftype_code
 from legisnet.heavytail import (MIN_OBSERVATIONS, MIN_TAIL, FitResult,
-                                TailFit, _clean_degrees)
+                                PowerLawSampler, TailFit, _clean_degrees)
 from legisnet.metrics import (ClusteringProfile, clustering_profile_from_pairs,
                               distance_histogram, giant_projection,
                               local_clustering_from_pairs)
 from legisnet.resilience import (MIN_NODES, _attack_rank, _curve_for_rank,
                                  removal_boundaries)
+from legisnet.util import rng_for
 
 from conftest import (bowtie_sets, edge_triples, export_text, make_graph,
                       node_rows, random_digraph)
@@ -1167,11 +1172,16 @@ def degree_blocks(draw) -> np.ndarray:
 
 def block_fit(fit):
     """``fit`` as ``fit_power_law`` applied to a block: row by row, with
-    ks inf for a row it refuses.  Each fitted row is counted in the
-    returned list."""
+    ks inf for a row it refuses, and to the value-count form by writing
+    each sample out.  Each fitted row is counted in the returned list."""
     rows = []
 
-    def fit_rows(degrees, **kwargs):
+    def fit_rows(degrees, counts=None, **kwargs):
+        if counts is not None:
+            degrees = [np.repeat(values, row_counts) for values, row_counts
+                       in zip(np.atleast_2d(degrees), np.atleast_2d(counts))]
+            if np.ndim(counts) == 1:
+                degrees = degrees[0]
         if np.ndim(degrees) == 1:
             return fit(degrees, **kwargs)
         fits = []
@@ -1331,20 +1341,162 @@ def test_power_sum_bounds_are_lower_bounds(block, min_tail, width):
     assert checked == expected
 
 
+def gof_replica(replica: int, n: int, seed: int, p_tail: float,
+                body: np.ndarray, sampler: PowerLawSampler) -> np.ndarray:
+    """Oracle: replica ``replica``'s synthetic sample as the bootstrap
+    drew it before replicas came as value runs, ``n`` values in one
+    row: a binomial share ``p_tail`` of them from the fitted tail, the
+    rest resampled from ``body``."""
+    out = np.empty(n, dtype=np.int64)
+    rng = rng_for(seed, "gof-replica", replica)
+    n_tail_draw = int(rng.binomial(n, p_tail))
+    if n_tail_draw:
+        out[:n_tail_draw] = sampler.draw(n_tail_draw, rng)
+    if n - n_tail_draw:
+        out[n_tail_draw:] = body[rng.integers(0, len(body),
+                                              size=n - n_tail_draw)]
+    return out
+
+
+@st.composite
+def replica_cases(draw) -> tuple:
+    """(gamma, x_min, sorted body below x_min, n, p_tail, seed): an empty
+    body draws every value from the tail, and p_tail 0 or 1 draws none
+    or all from it."""
+    x_min = draw(st.integers(1, 40))
+    body = np.sort(np.array(draw(st.lists(st.integers(1, max(x_min - 1, 1)),
+                                          max_size=0 if x_min == 1 else 60)),
+                            dtype=np.int64))
+    p_tail = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return (draw(st.floats(1.3, 3.5)), x_min, body, draw(st.integers(1, 300)),
+            p_tail if len(body) else 1.0, draw(st.integers(0, 2**32 - 1)))
+
+
+def far_tail_falling(sampler, u) -> int:
+    """A far-tail draw that falls as u rises, so a block's far-tail draws
+    come out of the lookup in descending order."""
+    return sampler._top + 1 + int((1.0 - u) * 1e6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(replica_cases(), st.integers(0, 50), st.integers(1, 4),
+       st.sampled_from([4, 64, heavytail.MAX_TABLE]), st.booleans())
+# k = 0, k = n, and an empty body
+@example((2.5, 6, np.array([1, 1, 2, 5]), 80, 0.0, 1), 0, 3, 64, False)
+@example((2.5, 6, np.array([1, 1, 2, 5]), 80, 1.0, 1), 0, 3, 64, False)
+@example((1.4, 1, np.array([], dtype=np.int64), 120, 1.0, 2), 7, 2, 4, False)
+# far-tail draws in a falling order
+@example((1.4, 3, np.array([1, 2]), 200, 0.6, 3), 0, 3, 4, True)
+def test_replica_runs_equal_the_unique_values_of_the_oracle_row(
+        case, first, replicas, table, falling):
+    """Each row of a drawn block, its zero counts dropped, is
+    ``np.unique`` of that replica's oracle row with its counts, or both
+    raise the same AnalysisError.  Table caps of 4 and 64 values send
+    draws to the far-tail bisection; ``falling`` makes the far tail fall
+    as u rises, so each replica's draws must be re-sorted."""
+    gamma, x_min, body, n, p_tail, seed = case
+    block = range(first, first + replicas)
+    body_values, body_counts = np.unique(body, return_counts=True)
+
+    def outcome(draw):
+        try:
+            return draw(PowerLawSampler(gamma, x_min))
+        except AnalysisError as exc:
+            return str(exc)
+
+    with patch.object(heavytail, "MAX_TABLE", table), \
+            patch.object(PowerLawSampler, "_far_tail", far_tail_falling
+                         if falling else PowerLawSampler._far_tail):
+        rows = outcome(lambda sampler: [
+            gof_replica(replica, n, seed, p_tail, body, sampler)
+            for replica in block])
+        drawn = outcome(lambda sampler: heavytail._gof_draws(
+            block, n, seed, p_tail, body_values, body_counts, sampler))
+    if isinstance(rows, str):
+        assert drawn == rows
+        return
+    values, counts = drawn
+    assert values.shape == counts.shape and len(values) == replicas
+    for row, row_values, row_counts in zip(rows, values, counts):
+        kept = row_counts > 0
+        unique, unique_counts = np.unique(row, return_counts=True)
+        assert np.array_equal(row_values[kept], unique)
+        assert np.array_equal(row_counts[kept], unique_counts)
+
+
+@st.composite
+def count_blocks(draw) -> tuple[np.ndarray, np.ndarray]:
+    """A block of value-count rows: rising values from 0 up, with few or
+    many apart, counts with zeros whose values break the order, and a
+    row whose counts are all 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 30)))
+    steps = np.minimum(rng.zipf(draw(st.floats(1.3, 2.5)), shape), 10**6)
+    values = np.cumsum(steps, axis=1) - draw(st.integers(0, 1))
+    counts = rng.integers(0, draw(st.integers(1, 40)), shape)
+    counts[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0
+    if draw(st.booleans()):
+        counts[draw(st.integers(0, shape[0] - 1))] = 0
+    values[counts == 0] = rng.integers(0, 50, shape)[counts == 0]
+    return values, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_blocks(), st.integers(1, 60))
+def test_count_form_fit_equals_fit_of_the_written_out_sample(block, min_tail):
+    """A fit from rising values and their counts equals the fit of the
+    sample with ``counts[j]`` copies of each ``values[j]``, bit for bit,
+    whatever the values of 0 counts: each row of a block as that
+    sample's 1-D fit (ks inf where it raises), and a 1-D pair as the
+    1-D fit, or the same AnalysisError."""
+    values, counts = block
+    samples = [np.repeat(v, c) for v, c in zip(values, counts)]
+    with np.errstate(divide="ignore"):
+        fit = fit_power_law(values, min_tail=min_tail, counts=counts)
+        assert row_outcomes(fit) == single_outcomes(samples, min_tail=min_tail)
+        assert fit.zeros_excluded.tolist() == [
+            int((sample == 0).sum()) for sample in samples]
+
+        def outcome(*args, **kwargs):
+            try:
+                return fit_power_law(*args, min_tail=min_tail, **kwargs)
+            except AnalysisError as exc:
+                return str(exc)
+
+        assert outcome(values[0], counts=counts[0]) == outcome(samples[0])
+
+
+def test_count_form_rejects_what_is_not_rising_integers_and_counts():
+    """Degrees and counts are non-negative integers of one shape, and
+    the degrees of positive counts rise; a degree out of order with a
+    count of 0 is ignored."""
+    values = np.arange(1, 61)
+    counts = np.ones(60, dtype=np.int64)
+    fit_power_law(values, counts=counts)
+    unordered = np.append(values[:-1], 59)
+    fit_power_law(unordered, counts=np.append(counts[:-1], 0))
+    for bad_values, bad_counts in [
+            (values[::-1], counts), (unordered, counts),
+            (values - 2, counts), (values + 0.5, counts),
+            (np.append(values[:-1], np.nan), counts), (values, -counts),
+            (values, counts * 1.5), (values, np.append(counts[:-1], np.inf)),
+            (values, counts[:-1]), (values[None], counts)]:
+        with pytest.raises(ValidationError):
+            fit_power_law(bad_values, counts=bad_counts)
+
+
 def per_replica_bootstrap(xs, m, seed, min_tail=MIN_TAIL) -> FitResult:
     """Oracle: the bootstrap as it ran before refits went in blocks,
-    each replica drawn by ``_gof_replica`` and refitted by one 1-D
+    each replica drawn by ``gof_replica`` and refitted by one 1-D
     ``fit_power_law`` call."""
     clean, zeros = _clean_degrees(xs)
     fit = fit_power_law(clean, min_tail=min_tail)
     n = len(clean)
     body = clean[clean < fit.x_min]
-    sampler = heavytail.PowerLawSampler(fit.gamma, fit.x_min)
+    sampler = PowerLawSampler(fit.gamma, fit.x_min)
     rows = []
     for replica in range(m):
-        synthetic = np.empty(n, dtype=np.int64)
-        heavytail._gof_replica(replica, synthetic, seed, fit.n_tail / n, body,
-                               sampler)
+        synthetic = gof_replica(replica, n, seed, fit.n_tail / n, body, sampler)
         try:
             refit = fit_power_law(synthetic, min_tail=min_tail)
         except AnalysisError:
@@ -1382,14 +1534,19 @@ def bootstrap_outcome(bootstrap, xs, m, seed):
 @example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 3)
 def test_blocked_bootstrap_equals_per_replica_refits(xs, m, seed, per_block):
     """goodness_of_fit equals the per-replica oracle when its blocks hold
-    ``per_block`` replicas: one row each, or a ragged last block.  Each
-    block is one fit_power_law call."""
+    ``per_block`` replicas: one row each, or a ragged last block.  The
+    sample's fit is one fit_power_law call, and so is each block, with
+    one value-count row of ``n`` values per replica."""
     n = int((xs > 0).sum())
     calls = []
 
-    def counted(degrees, **kwargs):
-        calls.append(np.shape(degrees))
-        return fit(degrees, **kwargs)
+    def counted(degrees, counts=None, **kwargs):
+        if counts is None:
+            calls.append(np.shape(degrees))
+        else:
+            assert (counts.sum(axis=1) == n).all()
+            calls.append(len(counts))
+        return fit(degrees, counts=counts, **kwargs)
 
     fit = heavytail.fit_power_law
     with patch.object(heavytail, "BLOCK_VALUES", per_block * n + n - 1), \
@@ -1398,7 +1555,7 @@ def test_blocked_bootstrap_equals_per_replica_refits(xs, m, seed, per_block):
     assert blocked == bootstrap_outcome(per_replica_bootstrap, xs, m, seed)
     if isinstance(blocked, FitResult):
         sizes = [min(per_block, m - lo) for lo in range(0, m, per_block)]
-        assert calls == [(n,)] + [(k, n) for k in sizes]
+        assert calls == [(n,), *sizes]
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,8 +4,9 @@ reports stay the same.
 ``bench/spans.py`` patches CLI imports, module globals and graph methods
 by name, so deleting or renaming one of them breaks the benchmark.  The
 tracer is installed in a fresh interpreter, so its patches never reach
-the package this test session imports.  ``__all__`` is kept apart from
-the package's import list, and only a star import reads it.
+the package this test session imports.  Its count of bootstrap refits
+must equal the bootstrap's number of blocks.  ``__all__`` is kept apart
+from the package's import list, and only a star import reads it.
 
 Every command starts a fresh process, so importing the package loads
 no scipy and no process pool (only ``--threads`` > 1 uses one), and a
@@ -71,6 +72,38 @@ def test_bench_tracer_installs():
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+TRACED = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+tracer = spans.Tracer("t")
+tracer.install()
+from legisnet.cli import main
+assert main(json.loads(sys.argv[3])) == 0
+print(json.dumps(tracer.counts))
+"""
+
+
+def test_traced_bootstrap_counts_one_refit_per_block(tmp_path, tooling_corpus):
+    """The tracer counts ``heavytail.refits`` by wrapping heavytail's
+    ``fit_power_law`` global, so the bootstrap must refit each block
+    through that name, once."""
+    argv = ["powerlaw", "--input", str(tooling_corpus), "--output-dir",
+            str(tmp_path), "--bootstrap", "60"]
+    run = subprocess.run(
+        [sys.executable, "-c", TRACED, str(ROOT / "bench"), str(ROOT / "src"),
+         json.dumps(argv)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(run.stdout.splitlines()[-1])
+    with open(tooling_corpus, encoding="utf-8") as fh:
+        graph, _ = legisnet.ingest(legisnet.read_records(fh))
+    n = int(np.count_nonzero(graph.degree_array("in")))
+    per_block = max(1, legisnet.heavytail.BLOCK_VALUES // n)
+    assert counts["heavytail.refits"] == -(-60 // per_block)
 
 
 def test_generate_runs_through_the_cli_global(tmp_path, monkeypatch):
