@@ -36,29 +36,28 @@ tail values.  When the bounds prune nothing (many distinct values that
 fit no power law), every candidate is finished: O(K * U) ``zeta``
 values for K candidates.
 
-The scan runs on a block of samples, one per row; a 1-D sample is a
-block of one row.  It reads each sample as value runs, (value, count)
-pairs: a raw sample is sorted and split where the value changes, and a
-sample given as rising values and their counts is taken as it is.  Zeros
-are counted off the runs and dropped.  A zero-padded grid of
-row-reversed running sums gives each tail's log-sum in the order a lone
-row adds it.  One bound grid and one zeta(g, t + 1) call cover every
-candidate of every row.  Candidates are then finished in rounds, each
-one ``zeta`` call over the next candidate of every row still open, so
-each row's fit equals its fit alone bit for bit.  The bootstrap draws
-each replica from its own random stream straight into runs: its tail
-draws from sorted uniforms, so they come out rising (far-tail draws out
-of order are re-sorted), and its body resample as counts of the body's
-distinct values.  It refits the replicas in blocks of ``BLOCK_VALUES``
-sample values: one ``fit_power_law`` call per block, in the value-count
-form and looked up as this module's global, so wrapping that name counts
-blocks.  A block holds one row per replica: the body's distinct values
-and the tail's runs, 41-85 distinct values on the benchmark corpora
-(generator seeds 11 and 97).  Its refit peaks at 1.2-2.4 MB there
-(traced on the in- and out-degrees), most of it the bound grid.  That
-grid costs about 1.2 kB per candidate, so a block of distinct values
-peaks near 160 MB, as one fit of a sample of that many distinct values
-does.
+The scan reads each sample as value runs, (value, count) pairs.  A
+raw sample is one sample: its values become their distinct values and
+counts on entry.  A block of samples, one per row, comes in that count
+form alone, as rising values and their counts.  Zeros are counted off
+the runs and dropped.  A zero-padded grid of row-reversed running sums
+gives each tail's log-sum in the order a lone row adds it.  One bound
+grid and one zeta(g, t + 1) call cover every candidate of every row.
+Candidates are then finished in rounds, each one ``zeta`` call over the
+next candidate of every row still open, so each row's fit equals its
+fit alone bit for bit.  The bootstrap draws each replica from its own
+random stream straight into runs: its tail draws from sorted uniforms,
+so they come out rising (far-tail draws out of order are re-sorted),
+and its body resample as counts of the body's distinct values.  It
+refits the replicas in blocks of ``BLOCK_VALUES`` sample values: one
+``fit_power_law`` call per block, looked up as this module's global, so
+wrapping that name counts blocks.  A block holds one row per replica:
+the body's distinct values and the tail's runs, 41-85 distinct values
+on the benchmark corpora (generator seeds 11 and 97).  Its refit peaks
+at 1.2-2.4 MB there (traced on the in- and out-degrees), most of it the
+bound grid.  That grid costs about 1.2 kB per candidate, so a block of
+distinct values peaks near 160 MB, as one fit of a sample of that many
+distinct values does.
 
 ``zeta`` imports ``scipy.special`` inside the call, so the commands
 that fit no power law do not load it.
@@ -132,12 +131,10 @@ class FitResult:
     zeros_excluded: int = 0
 
 
-def _integers(values, rows: bool, what: str) -> np.ndarray:
-    """``values`` as int64: each row of a 2-D array when ``rows``, else
-    flattened.  Raises unless all are integers."""
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of the same shape.  Raises unless
+    all are integers."""
     xs = np.asarray(values)
-    if not rows:
-        xs = xs.ravel()
     if xs.dtype.kind not in "biu":
         # NaN, infinities, fractions and values past int64 change in the cast
         with np.errstate(invalid="ignore"):
@@ -148,11 +145,11 @@ def _integers(values, rows: bool, what: str) -> np.ndarray:
     return xs.astype(np.int64, copy=False)
 
 
-def _sorted_degrees(degrees, rows: bool = False) -> np.ndarray:
-    """Degrees as int64, sorted: each row of a 2-D array when ``rows``,
-    else flattened.  Raises unless all are non-negative integers."""
-    xs = np.sort(_integers(degrees, rows, "degrees"), axis=-1)
-    if xs.size and xs[..., 0].min() < 0:
+def _sorted_degrees(degrees) -> np.ndarray:
+    """Degrees as int64, flattened and sorted.  Raises unless all are
+    non-negative integers."""
+    xs = np.sort(_integers(degrees, "degrees").ravel())
+    if xs.size and xs[0] < 0:
         raise ValidationError("degrees must be non-negative integers")
     return xs
 
@@ -174,24 +171,17 @@ def _runs(values: np.ndarray, row: np.ndarray) -> tuple:
     return row[start], values[start], np.diff(start, append=len(values))
 
 
-def _sample_runs(xs: np.ndarray) -> tuple:
-    """The value runs of the row-sorted int64 block ``xs``: (rows, row,
-    value, count), one entry per run, rows in order and values rising
-    within each row."""
-    rows, cols = xs.shape
-    return (rows, *_runs(xs.ravel(), np.repeat(np.arange(rows), cols)))
-
-
 def _count_runs(values, counts) -> tuple:
-    """The value runs, as ``_sample_runs`` gives them, of the samples
-    that hold ``counts[r, j]`` copies of ``values[r, j]``, one per row
-    of a 2-D array.  The values of positive counts must rise along
-    each row."""
-    block = np.ndim(values) == 2
-    values = _integers(values, block, "degrees")
-    counts = _integers(counts, block, "counts")
+    """The value runs (rows, row, value, count) of the samples that hold
+    ``counts[r, j]`` copies of ``values[r, j]``, one per row of a 2-D
+    array (a 1-D array is one row): one entry per run, rows in order.
+    The values of positive counts must rise along each row."""
+    values = _integers(values, "degrees")
+    counts = _integers(counts, "counts")
     if values.shape != counts.shape:
         raise ValidationError("counts must have the shape of the values")
+    if values.ndim not in (1, 2):
+        raise ValidationError("degrees and counts must be 1-D or 2-D")
     values, counts = np.atleast_2d(values, counts)
     if values.size and values.min() < 0:
         raise ValidationError("degrees must be non-negative integers")
@@ -220,28 +210,31 @@ def fit_power_law(degrees, min_tail: int = MIN_TAIL, counts=None) -> TailFit:
     tail holds at least ``MIN_OBSERVATIONS`` values and two distinct
     ones.
 
-    A 2-D array is a block of samples, one per row, fitted in one
-    scan.  Each field of the result is then an array with one entry
-    per row, equal to that row's 1-D fit.  A row whose 1-D fit raises
-    ``AnalysisError`` gets ``ks_statistic`` inf, ``gamma`` NaN and
-    ``x_min`` and ``n_tail`` 0 instead; ``ValidationError`` still
-    raises for the whole block.
+    Without ``counts``, ``degrees`` is one raw sample, in any order; an
+    array of two or more dimensions raises ``ValidationError``.  With
+    ``counts``, an array of the shape of ``degrees``, the sample holds
+    ``counts[j]`` copies of ``degrees[j]``; the degrees of positive
+    counts must rise, and a count of 0 adds nothing.  The fit equals
+    that of the sample written out, bit for bit.
 
-    With ``counts``, an array of the shape of ``degrees``, the sample
-    (or row r of a block) holds ``counts[j]`` (``counts[r, j]``) copies
-    of ``degrees[j]`` (``degrees[r, j]``).  The degrees of positive
-    counts must rise, along each row of a block; a count of 0 adds
-    nothing.  The fit equals that of the sample written out, bit for
-    bit.
+    A block of samples, fitted in one scan, is given in that count
+    form alone: 2-D ``degrees`` and ``counts``, one sample per row, the
+    sample of row r holding ``counts[r, j]`` copies of
+    ``degrees[r, j]``.  Each field of the result is then an array with
+    one entry per row, equal to that row's 1-D fit.  A row whose 1-D
+    fit raises ``AnalysisError`` gets ``ks_statistic`` inf, ``gamma``
+    NaN and ``x_min`` and ``n_tail`` 0 instead; ``ValidationError``
+    still raises for the whole block.
     """
-    block = np.ndim(degrees) == 2
     if counts is None:
-        xs = _sorted_degrees(degrees, rows=block)
-        runs = _sample_runs(xs if block else xs[None])
-    else:
-        runs = _count_runs(degrees, counts)
+        if np.ndim(degrees) > 1:
+            raise ValidationError(
+                "raw degrees must be one 1-D sample; give a block of "
+                "samples as values with counts")
+        degrees, counts = np.unique(_sorted_degrees(degrees), return_counts=True)
+    runs = _count_runs(degrees, counts)
     fit = _fit_runs(*runs, min_tail)
-    if block:
+    if np.ndim(degrees) == 2:
         return fit
     if not np.isfinite(fit.ks_statistic[0]):
         raise AnalysisError(_unfit_reason(*runs[2:], min_tail))
@@ -436,7 +429,7 @@ class PowerLawSampler:
     """
 
     def __init__(self, gamma: float, x_min: int) -> None:
-        if gamma <= 1.0:
+        if not gamma > 1.0:  # NaN included
             raise ValidationError("power-law exponent must exceed 1")
         if not (x_min >= 1 and float(x_min).is_integer()):
             raise ValidationError("x_min must be a positive integer")
@@ -453,9 +446,6 @@ class PowerLawSampler:
         self._top = min(top, INT64_MAX)
         self._norm = float(zeta(self.gamma, float(self.x_min)))
         self._cdf = np.empty(0)  # P(X <= x_min + i), ascending; see _extend
-
-    def draw(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantiles(rng.random(size))
 
     def quantiles(self, u: np.ndarray) -> np.ndarray:
         """The inverse CDF at each uniform in ``u``: the least x with
@@ -585,6 +575,10 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     if fit is None:
         fit = fit_power_law(xs, min_tail=min_tail)
     n = len(xs)
+    if not 0 < fit.n_tail <= n:
+        raise ValidationError(
+            f"fit.n_tail must be between 1 and the sample's {n} positive "
+            f"values, got {fit.n_tail}")
     body_values, body_counts = np.unique(xs[xs < fit.x_min], return_counts=True)
     p_tail = fit.n_tail / n
     sampler = PowerLawSampler(fit.gamma, fit.x_min)
@@ -621,7 +615,7 @@ def ccdf(degrees) -> list[tuple[int, float]]:
     xs = _sorted_degrees(degrees)
     if len(xs) == 0:
         raise AnalysisError("ccdf of an empty degree multiset is undefined")
-    _, _, uniq, counts = _sample_runs(xs[None])
+    uniq, counts = np.unique(xs, return_counts=True)
     at_least = counts[::-1].cumsum()[::-1]
     n = len(xs)
     return [(int(k), float(c) / n) for k, c in zip(uniq, at_least)]

@@ -109,15 +109,11 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
 
 def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
                         path_sources: int, path_seed: int,
-                        ) -> tuple[int, int, float, float] | None:
-    """(gc size, gc projection edges, C, L) of the giant component.
-
-    Returns None when the giant component is too small to measure.
-    """
+                        ) -> tuple[int, int, float, float]:
+    """(gc size, gc projection edges, C, L) of a giant component of at
+    least 2 nodes."""
     mask, pair_u, _ = giant_projection(graph)
     n_gc = int(mask.sum())
-    if n_gc < 2:
-        return None
     c_value = float(local_clustering(graph)[mask].mean())
     mode = path_mode
     if mode == "auto":
@@ -153,11 +149,11 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
                          ("clustering_factor", clustering_factor)):
         if not (math.isfinite(factor) and factor > 0):
             raise ConfigError(f"{name} must be finite and > 0, got {factor}")
-    # the structure stage's sources, so a report states one sampled L_net
-    measured = _gc_path_clustering(graph, path_mode, path_sources, seed)
-    if measured is None or measured[0] < 10:
+    if giant_projection(graph)[0].sum() < 10:
         raise AnalysisError("giant component must have >= 10 nodes")
-    n_gc, gc_edges, c_net, l_net = measured
+    # the structure stage's sources, so a report states one sampled L_net
+    n_gc, gc_edges, c_net, l_net = _gc_path_clustering(
+        graph, path_mode, path_sources, seed)
 
     worker = partial(_null_measure, n=graph.node_count, m=graph.edge_count,
                      seed=seed, path_mode=path_mode, path_sources=path_sources)

@@ -111,6 +111,20 @@ def random_digraph(rng: np.random.Generator, n: int,
     return make_graph(refs, [f"n{i:04d}" for i in range(n)])
 
 
+def count_form(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The samples ``rows`` as one value-count block: row r holds
+    ``np.unique(rows[r], return_counts=True)``, padded with value 0 and
+    count 0 to the widest row."""
+    pairs = [np.unique(row, return_counts=True) for row in rows]
+    width = max(len(values) for values, _ in pairs)
+    values = np.zeros((len(pairs), width), dtype=np.int64)
+    counts = np.zeros_like(values)
+    for r, (row_values, row_counts) in enumerate(pairs):
+        values[r, :len(row_values)] = row_values
+        counts[r, :len(row_counts)] = row_counts
+    return values, counts
+
+
 @pytest.fixture
 def amendment_chain_graph():
     """One directive amended twice: 3 nodes, 4 directed amendment edges."""

@@ -20,6 +20,8 @@ from legisnet import heavytail
 from legisnet.heavytail import (DEFAULT_BOOTSTRAP_M, MAX_TABLE, PowerLawSampler,
                                 TailFit)
 
+from conftest import count_form
+
 
 def draw_pl_table(gamma, x_min, size, rng):
     """Independent generation oracle: explicit probability table.
@@ -130,12 +132,14 @@ class TestFit:
             fit_power_law(np.full(100, 7))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
+        message = "^degrees must be non-negative integers$"
+        with pytest.raises(ValidationError, match=message):
             fit_power_law(np.array([-1] * 100))
         # one negative row refuses the whole block
         data = np.random.default_rng(3).zipf(2.5, (2, 400))
-        with pytest.raises(ValidationError):
-            fit_power_law(np.vstack([data[0], -data[1]]))
+        values, counts = count_form([data[0], -data[1]])
+        with pytest.raises(ValidationError, match=message):
+            fit_power_law(values, counts=counts)
 
     def test_block_rows_equal_single_fits(self):
         rng = np.random.default_rng(9)
@@ -144,7 +148,8 @@ class TestFit:
                 np.full(600, 7),                            # degenerate
                 np.concatenate([np.arange(1, 41), np.zeros(560, np.int64)]),
                 np.zeros(600, np.int64)]
-        block = fit_power_law(np.vstack(rows))
+        values, counts = count_form(rows)
+        block = fit_power_law(values, counts=counts)
         for r, row in enumerate(rows):
             assert block.zeros_excluded[r] == (row == 0).sum()
             try:
@@ -179,7 +184,7 @@ class TestFit:
 class TestSampler:
     def test_matches_theoretical_pmf(self):
         rng = np.random.default_rng(0)
-        draws = PowerLawSampler(2.5, 5).draw(200_000, rng)
+        draws = PowerLawSampler(2.5, 5).quantiles(rng.random(200_000))
         norm = zeta(2.5, 5.0)
         top = 60
         observed = np.array(
@@ -193,20 +198,22 @@ class TestSampler:
 
     def test_respects_lower_bound(self):
         rng = np.random.default_rng(1)
-        draws = PowerLawSampler(2.1, 34).draw(10_000, rng)
+        draws = PowerLawSampler(2.1, 34).quantiles(rng.random(10_000))
         assert draws.min() >= 34
 
     def test_rejects_flat_exponent(self):
-        with pytest.raises(ValidationError):
-            PowerLawSampler(1.0, 5)
+        for gamma in (1.0, float("nan")):
+            with pytest.raises(ValidationError,
+                               match="^power-law exponent must exceed 1$"):
+                PowerLawSampler(gamma, 5)
 
     def test_rejects_x_min_below_one_or_fractional(self):
         rng = np.random.default_rng(1)
         for x_min in (0, -3, 2.5):
             with pytest.raises(ValidationError,
                                match="^x_min must be a positive integer$"):
-                PowerLawSampler(2.5, x_min).draw(4, rng)
-        assert PowerLawSampler(2.5, 3.0).draw(4, rng).min() >= 3
+                PowerLawSampler(2.5, x_min)
+        assert PowerLawSampler(2.5, 3.0).quantiles(rng.random(4)).min() >= 3
 
     def test_near_one_exponent_caps_the_table(self):
         # the table span TABLE_FLOOR ** (-1 / 0.019) overflows a float;
@@ -236,7 +243,8 @@ class TestSampler:
 
         def outcome(sampler, size, seed):
             try:
-                return sampler.draw(size, np.random.default_rng(seed)).tolist()
+                u = np.random.default_rng(seed).random(size)
+                return sampler.quantiles(u).tolist()
             except AnalysisError as exc:  # past int64 near gamma = 1
                 return str(exc)
 
@@ -296,6 +304,16 @@ class TestGoodnessOfFit:
         data = draw_pl_table(2.5, 5, 1_000, rng)
         with pytest.raises(ValidationError):
             goodness_of_fit(data, m=0)
+
+    @pytest.mark.parametrize("fit", [TailFit(2.5, 3, 1_001, 0.1),
+                                     TailFit(2.5, 3, 0, 0.1),
+                                     TailFit(float("nan"), 3, 100, 0.1)])
+    def test_fit_that_does_not_match_the_sample_rejected(self, fit):
+        # a tail larger than the sample, an empty tail, a NaN exponent
+        data = np.append(draw_pl_table(2.5, 5, 1_000, np.random.default_rng(7)),
+                         [0, 0])
+        with pytest.raises(ValidationError):
+            goodness_of_fit(data, fit, m=DEFAULT_BOOTSTRAP_M)
 
     def test_tail_past_int64_cannot_be_sampled(self):
         data = np.random.default_rng(21).zipf(2.5, 2_000)

@@ -31,13 +31,13 @@ re-ranking loop it replaced, on multigraphs under shuffled ids, and
 the removal schedule against its loop with a step cap and a stop at n.  The
 bound-and-prune power-law threshold scan is checked against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
-bootstrap; each row of a block fit against that row's 1-D fit; and the
-blocked bootstrap against one 1-D refit per replica, with one-row and
-ragged blocks.  The scan's power-sum bounds are checked against the
-exact KS distance of every candidate of every row.  A fit from values
-and counts is checked against the fit of the sample written out, and
-each bootstrap replica's value runs against the distinct values of the
-row of draws it replaced, far-tail draws included.
+bootstrap; and the blocked bootstrap against one 1-D refit per replica,
+with one-row and ragged blocks.  The scan's power-sum bounds are checked
+against the exact KS distance of every candidate of every row.  A fit
+from values and counts, each row of a block included, is checked
+against the 1-D fit of the sample written out, and each bootstrap
+replica's value runs against the distinct values of the row of draws it
+replaced, far-tail draws included.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ from legisnet.resilience import (MIN_NODES, _attack_rank, _curve_for_rank,
                                  removal_boundaries)
 from legisnet.util import rng_for
 
-from conftest import (bowtie_sets, edge_triples, export_text, make_graph,
-                      node_rows, random_digraph)
+from conftest import (bowtie_sets, count_form, edge_triples, export_text,
+                      make_graph, node_rows, random_digraph)
 from test_bowtie import oracle_for_graph
 
 DANGLING = ("~1", "~2")  # never drawn as document ids
@@ -1283,22 +1283,6 @@ def test_vectorised_fit_equals_per_candidate_scan(xs, min_tail, past_n, width):
 
 
 @settings(max_examples=150, deadline=None)
-@given(degree_blocks(), st.integers(1, 60))
-# a ragged block: one row to fit, one with a single value, one too short
-@example(np.vstack([np.random.default_rng(5).zipf(2.0, 300),
-                    np.full(300, 4), np.repeat([0, 3, 9], [280, 10, 10])]),
-         25)
-def test_block_fit_rows_equal_single_fits(block, min_tail):
-    """Each row of a 2-D fit equals that row's 1-D fit, selected by KS,
-    and a row is refused (ks inf) exactly where its 1-D fit raises
-    AnalysisError."""
-    with np.errstate(divide="ignore"):
-        singles = single_outcomes(block, min_tail=min_tail)
-        rows = row_outcomes(fit_power_law(block, min_tail=min_tail))
-    assert rows == singles
-
-
-@settings(max_examples=150, deadline=None)
 @given(degree_blocks(), st.integers(1, 60),
        st.sampled_from([heavytail.WIDTH, 1, 2, WHOLE_ROW]))
 @example(STEEP[None], 10, heavytail.WIDTH)
@@ -1320,7 +1304,8 @@ def test_power_sum_bounds_are_lower_bounds(block, min_tail, width):
     bound = heavytail._ks_bounds
     with patch.object(heavytail, "_ks_bounds", spy), \
             patch.object(heavytail, "WIDTH", width), np.errstate(all="ignore"):
-        fit_power_law(block, min_tail=min_tail)
+        values, counts = count_form(block)
+        fit_power_law(values, min_tail=min_tail, counts=counts)
         checked = 0
         for uniq, cum, start, stop, below, sizes, gammas, norms, bounds in seen:
             for c in range(len(gammas)):
@@ -1351,7 +1336,7 @@ def gof_replica(replica: int, n: int, seed: int, p_tail: float,
     rng = rng_for(seed, "gof-replica", replica)
     n_tail_draw = int(rng.binomial(n, p_tail))
     if n_tail_draw:
-        out[:n_tail_draw] = sampler.draw(n_tail_draw, rng)
+        out[:n_tail_draw] = sampler.quantiles(rng.random(n_tail_draw))
     if n - n_tail_draw:
         out[n_tail_draw:] = body[rng.integers(0, len(body),
                                               size=n - n_tail_draw)]
@@ -1441,14 +1426,20 @@ def count_blocks(draw) -> tuple[np.ndarray, np.ndarray]:
     return values, counts
 
 
-@settings(max_examples=200, deadline=None)
-@given(count_blocks(), st.integers(1, 60))
+@settings(max_examples=350, deadline=None)
+@given(count_blocks() | degree_blocks().map(count_form), st.integers(1, 60))
+# a ragged block: one row to fit, one with a single value, one too short
+@example(count_form([np.random.default_rng(5).zipf(2.0, 300), np.full(300, 4),
+                     np.repeat([0, 3, 9], [280, 10, 10])]), 25)
 def test_count_form_fit_equals_fit_of_the_written_out_sample(block, min_tail):
     """A fit from rising values and their counts equals the fit of the
     sample with ``counts[j]`` copies of each ``values[j]``, bit for bit,
     whatever the values of 0 counts: each row of a block as that
-    sample's 1-D fit (ks inf where it raises), and a 1-D pair as the
-    1-D fit, or the same AnalysisError."""
+    sample's 1-D fit, selected by KS (ks inf exactly where it raises
+    AnalysisError), and a 1-D pair as the 1-D fit, or the same
+    AnalysisError.  The blocks are drawn value-count rows, or a degree
+    sample and its resamples, each row as its distinct values and
+    counts."""
     values, counts = block
     samples = [np.repeat(v, c) for v, c in zip(values, counts)]
     with np.errstate(divide="ignore"):
@@ -1467,9 +1458,10 @@ def test_count_form_fit_equals_fit_of_the_written_out_sample(block, min_tail):
 
 
 def test_count_form_rejects_what_is_not_rising_integers_and_counts():
-    """Degrees and counts are non-negative integers of one shape, and
-    the degrees of positive counts rise; a degree out of order with a
-    count of 0 is ignored."""
+    """Degrees and counts are non-negative integers of one shape, 1-D or
+    2-D, and the degrees of positive counts rise; a degree out of order
+    with a count of 0 is ignored.  A block comes in the count form
+    alone: raw 2-D degrees are refused."""
     values = np.arange(1, 61)
     counts = np.ones(60, dtype=np.int64)
     fit_power_law(values, counts=counts)
@@ -1480,7 +1472,9 @@ def test_count_form_rejects_what_is_not_rising_integers_and_counts():
             (values - 2, counts), (values + 0.5, counts),
             (np.append(values[:-1], np.nan), counts), (values, -counts),
             (values, counts * 1.5), (values, np.append(counts[:-1], np.inf)),
-            (values, counts[:-1]), (values[None], counts)]:
+            (values, counts[:-1]), (values[None], counts),
+            (values[None, None], counts[None, None]),
+            (np.vstack([values, values]), None)]:
         with pytest.raises(ValidationError):
             fit_power_law(bad_values, counts=bad_counts)
 
