@@ -26,9 +26,13 @@ edges than its nodes have distinct pairs) holds ``{"error": message}``: the
 other sections and their CSVs are still written, each failure prints
 one line to stderr, and the command exits 4.
 
-A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, or a
-``--step`` outside (0, 1) or ``--stop-at`` outside (0, 1] exits 2
-before any stage runs, and warnings print as one stderr line each.  An
+A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, a
+``--current`` or ``filter --at`` that is not a ``YYYY-MM-DD`` date, a
+``--step`` outside (0, 1), a ``--stop-at`` outside (0, 1], or a
+``smallworld --length-factor`` or ``--clustering-factor`` that is not
+finite and > 0 exits 2 before the input is read, and warnings print as
+one stderr line each.  ``ingest`` takes no ``--network`` or
+``--current``: narrowing a corpus is ``filter``'s job.  An
 unusable ``--out`` (in a missing directory, or naming a directory)
 exits 2 before the input is read or generated, and so does an output
 directory that cannot be made, before any stage runs.
@@ -577,15 +581,20 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> No
                             help="corpus JSONL path, or - for stdin")
         parser.add_argument("--lenient", action="store_true",
                             help="ingest leniently (dangling references become stubs)")
-        parser.add_argument("--network", choices=NETWORK_PRESETS, default="LN",
-                            help="sub-network preset to analyze")
-        parser.add_argument("--current", metavar="DATE", default=None,
-                            help="restrict to legislation active at DATE first")
     parser.add_argument("--output-dir", default=None,
                         help="report directory (env LEGISNET_OUTPUT_DIR, default .)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
                         help="worker cap for parallelizable stages")
+
+
+def _add_graph_input(parser: argparse.ArgumentParser) -> None:
+    """Common flags of the commands that load a graph (``_load_graph``)."""
+    _add_common(parser)
+    parser.add_argument("--network", choices=NETWORK_PRESETS, default="LN",
+                        help="sub-network preset to analyze")
+    parser.add_argument("--current", metavar="DATE", default=None,
+                        help="restrict to legislation active at DATE first")
 
 
 def _add_path_options(parser: argparse.ArgumentParser) -> None:
@@ -629,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("filter", help="extract a sub-network as a corpus")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--sector", type=int, choices=range(1, 7), default=None)
     p.add_argument("--reftype", choices=[k.value for k in RefType], default=None)
     p.add_argument("--at", metavar="DATE", default=None,
@@ -638,18 +647,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_filter)
 
     p = sub.add_parser("metrics", help="degree/inequality/clustering/path metrics")
-    _add_common(p)
+    _add_graph_input(p)
     _add_path_options(p)
     p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("bowtie", help="bow-tie macro-structure decomposition")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--dump-members", action="store_true",
                    help="also write per-component id lists")
     p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("powerlaw", help="discrete power-law tail fit")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--direction", choices=["in", "out"], default="in")
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M,
                    help="bootstrap replica count")
@@ -657,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("smallworld", help="small-world comparison against nulls")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--replicas", type=int, default=10)
     p.add_argument("--length-factor", type=float, default=1.5)
     p.add_argument("--clustering-factor", type=float, default=10.0)
@@ -667,13 +676,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("temporal", help="annual evolution and densification fit")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--years", default=None, metavar="START:END",
                    help="year range (default: corpus effect-date span)")
     p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("resilience", help="node-removal tolerance simulation")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--strategy",
                    choices=["random", "targeted_by_degree", "both"],
                    default="both")
@@ -690,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-all",
                        help="full analysis battery in one combined report")
-    _add_common(p)
+    _add_graph_input(p)
     p.add_argument("--path-mode", choices=["exact", "sampled"],
                    default="sampled")
     p.add_argument("--path-sources", type=int, default=500)
@@ -747,6 +756,14 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
     if vars(args).get("years"):
         _parse_years(args.years)
+    for raw in (vars(args).get("current"), vars(args).get("at")):
+        if raw is not None:
+            _parse_date(raw)
+    for dest in ("length_factor", "clustering_factor"):
+        value = vars(args).get(dest)
+        if value is not None and not 0.0 < value < float("inf"):
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     if "step" in vars(args):
         if not 0.0 < args.step < 1.0:
             raise ConfigError(f"--step must be in (0, 1), got {args.step}")

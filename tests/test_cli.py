@@ -475,7 +475,7 @@ class TestMetrics:
                      "--length-factor", "nan", "--clustering-factor", "-1",
                      "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "legisnet smallworld [legisnet.randmodels]: length_factor must be"
+            "legisnet smallworld [legisnet.cli]: --length-factor must be"
             " finite and > 0, got nan"]
         assert not (out / "smallworld.json").exists()
 
@@ -564,6 +564,46 @@ class TestOtherCommands:
                      "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"legisnet {command} [legisnet.cli]: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["metrics", "--current", "2000-13-01"],
+         "bad date '2000-13-01': month must be in 1..12"),
+        (["report-all", "--current", "1990-02-30"],
+         "bad date '1990-02-30': day is out of range for month"),
+        (["smallworld", "--current", "20001231"],
+         "bad date '20001231': expected YYYY-MM-DD"),
+        (["filter", "--at", "2000-13-01"],
+         "bad date '2000-13-01': month must be in 1..12"),
+        (["smallworld", "--length-factor", "0"],
+         "--length-factor must be finite and > 0, got 0.0"),
+        (["smallworld", "--length-factor", "inf"],
+         "--length-factor must be finite and > 0, got inf"),
+        (["smallworld", "--clustering-factor", "nan"],
+         "--clustering-factor must be finite and > 0, got nan"),
+        (["smallworld", "--clustering-factor", "-1"],
+         "--clustering-factor must be finite and > 0, got -1.0"),
+    ])
+    def test_bad_flag_exits_2_before_reading_input(self, tmp_path, capsys,
+                                                   argv, message):
+        out = tmp_path / "out"
+        # an unreadable input would exit 3 once read
+        assert main([*argv, "--input", str(tmp_path / "missing.jsonl"),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"legisnet {argv[0]} [legisnet.cli]: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--network", "RN"),
+                                             ("--current", "1990-01-01")])
+    def test_ingest_refuses_narrowing_flags(self, tmp_path, capsys,
+                                            corpus_path, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["ingest", "--input", str(corpus_path), flag, value,
+                  "--output-dir", str(out)])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, target, message", [

@@ -658,6 +658,11 @@ def two_triangles_and_a_tail():
 @example((9, *pair_columns([(0, k) for k in range(1, 9)])))  # star hub
 @example((7, *pair_columns(itertools.combinations(range(7), 2))))  # clique
 @example(two_triangles_and_a_tail())
+# adjacent hubs 0 and 1 sharing 5 leaves (K_{2,5} plus the hub edge): every
+# triangle's lowest-ranked corner is a leaf, and hub 0 is the middle corner
+# of all of its triangles, so its count comes from that corner alone
+@example((7, *pair_columns([(0, 1)] + [(h, k) for h in (0, 1)
+                                       for k in range(2, 7)])))
 def test_wedge_clustering_equals_set_loop(budget, graph):
     n, pair_u, pair_v = graph
     with patch.object(metrics, "WEDGE_CHUNK", budget or metrics.WEDGE_CHUNK):
