@@ -28,14 +28,13 @@ one line to stderr, and the command exits 4.
 
 A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, a
 ``--current`` or ``filter --at`` that is not a ``YYYY-MM-DD`` date, a
-``--step`` outside (0, 1), a ``--stop-at`` outside (0, 1], or a
-``smallworld --length-factor`` or ``--clustering-factor`` that is not
-finite and > 0 exits 2 before the input is read, and warnings print as
-one stderr line each.  ``ingest`` takes no ``--network`` or
-``--current``: narrowing a corpus is ``filter``'s job.  An
-unusable ``--out`` (in a missing directory, or naming a directory)
-exits 2 before the input is read or generated, and so does an output
-directory that cannot be made, before any stage runs.
+``--step`` outside (0, 1), or a ``--stop-at`` outside (0, 1] exits 2
+before the input is read, and warnings print as one stderr line each.
+``ingest`` takes no ``--network`` or ``--current``: narrowing a corpus
+is ``filter``'s job.  An unusable ``--out`` (in a missing directory,
+or naming a directory) exits 2 before the input is read or generated,
+and so does an output directory that cannot be made, before any stage
+runs.
 
 Loading a corpus (parse and ingest) pauses Python's cyclic garbage
 collector: the decoded JSON records form no reference cycles, so
@@ -379,8 +378,6 @@ def _powerlaw_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[
 def _smallworld_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[dict, dict]:
     report = small_world_compare(
         graph, replicas=args.replicas, seed=args.seed,
-        length_factor=args.length_factor,
-        clustering_factor=args.clustering_factor,
         path_mode=args.path_mode, path_sources=args.path_sources,
         n_jobs=args.threads,
     )
@@ -668,8 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smallworld", help="small-world comparison against nulls")
     _add_graph_input(p)
     p.add_argument("--replicas", type=int, default=10)
-    p.add_argument("--length-factor", type=float, default=1.5)
-    p.add_argument("--clustering-factor", type=float, default=10.0)
     p.add_argument("--path-mode", choices=["auto", "exact", "sampled"],
                    default="auto")
     p.add_argument("--path-sources", type=int, default=1000)
@@ -759,11 +754,6 @@ def _check_flags(args: argparse.Namespace) -> None:
     for raw in (vars(args).get("current"), vars(args).get("at")):
         if raw is not None:
             _parse_date(raw)
-    for dest in ("length_factor", "clustering_factor"):
-        value = vars(args).get(dest)
-        if value is not None and not 0.0 < value < float("inf"):
-            flag = "--" + dest.replace("_", "-")
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     if "step" in vars(args):
         if not 0.0 < args.step < 1.0:
             raise ConfigError(f"--step must be in (0, 1), got {args.step}")

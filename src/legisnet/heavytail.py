@@ -146,8 +146,11 @@ def _integers(values, what: str) -> np.ndarray:
 
 
 def _sorted_degrees(degrees) -> np.ndarray:
-    """Degrees as int64, flattened and sorted.  Raises unless all are
-    non-negative integers."""
+    """One sample of degrees as a sorted 1-D int64 array.  Raises unless
+    ``degrees`` has at most one dimension and all are non-negative
+    integers."""
+    if np.ndim(degrees) > 1:
+        raise ValidationError("degrees must be one 1-D sample")
     xs = np.sort(_integers(degrees, "degrees").ravel())
     if xs.size and xs[0] < 0:
         raise ValidationError("degrees must be non-negative integers")
@@ -227,10 +230,6 @@ def fit_power_law(degrees, min_tail: int = MIN_TAIL, counts=None) -> TailFit:
     still raises for the whole block.
     """
     if counts is None:
-        if np.ndim(degrees) > 1:
-            raise ValidationError(
-                "raw degrees must be one 1-D sample; give a block of "
-                "samples as values with counts")
         degrees, counts = np.unique(_sorted_degrees(degrees), return_counts=True)
     runs = _count_runs(degrees, counts)
     fit = _fit_runs(*runs, min_tail)

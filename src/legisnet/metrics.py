@@ -316,17 +316,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def giant_component_mask(graph: LegislationGraph) -> np.ndarray:
-    """Mask of the largest weakly connected component (ties: smallest id)."""
-    return giant_projection(graph)[0]
-
-
 @per_graph
 def giant_projection(graph: LegislationGraph,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(mask, pair_u, pair_v)``: the giant component's mask and its
-    projection pairs, renumbered to positions among the masked nodes,
-    computed once per graph (read-only).
+    """``(mask, pair_u, pair_v)``: the mask of the largest weakly
+    connected component (ties: smallest id) and its projection pairs,
+    renumbered to positions among the masked nodes, computed once per
+    graph (read-only).
 
     The pairs keep the projection's ascending order and u < v.  A pair
     never crosses components, so testing one end selects it.
@@ -350,7 +346,7 @@ def components(graph: LegislationGraph) -> ComponentReport:
     n = graph.node_count
     if n == 0:
         return ComponentReport(0, 0.0, 0)
-    gc_size = int(giant_component_mask(graph).sum())
+    gc_size = int(giant_projection(graph)[0].sum())
     isolated = int((graph.degree_array("total") == 0).sum())
     return ComponentReport(gc_size, gc_size / n, isolated)
 

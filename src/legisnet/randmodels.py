@@ -58,6 +58,9 @@ from .util import derive_seed, parallel_map
 _ER_EFFECT = date(1951, 1, 1)
 # giant components up to this size get exact path lengths in auto mode
 EXACT_BELOW = 2000
+# the small-world verdict's lines on L and C (see small_world_compare)
+LENGTH_FACTOR = 1.5
+CLUSTERING_FACTOR = 10.0
 
 
 @dataclass
@@ -68,8 +71,8 @@ class SmallWorldReport:
     c_rand: float
     small_world_verdict: bool
     rand_replicas: int
-    length_factor: float = 1.5
-    clustering_factor: float = 10.0
+    length_factor: float = LENGTH_FACTOR
+    clustering_factor: float = CLUSTERING_FACTOR
     skipped_replicas: int = 0  # no null can be skipped; kept for the reports
     l_approx: float = float("nan")   # ln n / ln <k> on the giant component
     c_approx: float = float("nan")   # <k> / n on the giant component
@@ -132,23 +135,19 @@ def _null_measure(replica: int, n: int, m: int, seed: int, path_mode: str,
 
 
 def small_world_compare(graph: LegislationGraph, replicas: int = 10,
-                        seed: int = 0, length_factor: float = 1.5,
-                        clustering_factor: float = 10.0,
-                        path_mode: str = "auto", path_sources: int = 1000,
+                        seed: int = 0, path_mode: str = "auto",
+                        path_sources: int = 1000,
                         n_jobs: int = 1) -> SmallWorldReport:
     """Compare clustering and path length against size-matched nulls.
 
-    Verdict: L_net <= length_factor * L_rand and
-    C_net >= clustering_factor * C_rand, with the reference values
+    Verdict: L_net <= LENGTH_FACTOR * L_rand and
+    C_net >= CLUSTERING_FACTOR * C_rand, with the reference values
     averaged over ``replicas`` uniform random graphs carrying the same
-    node and typed-edge counts as ``graph``.
+    node and typed-edge counts as ``graph``.  The report states both
+    lines, so other lines can be applied to its values without a rerun.
     """
     if replicas < 1:
         raise ConfigError("at least one null replica is required")
-    for name, factor in (("length_factor", length_factor),
-                         ("clustering_factor", clustering_factor)):
-        if not (math.isfinite(factor) and factor > 0):
-            raise ConfigError(f"{name} must be finite and > 0, got {factor}")
     if giant_projection(graph)[0].sum() < 10:
         raise AnalysisError("giant component must have >= 10 nodes")
     # the structure stage's sources, so a report states one sampled L_net
@@ -164,11 +163,10 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
     mean_degree = 2.0 * gc_edges / n_gc
     l_approx = (math.log(n_gc) / math.log(mean_degree)
                 if mean_degree > 1.0 else float("nan"))
-    verdict = (l_net <= length_factor * l_rand
-               and c_net >= clustering_factor * c_rand)
+    verdict = (l_net <= LENGTH_FACTOR * l_rand
+               and c_net >= CLUSTERING_FACTOR * c_rand)
     return SmallWorldReport(
         l_net=l_net, c_net=c_net, l_rand=l_rand, c_rand=c_rand,
         small_world_verdict=bool(verdict), rand_replicas=replicas,
-        length_factor=length_factor, clustering_factor=clustering_factor,
         l_approx=l_approx, c_approx=mean_degree / n_gc, gc_size=n_gc,
     )

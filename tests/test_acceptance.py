@@ -37,7 +37,7 @@ from legisnet import (
     snapshot,
 )
 from legisnet.cli import main
-from legisnet.metrics import giant_component_mask, local_clustering_from_pairs
+from legisnet.metrics import giant_projection, local_clustering_from_pairs
 
 from conftest import (bowtie_sets, edge_triples, make_graph, node_rows,
                       random_digraph)
@@ -188,7 +188,7 @@ def test_criterion_06_clustering_and_paths():
         if len(finite_cells) == 0:
             continue
         pm = path_metrics(g)
-        gc = np.flatnonzero(giant_component_mask(g))
+        gc = np.flatnonzero(giant_projection(g)[0])
         sub = dist[np.ix_(gc, gc)]
         finite = sub[np.isfinite(sub) & (sub > 0)]
         paths_ok &= pm.diameter == int(finite.max())

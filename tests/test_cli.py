@@ -469,16 +469,6 @@ class TestMetrics:
         gini = json.loads(text)["results"]["lorenz_gini"]["in"]["gini"]
         assert gini == float(f"{gini:.9g}")
 
-    def test_bad_smallworld_factors_exit_2(self, tmp_path, capsys, corpus_path):
-        out = tmp_path / "out"
-        assert main(["smallworld", "--input", str(corpus_path),
-                     "--length-factor", "nan", "--clustering-factor", "-1",
-                     "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "legisnet smallworld [legisnet.cli]: --length-factor must be"
-            " finite and > 0, got nan"]
-        assert not (out / "smallworld.json").exists()
-
     def test_compute_error_exit_4(self, tmp_path, capsys):
         src = tmp_path / "tiny.jsonl"
         src.write_text('{"id": "A", "sector": 3, "date_of_effect":'
@@ -575,14 +565,6 @@ class TestOtherCommands:
          "bad date '20001231': expected YYYY-MM-DD"),
         (["filter", "--at", "2000-13-01"],
          "bad date '2000-13-01': month must be in 1..12"),
-        (["smallworld", "--length-factor", "0"],
-         "--length-factor must be finite and > 0, got 0.0"),
-        (["smallworld", "--length-factor", "inf"],
-         "--length-factor must be finite and > 0, got inf"),
-        (["smallworld", "--clustering-factor", "nan"],
-         "--clustering-factor must be finite and > 0, got nan"),
-        (["smallworld", "--clustering-factor", "-1"],
-         "--clustering-factor must be finite and > 0, got -1.0"),
     ])
     def test_bad_flag_exits_2_before_reading_input(self, tmp_path, capsys,
                                                    argv, message):

@@ -59,14 +59,20 @@ class TestCcdf:
         with pytest.raises(AnalysisError):
             ccdf([])
 
-    @pytest.mark.parametrize("bad", [[1.0, np.nan], [1.5, 2.7, 3], [2, np.inf],
-                                     [-1, 2], [-1.0, 2.0]])
-    def test_non_integral_or_negative_rejected(self, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ([1.0, np.nan], "non-negative integers"),
+        ([1.5, 2.7, 3], "non-negative integers"),
+        ([2, np.inf], "non-negative integers"),
+        ([-1, 2], "non-negative integers"),
+        ([-1.0, 2.0], "non-negative integers"),
+        ([[1, 2], [3, 4]], "one 1-D sample"),
+    ], ids=[f"bad{i}" for i in range(6)])
+    def test_non_integral_or_negative_rejected(self, bad, message):
         # rejected before any cast, so no RuntimeWarning either
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError,
-                               match="^degrees must be non-negative integers$"):
+                               match=f"^degrees must be {message}$"):
                 ccdf(np.array(bad))
 
     def test_integral_floats_and_zeros_kept(self):
@@ -305,15 +311,18 @@ class TestGoodnessOfFit:
         with pytest.raises(ValidationError):
             goodness_of_fit(data, m=0)
 
-    @pytest.mark.parametrize("fit", [TailFit(2.5, 3, 1_001, 0.1),
-                                     TailFit(2.5, 3, 0, 0.1),
-                                     TailFit(float("nan"), 3, 100, 0.1)])
-    def test_fit_that_does_not_match_the_sample_rejected(self, fit):
-        # a tail larger than the sample, an empty tail, a NaN exponent
+    @pytest.mark.parametrize("fit, shape", [(TailFit(2.5, 3, 1_001, 0.1), -1),
+                                            (TailFit(2.5, 3, 0, 0.1), -1),
+                                            (TailFit(float("nan"), 3, 100, 0.1), -1),
+                                            (TailFit(2.5, 5, 100, 0.1), (2, -1))],
+                             ids=[f"fit{i}" for i in range(4)])
+    def test_fit_that_does_not_match_the_sample_rejected(self, fit, shape):
+        # a tail larger than the sample, an empty tail, a NaN exponent; a
+        # sample of two rows is refused, not flattened
         data = np.append(draw_pl_table(2.5, 5, 1_000, np.random.default_rng(7)),
                          [0, 0])
         with pytest.raises(ValidationError):
-            goodness_of_fit(data, fit, m=DEFAULT_BOOTSTRAP_M)
+            goodness_of_fit(data.reshape(shape), fit, m=DEFAULT_BOOTSTRAP_M)
 
     def test_tail_past_int64_cannot_be_sampled(self):
         data = np.random.default_rng(21).zipf(2.5, 2_000)

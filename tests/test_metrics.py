@@ -21,7 +21,7 @@ from legisnet import (
     lorenz_gini,
     path_metrics,
 )
-from legisnet.metrics import giant_component_mask, lorenz_gini_from_degrees
+from legisnet.metrics import giant_projection, lorenz_gini_from_degrees
 
 from conftest import bowtie_sets, make_graph, random_digraph
 
@@ -275,7 +275,7 @@ class TestPathMetrics:
                 continue
             pm = path_metrics(g)
             dist = floyd_warshall_oracle(g)
-            gc = np.flatnonzero(giant_component_mask(g))
+            gc = np.flatnonzero(giant_projection(g)[0])
             sub = dist[np.ix_(gc, gc)]
             finite = sub[np.isfinite(sub) & (sub > 0)]
             assert pm.diameter == int(finite.max())
@@ -349,7 +349,7 @@ class TestComponents:
              for u, v in (("z1", "z2"), ("z2", "z1"), ("a1", "a2"), ("a2", "a1"))],
             ["z1", "z2", "a1", "a2"],
         )
-        giant = giant_component_mask(g)
+        giant = giant_projection(g)[0]
         assert set(itertools.compress(g.ids, giant)) == {"a1", "a2"}
         assert bowtie_sets(g, decompose(g))["core"] == {"a1", "a2"}
 

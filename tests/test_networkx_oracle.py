@@ -20,7 +20,7 @@ from legisnet import (
     generate,
     path_metrics,
 )
-from legisnet.metrics import giant_component_mask
+from legisnet.metrics import giant_projection
 
 from conftest import edge_triples, make_graph, node_rows, random_digraph
 from test_filters import brute_force_snapshot
@@ -54,7 +54,7 @@ def test_exact_average_path_length_on_giant_component():
     for g in random_graphs(6):
         undirected = projection(g)
         giant = max(nx.connected_components(undirected), key=len)
-        assert set(compress(g.ids, giant_component_mask(g))) == giant
+        assert set(compress(g.ids, giant_projection(g)[0])) == giant
         assert components(g).gc_size == len(giant)
         expected = nx.average_shortest_path_length(undirected.subgraph(giant))
         assert path_metrics(g, mode="exact").average_path_length == (

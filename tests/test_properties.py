@@ -1033,6 +1033,10 @@ def small_world_outcome(graph, **kwargs):
         report = small_world_compare(graph, **kwargs)
     except (AnalysisError, ConfigError) as exc:
         return type(exc), str(exc)
+    # the verdict applies the lines the report states to its own values
+    assert report.small_world_verdict == (
+        report.l_net <= report.length_factor * report.l_rand
+        and report.c_net >= report.clustering_factor * report.c_rand)
     return (report.gc_size, report.c_net, report.l_net, report.c_rand,
             report.l_rand, report.rand_replicas, report.skipped_replicas)
 
@@ -1048,6 +1052,16 @@ def small_world_graphs(draw):
                           draw(st.floats(0.4, 3.0)))
 
 
+def ring_with_shortcuts() -> LegislationGraph:
+    """200 nodes on a ring, each citing the next three, plus 60 random
+    shortcuts: a small-world graph (L 1.40 L_rand, C 17.5 C_rand with one
+    null at seed 0)."""
+    rng = np.random.default_rng(1)
+    edges = [(i, (i + j) % 200) for i in range(200) for j in (1, 2, 3)]
+    edges += [(a, b) for a, b in rng.integers(0, 200, (60, 2)) if a != b]
+    return make_graph([(f"n{a:03d}", f"n{b:03d}") for a, b in edges])
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_world_graphs(), st.sampled_from(["exact", "sampled", "auto"]),
        st.integers(1, 40), st.integers(0, 40), st.integers(1, 3),
@@ -1058,6 +1072,7 @@ def small_world_graphs(draw):
          "exact", 5, 10, 2, 0, True)  # a giant component of 2 nodes
 @example(make_graph([(f"p{i}", f"p{i + 1}", RefType.OTHER) for i in range(9)]),
          "sampled", 4, 10, 2, 7, True)  # a path of 10 nodes
+@example(ring_with_shortcuts(), "exact", 5, 10, 1, 0, False)
 def test_small_world_equals_the_giant_components_own_pass(
         graph, path_mode, sources, exact_below, replicas, seed, warm):
     kwargs = dict(replicas=replicas, seed=seed, path_mode=path_mode,

@@ -2,8 +2,10 @@
 reports stay the same.
 
 ``bench/spans.py`` patches CLI imports, module globals and graph methods
-by name, so deleting or renaming one of them breaks the benchmark.  The
-tracer is installed in a fresh interpreter, so its patches never reach
+by name, so deleting or renaming one of them breaks the benchmark; so
+does deleting or renaming a flag that a workload in
+``bench/workloads.py`` passes, so every workload's commands must parse.
+The tracer is installed in a fresh interpreter, so its patches never reach
 the package this test session imports.  Its count of bootstrap refits
 must equal the bootstrap's number of blocks.  ``__all__`` is kept apart
 from the package's import list, and only a star import reads it.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -48,7 +51,7 @@ import pytest
 import scipy
 
 import legisnet
-from legisnet.cli import main
+from legisnet.cli import build_parser, main
 
 from conftest import export_text, reject_constant
 
@@ -72,6 +75,26 @@ def test_bench_tracer_installs():
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_bench_argv_parses(tmp_path, monkeypatch):
+    """Every command of every benchmark workload, and each workload's
+    ``generate`` call, parses, so a deleted or renamed flag that the
+    benchmark passes fails here rather than in every benchmark run.
+    ``workloads.py`` is loaded by path, leaving ``sys.path`` as it is;
+    its dataclasses need it in ``sys.modules`` while it runs."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    for workload in workloads.WORKLOADS.values():
+        argvs = [workload.generate_argv(corpus, 11)]
+        argvs += [cmd.render(corpus, out, 11) for cmd in workload.commands]
+        for argv in argvs:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 TRACED = """
