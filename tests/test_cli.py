@@ -588,6 +588,19 @@ class TestOtherCommands:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--length-factor", "2"),
+                                             ("--clustering-factor", "20")])
+    def test_smallworld_refuses_removed_factor_flags(self, tmp_path, capsys,
+                                                     flag, value):
+        out = tmp_path / "out"
+        # the verdict lines are fixed; argparse refuses before any input read
+        with pytest.raises(SystemExit) as err:
+            main(["smallworld", "--input", str(tmp_path / "missing.jsonl"),
+                  flag, value, "--output-dir", str(out)])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, target, message", [
         (["generate", "--years", "1990:1991", "--out", "{missing}"],
          "{missing}", UNWRITABLE_OUT),

@@ -14,7 +14,9 @@ from legisnet import (
     generate,
     small_world_compare,
 )
+from legisnet import randmodels
 from legisnet.graph import reftype_code
+from legisnet.randmodels import CLUSTERING_FACTOR, LENGTH_FACTOR
 
 from conftest import make_graph, node_rows
 
@@ -145,6 +147,28 @@ class TestSmallWorldCompare:
         g = erdos_renyi(100, 300, seed=2)
         with pytest.raises(ConfigError):
             small_world_compare(g, replicas=0)
+
+    @pytest.mark.parametrize("name", ["length_factor", "clustering_factor"])
+    def test_factor_parameters_removed(self, name):
+        g = erdos_renyi(100, 300, seed=2)
+        with pytest.raises(TypeError, match=name):
+            small_world_compare(g, replicas=1, **{name: 2.0})
+
+    def test_report_states_the_module_lines(self):
+        report = small_world_compare(erdos_renyi(300, 900, seed=7),
+                                     replicas=2, seed=0)
+        assert (LENGTH_FACTOR, CLUSTERING_FACTOR) == (1.5, 10.0)
+        assert report.length_factor == LENGTH_FACTOR
+        assert report.clustering_factor == CLUSTERING_FACTOR
+
+    def test_verdict_reads_the_module_lines(self, monkeypatch):
+        g = erdos_renyi(300, 900, seed=7)
+        assert not small_world_compare(g, replicas=2, seed=0).small_world_verdict
+        # each line, moved alone, flips the verdict of the same graph and seed
+        monkeypatch.setattr(randmodels, "CLUSTERING_FACTOR", 0.0)
+        assert small_world_compare(g, replicas=2, seed=0).small_world_verdict
+        monkeypatch.setattr(randmodels, "LENGTH_FACTOR", 0.0)
+        assert not small_world_compare(g, replicas=2, seed=0).small_world_verdict
 
     def test_deterministic_across_parallelism(self):
         g = erdos_renyi(300, 900, seed=7)

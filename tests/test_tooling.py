@@ -77,12 +77,18 @@ def test_bench_tracer_installs():
     assert run.returncode == 0, run.stderr
 
 
-def test_bench_argv_parses(tmp_path, monkeypatch):
-    """Every command of every benchmark workload, and each workload's
-    ``generate`` call, parses, so a deleted or renamed flag that the
-    benchmark passes fails here rather than in every benchmark run.
-    ``workloads.py`` is loaded by path, leaving ``sys.path`` as it is;
-    its dataclasses need it in ``sys.modules`` while it runs."""
+BENCH_WORKLOADS = [w["name"] for w in
+                   json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_bench_argv_parses(tmp_path, monkeypatch, name):
+    """Every command of each workload that ``BENCHMARK.json`` declares,
+    and the workload's ``generate`` call, parses, so a deleted or renamed
+    flag that the benchmark passes fails here rather than in every
+    benchmark run.  ``workloads.py`` is loaded by path, leaving
+    ``sys.path`` as it is; its dataclasses need it in ``sys.modules``
+    while it runs."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -90,11 +96,11 @@ def test_bench_argv_parses(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     parser = build_parser()
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
-    for workload in workloads.WORKLOADS.values():
-        argvs = [workload.generate_argv(corpus, 11)]
-        argvs += [cmd.render(corpus, out, 11) for cmd in workload.commands]
-        for argv in argvs:
-            assert parser.parse_args(argv).command == argv[0]
+    workload = workloads.WORKLOADS[name]
+    argvs = [workload.generate_argv(corpus, 11)]
+    argvs += [cmd.render(corpus, out, 11) for cmd in workload.commands]
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 TRACED = """
