@@ -16,15 +16,15 @@ same stages on one graph and nests their results in ``report.json``:
     powerlaw    powerlaw    powerlaw_ccdf_<dir>.csv  report_ccdf_in/out.csv
     smallworld  smallworld  (none)                   (none)
     temporal    temporal    temporal_snapshots.csv   report_snapshots.csv
-    resilience  resilience  resilience_curve.csv     report_resilience.csv
+    resilience  resilience  resilience_curve.csv     report_curve.csv
 
-``powerlaw`` holds both directions, keyed by direction; ``resilience``
-is the list of curves (random with its null, then targeted); ``bowtie``
-omits ``nodes`` and ``temporal`` omits ``network``.  A section whose
-analysis is undefined for the input (a null, say, asked for more typed
-edges than its nodes have distinct pairs) holds ``{"error": message}``: the
-other sections and their CSVs are still written, each failure prints
-one line to stderr, and the command exits 4.
+A section is its subcommand's report body, except that ``powerlaw``
+holds both directions, keyed by direction, and ``resilience`` is the
+list of curves (random with its null, then targeted).  A section whose
+analysis is undefined for the input (a power-law fit of too few
+documents, say) holds ``{"error": message}``: the other sections and
+their CSVs are still written, each failure prints one line to stderr,
+and the command exits 4.
 
 A count flag (``COUNT_FLAGS``) below 1, a bad ``--years`` range, a
 ``--current`` or ``filter --at`` that is not a ``YYYY-MM-DD`` date, a
@@ -461,30 +461,24 @@ def _report_sections(args: argparse.Namespace) -> tuple:
         defaults = vars(parser.parse_args([command]))
         return argparse.Namespace(**{**defaults, **vars(args), **settings})
 
-    def without(key):
-        return lambda results: {k: v for k, v in results[0].items() if k != key}
+    def first(results: list) -> dict:
+        return results[0]
 
     return (
-        ("structure", "metrics", [run("metrics")], lambda results: results[0]),
-        ("bowtie", "bowtie", [run("bowtie")], without("nodes")),
+        ("structure", "metrics", [run("metrics")], first),
+        ("bowtie", "bowtie", [run("bowtie")], first),
         ("powerlaw", "powerlaw",
          [run("powerlaw", direction=d) for d in ("in", "out")],
          lambda results: {r["direction"]: r for r in results}),
         ("smallworld", "smallworld",
-         [run("smallworld", replicas=args.smallworld_replicas)],
-         lambda results: results[0]),
-        ("temporal", "temporal", [run("temporal")], without("network")),
+         [run("smallworld", replicas=args.smallworld_replicas)], first),
+        ("temporal", "temporal", [run("temporal")], first),
         ("resilience", "resilience",
          [run("resilience", strategy="random", reps=args.resilience_reps,
               with_null=True),
           run("resilience", strategy="targeted_by_degree")],
          lambda results: [c for r in results for c in r["curves"]]),
     )
-
-
-# report-all writes report_<key>.csv, except that the resilience curve
-# is named after its section.
-REPORT_TABLE_KEYS = {"curve": "resilience"}
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -561,8 +555,7 @@ def _cmd_report_all(args: argparse.Namespace) -> int:
         tables: dict = {}
         for _, run_tables in outputs:
             for key, (header, rows) in run_tables.items():
-                tables.setdefault(REPORT_TABLE_KEYS.get(key, key),
-                                  (header, []))[1].extend(rows)
+                tables.setdefault(key, (header, []))[1].extend(rows)
         _write_tables(out_dir, "report", tables)
     _write_report(out_dir, "report.json", _manifest(args, digest, started),
                   report)

@@ -7,8 +7,10 @@ order of magnitude; both reference values are measured on generated
 null replicas rather than taken from closed-form approximations (the
 approximations are reported alongside for orientation).
 
-A null's edges are one numpy ``Generator.choice`` draw of m distinct
-codes from the n(n-1) ordered node pairs, in under 160 bytes per edge.
+A null is G(n, m) of the graph's ``null_size``: its node count and the
+pair count of the projection that C, L and resilience read.  Its edges
+are one numpy ``Generator.choice`` draw of m distinct codes from the
+n(n-1)/2 node pairs, in under 160 bytes per edge.
 
 The network and every null are measured through one path,
 ``_gc_path_clustering``, on what ``metrics`` computes once per graph
@@ -21,10 +23,10 @@ the giant component alone gives (the same integers 2t and d(d - 1)
 divided), in the same order, and their mean is the same float.  L is
 the undirected ``path_metrics`` of the giant component, so in
 ``report-all`` the network's C and L come from the structure stage's
-pass, with its sources.  A null is dropped, caches and all, once
-measured.  No null is skipped: the network's giant component has at
-least 10 nodes, so a null gets at least 9 edges and its giant
-component at least 2 nodes.
+pass, with its sources, and the nulls in the network's path mode.  A
+null is dropped, caches and all, once measured.  No null is skipped:
+the network's giant component has at least 10 nodes, so a null gets at
+least 9 edges and its giant component at least 2 nodes.
 """
 
 from __future__ import annotations
@@ -73,32 +75,31 @@ class SmallWorldReport:
     rand_replicas: int
     length_factor: float = LENGTH_FACTOR
     clustering_factor: float = CLUSTERING_FACTOR
-    skipped_replicas: int = 0  # no null can be skipped; kept for the reports
     l_approx: float = float("nan")   # ln n / ln <k> on the giant component
     c_approx: float = float("nan")   # <k> / n on the giant component
     gc_size: int = 0
 
 
 def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
-    """Directed uniform random graph: exactly m distinct edges, no loops.
+    """Uniform random graph G(n, m): m distinct node pairs, one directed
+    edge each, so the projection has exactly m pairs.
 
     Nodes are placeholder documents (sector 3, effect 1951-01-01,
     sentinel expiry); all edges carry the citation reference type.
-    Code c < n(n-1) is the edge from c // (n-1) to its c % (n-1)-th other
-    node. numpy draws m codes by Floyd's algorithm, or by a partial
-    shuffle of all codes (8·n(n-1) bytes) once m > n(n-1)/20.
+    Code c < n(n-1)/2 is the edge x -> (x + c // n + 1) mod n, x = c % n,
+    one code per pair; unlike edges all pointing up the index order,
+    these can close directed cycles.  numpy draws m codes by Floyd's
+    algorithm, or by a partial shuffle of all codes (4·n(n-1) bytes)
+    once m > n(n-1)/40.
     """
-    if n < 0 or m < 0:
-        raise ConfigError("node and edge counts must be non-negative")
-    if m > n * (n - 1):
-        raise AnalysisError(
-            f"cannot place {m} distinct directed edges on {n} nodes "
-            f"(max {n * (n - 1)})"
-        )
-    codes = np.random.default_rng(seed).choice(n * (n - 1), size=m,
-                                               replace=False, shuffle=False)
-    src, rem = np.divmod(codes, n - 1)
-    dst = rem + (rem >= src)
+    pairs = n * (n - 1) // 2
+    if n < 0 or not 0 <= m <= pairs:
+        raise ConfigError(f"G(n, m) needs n >= 0 and 0 <= m <= n(n-1)/2, "
+                          f"got n={n}, m={m}")
+    codes = np.random.default_rng(seed).choice(pairs, size=m, replace=False,
+                                               shuffle=False)
+    reach, src = np.divmod(codes, n)
+    dst = (src + reach + 1) % n
     kind = np.full(len(src), reftype_code(RefType.INSTRUMENTS_CITED),
                    dtype=np.int8)
     return LegislationGraph(
@@ -110,28 +111,27 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> LegislationGraph:
     )
 
 
+def null_size(graph: LegislationGraph) -> tuple[int, int]:
+    """(node count, projection pair count): the G(n, m) of its nulls."""
+    return graph.node_count, len(graph.simple_projection()[0])
+
+
 def _gc_path_clustering(graph: LegislationGraph, path_mode: str,
                         path_sources: int, path_seed: int,
-                        ) -> tuple[int, int, float, float]:
-    """(gc size, gc projection edges, C, L) of a giant component of at
-    least 2 nodes."""
-    mask, pair_u, _ = giant_projection(graph)
-    n_gc = int(mask.sum())
+                        ) -> tuple[float, float]:
+    """(C, L) of a giant component of at least 2 nodes."""
+    mask = giant_projection(graph)[0]
     c_value = float(local_clustering(graph)[mask].mean())
-    mode = path_mode
-    if mode == "auto":
-        mode = "exact" if n_gc <= EXACT_BELOW else "sampled"
-    stats = path_metrics(graph, mode=mode, sources=path_sources, seed=path_seed)
-    return n_gc, len(pair_u), c_value, stats.average_path_length
+    stats = path_metrics(graph, mode=path_mode, sources=path_sources,
+                         seed=path_seed)
+    return c_value, stats.average_path_length
 
 
-def _null_measure(replica: int, n: int, m: int, seed: int, path_mode: str,
-                  path_sources: int) -> tuple[float, float]:
-    null = erdos_renyi(n, m, seed=derive_seed(seed, "er-null", replica))
-    _, _, c_value, l_value = _gc_path_clustering(
-        null, path_mode, path_sources,
-        derive_seed(seed, "er-null-path", replica))
-    return c_value, l_value
+def _null_measure(replica: int, size: tuple[int, int], seed: int,
+                  path_mode: str, path_sources: int) -> tuple[float, float]:
+    null = erdos_renyi(*size, seed=derive_seed(seed, "er-null", replica))
+    return _gc_path_clustering(null, path_mode, path_sources,
+                               derive_seed(seed, "er-null-path", replica))
 
 
 def small_world_compare(graph: LegislationGraph, replicas: int = 10,
@@ -142,25 +142,29 @@ def small_world_compare(graph: LegislationGraph, replicas: int = 10,
 
     Verdict: L_net <= LENGTH_FACTOR * L_rand and
     C_net >= CLUSTERING_FACTOR * C_rand, with the reference values
-    averaged over ``replicas`` uniform random graphs carrying the same
-    node and typed-edge counts as ``graph``.  The report states both
-    lines, so other lines can be applied to its values without a rerun.
+    averaged over ``replicas`` nulls of ``null_size``, each measured in
+    the network's path mode (``auto``: exact up to ``EXACT_BELOW`` giant
+    nodes).  The report states both lines, so other lines can be applied
+    to its values without a rerun.
     """
     if replicas < 1:
         raise ConfigError("at least one null replica is required")
-    if giant_projection(graph)[0].sum() < 10:
+    mask, gc_pairs, _ = giant_projection(graph)
+    n_gc = int(mask.sum())
+    if n_gc < 10:
         raise AnalysisError("giant component must have >= 10 nodes")
+    if path_mode == "auto":
+        path_mode = "exact" if n_gc <= EXACT_BELOW else "sampled"
     # the structure stage's sources, so a report states one sampled L_net
-    n_gc, gc_edges, c_net, l_net = _gc_path_clustering(
-        graph, path_mode, path_sources, seed)
+    c_net, l_net = _gc_path_clustering(graph, path_mode, path_sources, seed)
 
-    worker = partial(_null_measure, n=graph.node_count, m=graph.edge_count,
-                     seed=seed, path_mode=path_mode, path_sources=path_sources)
+    worker = partial(_null_measure, size=null_size(graph), seed=seed,
+                     path_mode=path_mode, path_sources=path_sources)
     rows = parallel_map(worker, list(range(replicas)), n_jobs=n_jobs)
     c_rand = float(np.mean([row[0] for row in rows]))
     l_rand = float(np.mean([row[1] for row in rows]))
 
-    mean_degree = 2.0 * gc_edges / n_gc
+    mean_degree = 2.0 * len(gc_pairs) / n_gc
     l_approx = (math.log(n_gc) / math.log(mean_degree)
                 if mean_degree > 1.0 else float("nan"))
     verdict = (l_net <= LENGTH_FACTOR * l_rand

@@ -32,7 +32,8 @@ def corpus_path(tmp_path):
 def doubly_cited_path(tmp_path):
     """25 documents, each citing every other one as both ``legal_basis``
     and ``other``: 1,200 typed edges, more than the 600 distinct
-    directed pairs of 25 nodes that a null could hold."""
+    directed pairs of 25 nodes, on the 300 pairs of a complete
+    projection."""
     ids = [f"D{i:02d}" for i in range(25)]
     path = tmp_path / "doubly-cited.jsonl"
     path.write_text("".join(
@@ -43,10 +44,6 @@ def doubly_cited_path(tmp_path):
                                    for kind in ("legal_basis", "other")]})
         + "\n" for i, doc_id in enumerate(ids)))
     return path
-
-
-NO_NULL = ("cannot place 1200 distinct directed edges on 25 nodes"
-           " (max 600)")
 
 
 def read_report(path: Path) -> dict:
@@ -738,14 +735,13 @@ class TestOtherCommands:
         ["smallworld", "--replicas", "2"],
         ["resilience", "--with-null", "--reps", "2"],
     ])
-    def test_edges_no_null_can_hold_exit_4(self, tmp_path, capsys,
-                                           doubly_cited_path, argv):
+    def test_nulls_of_more_typed_edges_than_pairs(self, tmp_path, capsys,
+                                                   doubly_cited_path, argv):
         out = tmp_path / "out"
         assert main([*argv, "--input", str(doubly_cited_path),
-                     "--output-dir", str(out)]) == 4
-        assert capsys.readouterr().err.splitlines() == [
-            f"legisnet {argv[0]} [legisnet.randmodels]: {NO_NULL}"]
-        assert not (out / f"{argv[0]}.json").exists()
+                     "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / f"{argv[0]}.json").exists()
 
     def test_resilience_with_null(self, tmp_path, corpus_path):
         assert main(["resilience", "--input", str(corpus_path), "--strategy",
@@ -766,7 +762,7 @@ class TestOtherCommands:
             assert section in report["results"]
         side_files = {p.name for p in tmp_path.glob("report_*.csv")}
         assert "report_snapshots.csv" in side_files
-        assert "report_resilience.csv" in side_files
+        assert "report_curve.csv" in side_files
 
 
 class TestReportAll:
@@ -799,9 +795,8 @@ class TestReportAll:
                     "clustering_by_degree"):
             assert report_csv(key) == csv_bytes("metrics", f"metrics_{key}.csv")
 
-        bowtie = sub("bowtie", "bowtie")
-        assert bowtie.pop("nodes") == report["nodes"]
-        assert report["bowtie"] == bowtie
+        assert report["bowtie"] == sub("bowtie", "bowtie")
+        assert report["bowtie"]["nodes"] == report["nodes"]
 
         for d in ("in", "out"):
             assert report["powerlaw"][d] == sub(
@@ -816,9 +811,7 @@ class TestReportAll:
         assert report["smallworld"]["l_net"] == (
             report["structure"]["path_metrics"]["average_path_length"])
 
-        temporal = sub("temporal", "temporal")
-        assert temporal.pop("network") == "LN"
-        assert report["temporal"] == temporal
+        assert report["temporal"] == sub("temporal", "temporal")
         assert report_csv("snapshots") == csv_bytes(
             "temporal", "temporal_snapshots.csv")
 
@@ -829,9 +822,14 @@ class TestReportAll:
                        "targeted_by_degree")
         assert report["resilience"] == random["curves"] + targeted["curves"]
         targeted_rows = csv_bytes("targeted", "resilience_curve.csv")
-        assert report_csv("resilience") == (
+        assert report_csv("curve") == (
             csv_bytes("random", "resilience_curve.csv")
             + targeted_rows.split(b"\r\n", 1)[1])
+        # every report-all CSV is report_<key>.csv of a subcommand's
+        # <command>_<key>.csv
+        assert {p.name for p in report_dir.glob("*.csv")} == {
+            "report_" + p.name.split("_", 1)[1]
+            for p in tmp_path.glob("*/*.csv") if p.parent != report_dir}
 
     def test_one_pass_per_giant_component(self, tmp_path, corpus_path,
                                           monkeypatch):
@@ -889,10 +887,10 @@ class TestReportAll:
         assert {p.name for p in out.glob("report_*.csv")} == {
             "report_degree_histogram.csv", "report_lorenz.csv",
             "report_distances.csv", "report_clustering_by_degree.csv",
-            "report_resilience.csv"}
+            "report_curve.csv"}
 
 
-    def test_edges_no_null_can_hold_end_their_sections(
+    def test_more_typed_edges_than_pairs_end_no_section(
             self, tmp_path, capsys, doubly_cited_path):
         out = tmp_path / "out"
         code = main(["report-all", "--input", str(doubly_cited_path),
@@ -902,18 +900,21 @@ class TestReportAll:
         assert capsys.readouterr().err.splitlines() == [
             "legisnet report-all [legisnet.heavytail]: power-law fit needs"
             " >= 50 positive observations, got 25",
-            f"legisnet report-all [legisnet.randmodels]: {NO_NULL}",
-            f"legisnet report-all [legisnet.randmodels]: {NO_NULL}",
         ]
         report = read_report(out / "report.json")["results"]
         assert report["edges"] == 1200 and report["nodes"] == 25
-        assert report["smallworld"] == report["resilience"] == {"error": NO_NULL}
+        assert set(report["powerlaw"]) == {"error"}
+        # the nulls are complete on 25 nodes, like the projection
+        assert report["smallworld"]["c_rand"] == report["smallworld"]["c_net"] == 1
+        assert [(c["strategy"], c.get("null_model", False))
+                for c in report["resilience"]] == [
+            ("random", False), ("random", True), ("targeted_by_degree", False)]
         assert report["structure"]["edges"] == 1200
         assert report["temporal"]["years"] == [1990, 2014]
         assert {p.name for p in out.glob("report_*.csv")} == {
             "report_degree_histogram.csv", "report_lorenz.csv",
             "report_distances.csv", "report_clustering_by_degree.csv",
-            "report_snapshots.csv"}
+            "report_snapshots.csv", "report_curve.csv"}
 
 
 class TestEnvironment:

@@ -9,13 +9,16 @@ from legisnet import (
     ConfigError,
     GeneratorConfig,
     RefType,
+    ResilienceConfig,
     Sector,
+    compare_with_null,
     erdos_renyi,
     generate,
     small_world_compare,
 )
 from legisnet import randmodels
 from legisnet.graph import reftype_code
+from legisnet.metrics import giant_projection
 from legisnet.randmodels import CLUSTERING_FACTOR, LENGTH_FACTOR
 
 from conftest import make_graph, node_rows
@@ -26,6 +29,10 @@ def edge_pairs(graph):
     return set(zip(src.tolist(), dst.tolist()))
 
 
+def projection_pairs(graph):
+    return set(zip(*(side.tolist() for side in graph.simple_projection())))
+
+
 class TestErdosRenyi:
     @pytest.mark.parametrize("n", [0, 1, 2, 10])
     def test_no_edges(self, n):
@@ -34,22 +41,21 @@ class TestErdosRenyi:
         assert (g.degree_array("total") == 0).all()
 
     def test_saturation_complete(self):
-        g = erdos_renyi(10, 90, seed=1)
-        assert g.edge_count == 90
-        pairs = edge_pairs(g)
-        assert len(pairs) == 90
-        assert all(u != v for u, v in pairs)
+        g = erdos_renyi(10, 45, seed=1)
+        assert g.edge_count == 45
+        assert len(projection_pairs(g)) == 45
+        assert all(u != v for u, v in edge_pairs(g))
 
     # numpy draws sparse codes by Floyd's algorithm and shuffles the
-    # code range once m > n(n-1)/20 (with more than 10,000 codes)
+    # code range once m > n(n-1)/40 (with more than 10,000 codes)
     @pytest.mark.parametrize("n, m", [
-        (500, 2_000), (200, 3_000), (60, 3_540), (2, 2)],
+        (500, 2_000), (200, 3_000), (60, 1_770), (2, 1)],
         ids=["floyd", "shuffle", "complete", "two-nodes"])
     def test_exact_edge_count_and_no_duplicates(self, n, m):
         g = erdos_renyi(n, m, seed=3)
         src, dst, kind = g.edge_arrays()
         assert g.edge_count == m
-        assert len(edge_pairs(g)) == m
+        assert len(projection_pairs(g)) == m
         assert not (src == dst).any()
         assert src.max() < n and dst.max() < n
         assert (kind == reftype_code(RefType.INSTRUMENTS_CITED)).all()
@@ -60,14 +66,14 @@ class TestErdosRenyi:
         assert edge_pairs(a) == edge_pairs(b)
 
     def test_infeasible(self):
-        # a valid corpus can carry more typed edges than n(n-1) pairs, so
-        # this ends the analysis; a negative count is a bad configuration
-        with pytest.raises(AnalysisError, match=r"^cannot place 91 distinct "
-                           r"directed edges on 10 nodes \(max 90\)$"):
-            erdos_renyi(10, 91)
-        for n, m in ((-1, 0), (10, -1)):
-            with pytest.raises(ConfigError, match="must be non-negative"):
+        # no graph's projection has more than n(n-1)/2 pairs, so a larger
+        # m, like a negative count, is a bad configuration
+        for n, m in ((10, 46), (-1, 0), (10, -1)):
+            with pytest.raises(ConfigError, match=(
+                    r"^G\(n, m\) needs n >= 0 and 0 <= m <= n\(n-1\)/2, "
+                    rf"got n={n}, m={m}$")):
                 erdos_renyi(n, m)
+        assert erdos_renyi(10, 45).edge_count == 45
 
     def test_placeholder_documents(self):
         g = erdos_renyi(3, 2, seed=0)
@@ -90,16 +96,16 @@ class TestErdosRenyi:
         assert chisquare(observed, expected).pvalue > 0.01
 
     def test_edge_presence_uniform_small_n(self):
-        # n=4, m=3: each of the 12 ordered pairs should appear with
-        # frequency m/total = 1/4 across seeds
+        # n=4, m=3: each of the 6 node pairs should appear with
+        # frequency m/total = 1/2 across seeds
         hits = {}
         trials = 3000
         for seed in range(trials):
-            for pair in edge_pairs(erdos_renyi(4, 3, seed=seed)):
+            for pair in projection_pairs(erdos_renyi(4, 3, seed=seed)):
                 hits[pair] = hits.get(pair, 0) + 1
-        assert len(hits) == 12
+        assert len(hits) == 6
         for pair, count in hits.items():
-            assert count / trials == pytest.approx(0.25, abs=0.04), pair
+            assert count / trials == pytest.approx(0.5, abs=0.04), pair
 
 
 class TestSmallWorldCompare:
@@ -121,13 +127,47 @@ class TestSmallWorldCompare:
         assert report.c_net >= 10 * report.c_rand
         assert report.l_net <= 1.5 * report.l_rand
 
-    def test_matched_null_counts(self):
+    def test_matched_null_counts(self, monkeypatch):
         g = generate(GeneratorConfig(years=(1980, 1989), docs_per_year=30,
                                      seed=1))
-        # the nulls must carry the graph's node and typed-edge counts
-        null = erdos_renyi(g.node_count, g.edge_count, seed=0)
-        assert null.node_count == g.node_count
-        assert null.edge_count == g.edge_count
+        pairs = len(g.simple_projection()[0])
+        assert pairs < g.edge_count  # amendment twins share a pair
+        sizes = []
+
+        def recorded(n, m, seed=0):
+            sizes.append((n, m))
+            return draw(n, m, seed=seed)
+
+        draw = randmodels.erdos_renyi
+        monkeypatch.setattr(randmodels, "erdos_renyi", recorded)
+        small_world_compare(g, replicas=2, seed=0)
+        compare_with_null(g, ResilienceConfig(repetitions=2))
+        # every null carries the graph's node and projection pair counts
+        assert sizes == [(g.node_count, pairs)] * 3
+
+    def test_auto_path_mode_follows_the_network(self, monkeypatch):
+        # a 20-node circulant of 100 pairs beside 40 isolated nodes: its
+        # nulls spread the 100 pairs over 60 nodes, whose giant component
+        # is larger than the network's
+        ring = [f"c{i:02d}" for i in range(20)]
+        g = make_graph([(ring[i], ring[(i + j) % 20]) for i in range(20)
+                        for j in range(1, 6)],
+                       ring + [f"z{i:02d}" for i in range(40)])
+        calls = []
+
+        def recorded(graph, mode, **kwargs):
+            calls.append((int(giant_projection(graph)[0].sum()), mode))
+            return measure(graph, mode, **kwargs)
+
+        measure = randmodels.path_metrics
+        monkeypatch.setattr(randmodels, "path_metrics", recorded)
+        monkeypatch.setattr(randmodels, "EXACT_BELOW", 40)
+        small_world_compare(g, replicas=3, seed=0, path_mode="auto")
+        gc_sizes = [size for size, _ in calls]
+        assert gc_sizes[0] == 20 and min(gc_sizes[1:]) > 40
+        # the network's giant component is below the line, so every null
+        # is measured exactly too
+        assert [mode for _, mode in calls] == ["exact"] * 4
 
     def test_clique_saturated_case_not_small_world(self):
         names = [f"q{i:02d}" for i in range(20)]

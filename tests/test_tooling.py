@@ -8,7 +8,8 @@ does deleting or renaming a flag that a workload in
 The tracer is installed in a fresh interpreter, so its patches never reach
 the package this test session imports.  Its count of bootstrap refits
 must equal the bootstrap's number of blocks.  ``__all__`` is kept apart
-from the package's import list, and only a star import reads it.
+from the package's import list, and only a star import reads it.  The
+version in ``pyproject.toml`` is ``legisnet.__version__``.
 
 Every command starts a fresh process, so importing the package loads
 no scipy and no process pool (only ``--threads`` > 1 uses one), and a
@@ -204,6 +205,12 @@ def test_fresh_process_loads_only_what_it_runs(tmp_path, tooling_corpus,
             if not any(_in_package(name, package) for name in loaded)] == []
 
 
+def test_version_strings_agree():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == legisnet.__version__
+
+
 def test_star_import_resolves_every_public_name():
     namespace: dict = {}
     exec("from legisnet import *", namespace)
@@ -294,27 +301,27 @@ DIGESTS = {
     "powerlaw/powerlaw_ccdf_out.csv":
         "3fcd5f27f3f89a2137f985a812db82bdea143653f1a5ebd95760686a3197abc4",
     "report-all/report.json":
-        "c1cb7dc0d520b168eafada7beabcc7bda8af7138ad901665e930d3104e5b8355",
+        "7ee7591381d2f64ef4742feed82ee0ee493286dc004755c11c2baaac8e1b2312",
     "report-all/report_ccdf_in.csv":
         "0d55da0c4b72e7a0cf9d5f2d34caadcd9e2414a917840cddc9237f3a53a5acec",
     "report-all/report_ccdf_out.csv":
         "3fcd5f27f3f89a2137f985a812db82bdea143653f1a5ebd95760686a3197abc4",
     "report-all/report_clustering_by_degree.csv":
         "6764e4148429a9528fa0279b7226e0198734cd63f6b0122e8760f723ab9fe6a2",
+    "report-all/report_curve.csv":
+        "dd114d9613e7df798a65d50965ba61ba52da44b7194070da6a628a849fc45453",
     "report-all/report_degree_histogram.csv":
         "ae2c9d1797286414bbac15dc269d882363aa7e894e7a3318a4d2a273b6f744bf",
     "report-all/report_distances.csv":
         "df9fc2a1d01fb279e73433e7eff5e7e8e0e94349a930e5459f59ffddae44a782",
     "report-all/report_lorenz.csv":
         "9ac1e039020f6b517d35e17dc08ac4f4ae5d86cd857fb44a0953b7ec1d5ee777",
-    "report-all/report_resilience.csv":
-        "d3d6ad642a10257e7bae8237a8c1ba06054b7603033cac83fb64b1ad052747f0",
     "report-all/report_snapshots.csv":
         "fca3f854de37ad2f15b4bc8c0f07f7581c0dbc583a40f2b25ff54fc3ba57c57f",
     "resilience/resilience.json":
-        "fbf152a910e0b10cad1b44e7788b33c3d093c1a4c56f16710571cef0fef3c093",
+        "bb2ccbcd8a3f23d503dceeb6ad0b269996fc25698c2f3d823c6bfbf8075815ce",
     "resilience/resilience_curve.csv":
-        "756503a5dfba4dc77d0f29cd81439aeafed4b06f3e1620d0355cff2737bb16a4",
+        "96d64c0d69322ab1da6c6d17da525fc01a5744e8968322ded3bf562619fba109",
 }
 ICN_DIGESTS = {
     "bowtie-icn/bowtie.json":
