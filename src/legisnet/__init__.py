@@ -66,7 +66,7 @@ from .temporal import (
     evolution_series,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AnalysisError",

@@ -76,8 +76,8 @@ from .errors import (
 from .filters import filter_reftype, filter_sector, snapshot
 from .generator import GeneratorConfig, generate
 from .graph import LegislationGraph, RefType, Sector
-from .heavytail import (DEFAULT_BOOTSTRAP_M, ccdf, fit_power_law,
-                        goodness_of_fit, zeta)
+from .heavytail import (DEFAULT_BOOTSTRAP_M, SEQUENTIAL_HITS, ccdf,
+                        fit_power_law, goodness_of_fit, zeta)
 from .metrics import (
     assortativity,
     clustering,
@@ -97,6 +97,9 @@ NETWORK_PRESETS = ("LN", "RN", "ICN", "LBN")
 # each needs a value >= 1.
 COUNT_FLAGS = ("bootstrap", "min_tail", "path_sources", "replicas", "reps",
                "smallworld_replicas", "resilience_reps", "threads")
+BOOTSTRAP_HELP = ("most bootstrap replicas the sequential power-law test "
+                  f"draws; it stops once {SEQUENTIAL_HITS} fit no better "
+                  "than the data")
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -651,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(p)
     p.add_argument("--direction", choices=["in", "out"], default="in")
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M,
-                   help="bootstrap replica count")
+                   help=BOOTSTRAP_HELP)
     p.add_argument("--min-tail", type=int, default=25)
     p.set_defaults(handler=_cmd_analysis)
 
@@ -692,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="sampled")
     p.add_argument("--path-sources", type=int, default=500)
     p.add_argument("--directed-paths", action="store_true")
-    p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M)
+    p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M,
+                   help=BOOTSTRAP_HELP)
     p.add_argument("--min-tail", type=int, default=25)
     p.add_argument("--smallworld-replicas", type=int, default=10)
     p.add_argument("--years", default=None, metavar="START:END")

@@ -10,10 +10,14 @@ discrete maximum-likelihood approximation
 and the candidate minimizing the Kolmogorov-Smirnov distance between
 the empirical and fitted tail CDFs wins.  Plausibility is assessed by
 a semi-parametric bootstrap: synthetic samples mix draws from the
-fitted tail with resamples of the empirical body, each replica is
-refitted from scratch (threshold selection included), and the p-value
-is the fraction of replicas whose KS distance is at least the observed
-one.  The model is ruled out when p < 0.10.
+fitted tail with resamples of the empirical body, and each replica is
+refitted from scratch (threshold selection included).  A replica whose
+KS distance is at least the observed one, or whose refit fails, is a
+hit.  The p-value is Besag & Clifford's sequential one (Biometrika 78,
+301, 1991): replicas are drawn in order until the ``SEQUENTIAL_HITS``-th
+hit, at replica L, and p = SEQUENTIAL_HITS / L; if the cap of m
+replicas comes first, with g hits, p = (g + 1) / (m + 1).  The model is
+ruled out when p < 0.10.
 
 Refits dominate the bootstrap, so the threshold scan bounds and
 prunes.  Tail sizes fall as the threshold rises, so the candidates
@@ -49,7 +53,8 @@ fit alone bit for bit.  The bootstrap draws each replica from its own
 random stream straight into runs: its tail draws from sorted uniforms,
 so they come out rising (far-tail draws out of order are re-sorted),
 and its body resample as counts of the body's distinct values.  It
-refits the replicas in blocks of ``BLOCK_VALUES`` sample values: one
+refits the replicas in blocks of ``BLOCK_VALUES`` sample values, in
+order, and stops after the block that holds the last hit it needs: one
 ``fit_power_law`` call per block, looked up as this module's global, so
 wrapping that name counts blocks.  A block holds one row per replica:
 the body's distinct values and the tail's runs, 41-85 distinct values
@@ -104,6 +109,7 @@ WIDTH = 16
 MARGIN = 1e-9
 ZETA_FLOOR = 1e-290
 BLOCK_VALUES = 1 << 17  # sample values per bootstrap refit block
+SEQUENTIAL_HITS = 10  # KS exceedances that end the bootstrap
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,9 @@ class FitResult:
     n_tail_spread: float
     ks_statistic: float
     p_value: float
-    bootstrap_m: int
+    bootstrap_m: int  # the most replicas the test may draw
+    bootstrap_replicas: int  # the replicas it drew and read
+    failed_refits: int  # of those, the refits that failed
     zeros_excluded: int = 0
 
 
@@ -550,24 +558,48 @@ def _gof_block(replicas: range, n: int, seed: int, p_tail: float,
                             refit.n_tail))
 
 
+def _sequential_p_value(ks_values: np.ndarray, observed: float,
+                        hits: int) -> tuple[float, int]:
+    """Besag & Clifford's sequential p-value of ``ks_values``, the
+    replicas' KS distances in the order drawn, and the count L of
+    replicas it reads.  A hit is a distance of at least ``observed``
+    (inf, a failed refit, included).  With ``hits`` hits, L is the
+    position of the ``hits``-th and p = hits / L; with fewer, g, the
+    values are the whole run of m replicas, L = m and
+    p = (g + 1) / (m + 1)."""
+    at = np.flatnonzero(ks_values >= observed)
+    if len(at) >= hits:
+        used = int(at[hits - 1]) + 1
+        return hits / used, used
+    return (len(at) + 1) / (len(ks_values) + 1), len(ks_values)
+
+
 def goodness_of_fit(degrees, fit: TailFit | None = None,
                     m: int = DEFAULT_BOOTSTRAP_M, seed: int = 0,
                     min_tail: int = MIN_TAIL, n_jobs: int = 1) -> FitResult:
     """Bootstrap plausibility test of a fitted power-law tail.
 
-    Each of ``m`` replicas draws, per observation, from the fitted
-    tail with probability n_tail/n and otherwise resamples the
-    empirical body below x_min; replicas are refitted in full, in
-    blocks of ``BLOCK_VALUES`` sample values.  Replica seeds are
-    derived from ``seed`` independently of ``n_jobs``, so results do
-    not depend on parallelism.
+    Each replica draws, per observation, from the fitted tail with
+    probability n_tail/n and otherwise resamples the empirical body
+    below x_min, and is refitted in full.  Replicas are refitted in
+    order, in blocks of ``BLOCK_VALUES`` sample values, until the block
+    that holds the ``SEQUENTIAL_HITS``-th hit (a KS distance at least
+    the observed one, or a failed refit) or the cap of ``m`` replicas.
+    The p-value is ``SEQUENTIAL_HITS / L`` for the hit at replica L,
+    else (g + 1) / (m + 1) for the g hits among all ``m``; the spreads
+    and ``failed_refits`` are over the first L replicas, L = ``m`` at
+    the cap.  With ``n_jobs`` > 1, blocks go to the process pool in
+    waves of ``n_jobs`` blocks, doubling after each wave.  Replica
+    seeds are derived from ``seed`` alone and the replicas past L are
+    dropped, so results depend on neither ``n_jobs`` nor the block
+    size, and a stopped run is a prefix of the run to the cap.
     """
     if m < 1:
         raise ValidationError("bootstrap count m must be >= 1")
     if m < DEFAULT_BOOTSTRAP_M:
         warnings.warn(
-            f"bootstrap m={m} below {DEFAULT_BOOTSTRAP_M}: p-value resolution "
-            f"is limited to {1.0 / m:.2g}",
+            f"bootstrap m={m} below {DEFAULT_BOOTSTRAP_M}: a p-value that "
+            f"reaches the cap has resolution 1/(m+1) = {1.0 / (m + 1):.2g}",
             stacklevel=2,
         )
     xs, zeros = _clean_degrees(degrees)
@@ -586,11 +618,23 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     worker = partial(_gof_block, n=n, seed=seed, p_tail=p_tail,
                      body_values=body_values, body_counts=body_counts,
                      sampler=sampler, min_tail=min_tail)
-    stats = np.concatenate(parallel_map(worker, blocks, n_jobs=n_jobs))
-    # a pathological replica counts as a poorer fit than any data
-    stats[np.isinf(stats[:, 0]), 1:] = (fit.gamma, fit.x_min, 0.0)
-    ks_values = stats[:, 0]
-    p_value = float(np.mean(ks_values >= fit.ks_statistic))
+    refitted = []
+    hits = 0
+    wave, growth = (1, 1) if n_jobs <= 1 else (n_jobs, 2)
+    while blocks and hits < SEQUENTIAL_HITS:
+        for block in parallel_map(worker, blocks[:wave], n_jobs=n_jobs):
+            refitted.append(block)
+            hits += int(np.count_nonzero(block[:, 0] >= fit.ks_statistic))
+        del blocks[:wave]
+        wave *= growth
+    stats = np.concatenate(refitted)
+    p_value, used = _sequential_p_value(stats[:, 0], fit.ks_statistic,
+                                         SEQUENTIAL_HITS)
+    stats = stats[:used]
+    failed = np.isinf(stats[:, 0])
+    # a failed refit (ks inf) is a hit; it adds the data's gamma and
+    # x_min and an empty tail to the spreads
+    stats[failed, 1:] = (fit.gamma, fit.x_min, 0.0)
     return FitResult(
         gamma=fit.gamma,
         gamma_spread=float(stats[:, 1].std()),
@@ -601,6 +645,8 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
         ks_statistic=fit.ks_statistic,
         p_value=p_value,
         bootstrap_m=m,
+        bootstrap_replicas=used,
+        failed_refits=int(np.count_nonzero(failed)),
         zeros_excluded=zeros,
     )
 

@@ -97,7 +97,7 @@ def test_criterion_02_power_law_recovery():
     reason="unattainable with the prescribed fitting procedure: the "
     "KS-minimizing threshold escapes into a short steep tail that a "
     "high-exponent power law fits locally, so the bootstrap cannot rule "
-    "the model out at this sample size (measured ~3/20 rejections; see "
+    "the model out at this sample size (measured 2/20 rejections; see "
     "the decisions ledger)",
 )
 def test_criterion_02_poisson_rejection():

@@ -494,7 +494,8 @@ class TestOtherCommands:
                      str(tmp_path), "--seed", "5"]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "legisnet powerlaw [legisnet.heavytail]: warning: bootstrap m=20"
-            " below 2500: p-value resolution is limited to 0.05"]
+            " below 2500: a p-value that reaches the cap has resolution"
+            " 1/(m+1) = 0.048"]
         report = read_report(tmp_path / "powerlaw.json")
         assert report["results"]["gamma"] > 1.0
         assert 0.0 <= report["results"]["p_value"] <= 1.0

@@ -17,8 +17,9 @@ from legisnet import (
     goodness_of_fit,
 )
 from legisnet import heavytail
-from legisnet.heavytail import (DEFAULT_BOOTSTRAP_M, MAX_TABLE, PowerLawSampler,
-                                TailFit)
+from legisnet.heavytail import (DEFAULT_BOOTSTRAP_M, MAX_TABLE,
+                                SEQUENTIAL_HITS, PowerLawSampler, TailFit,
+                                _sequential_p_value)
 
 from conftest import count_form
 
@@ -262,13 +263,23 @@ class TestSampler:
 
 class TestGoodnessOfFit:
     def test_p_value_granularity_and_range(self):
+        # stopped at the SEQUENTIAL_HITS-th hit, p = hits / L exactly; at
+        # the cap of m < SEQUENTIAL_HITS replicas, p * (m + 1) is a count
         rng = np.random.default_rng(2)
         data = draw_pl_table(2.5, 5, 2_000, rng)
         with pytest.warns(UserWarning, match="resolution"):
             res = goodness_of_fit(data, m=40, seed=0)
-        assert 0.0 <= res.p_value <= 1.0
-        assert (res.p_value * 40) == pytest.approx(round(res.p_value * 40))
+        assert 0.0 < res.p_value <= 1.0
         assert res.bootstrap_m == 40
+        assert SEQUENTIAL_HITS <= res.bootstrap_replicas < res.bootstrap_m
+        assert res.p_value == SEQUENTIAL_HITS / res.bootstrap_replicas
+        m = SEQUENTIAL_HITS - 1
+        with pytest.warns(UserWarning, match="resolution"):
+            capped = goodness_of_fit(data, m=m, seed=0)
+        assert capped.bootstrap_replicas == capped.bootstrap_m == m
+        assert 0.0 < capped.p_value <= 1.0
+        assert capped.p_value * (m + 1) == pytest.approx(
+            round(capped.p_value * (m + 1)), abs=1e-12)
 
     def test_true_model_not_ruled_out(self):
         rng = np.random.default_rng(11)
@@ -343,7 +354,139 @@ class TestGoodnessOfFit:
         with pytest.warns(UserWarning, match="resolution"):
             res = goodness_of_fit(data, m=200, seed=4)
         assert res == FitResult(
-            gamma=2.367226489647588, gamma_spread=0.09694383687646584,
-            x_min=2, x_min_spread=1.0148768398185073, n_tail=521,
-            n_tail_spread=128.01280785530798, ks_statistic=0.03751494102623065,
-            p_value=0.205, bootstrap_m=200, zeros_excluded=0)
+            gamma=2.367226489647588, gamma_spread=0.0892753678757116,
+            x_min=2, x_min_spread=0.6269139656235516, n_tail=521,
+            n_tail_spread=106.73502458383062, ks_statistic=0.03751494102623065,
+            p_value=10 / 33, bootstrap_m=200, bootstrap_replicas=33,
+            failed_refits=0, zeros_excluded=0)
+
+
+def sequential_case():
+    """A sample whose seed-3 bootstrap stops at replica 21, with the
+    ``goodness_of_fit`` keyword arguments that give it."""
+    data = draw_pl_table(2.5, 5, 1_000, np.random.default_rng(3))
+    return data, {"fit": fit_power_law(data), "m": 100, "seed": 3}
+
+
+def recorded_bootstrap(data, marked=(), **kwargs):
+    """``goodness_of_fit(data, **kwargs)``, its ``fit_power_law`` global
+    wrapped as the benchmark's tracer wraps it, and the replica rows
+    (ks, gamma, x_min, n_tail) of every block refitted, in order.  The
+    replicas in ``marked`` get the row of a failed refit."""
+    blocks = []
+
+    def recorded(degrees, counts=None, **kw):
+        refit = fit(degrees, counts=counts, **kw)
+        lo = sum(len(b) for b in blocks)
+        for r in range(lo, lo + len(counts)):
+            if r in marked:
+                refit.ks_statistic[r - lo] = np.inf
+                refit.gamma[r - lo] = np.nan
+                refit.x_min[r - lo] = refit.n_tail[r - lo] = 0
+        blocks.append(np.column_stack((refit.ks_statistic, refit.gamma,
+                                       refit.x_min, refit.n_tail)))
+        return refit
+
+    fit = heavytail.fit_power_law
+    with warnings.catch_warnings(), \
+            patch.object(heavytail, "fit_power_law", recorded):
+        warnings.simplefilter("ignore", UserWarning)
+        result = goodness_of_fit(data, **kwargs)
+    return result, blocks
+
+
+class TestSequentialBootstrap:
+    """Besag & Clifford's sequential p-value: refits stop after the block
+    that holds the SEQUENTIAL_HITS-th hit, and the result reads the first
+    L replicas alone."""
+
+    @pytest.mark.parametrize("ks, hits, expected", [
+        # the 3rd hit (>= 0.5) is replica 5: p = 3/5
+        ([0.1, 0.5, 0.2, 0.7, 0.5, 0.9, 0.6], 3, (3 / 5, 5)),
+        # 2 hits among all 6 replicas: the cap, p = 3/7
+        ([0.1, 0.5, 0.2, 0.1, 0.4, 0.9], 3, (3 / 7, 6)),
+        # no hit at the cap: p = 1/(m + 1)
+        ([0.1, 0.2, 0.3], 2, (1 / 4, 3)),
+        # the first h replicas are all hits: L = h, p = 1
+        ([0.5, 0.6, 0.8, 0.1], 3, (1.0, 3)),
+        # a failed refit (inf) is a hit
+        ([0.1, np.inf, 0.2, np.inf, 0.3], 2, (2 / 4, 4)),
+        # the h-th hit on the last replica stops there: p = h/m
+        ([0.1, 0.5, 0.2, 0.5], 2, (2 / 4, 4)),
+    ], ids=["stop", "cap", "no-hit", "L=h", "inf-hit", "hit-at-cap"])
+    def test_p_value_oracle(self, ks, hits, expected):
+        assert _sequential_p_value(np.array(ks), 0.5, hits) == expected
+
+    def test_stopped_run_reads_its_first_replicas(self):
+        data, kwargs = sequential_case()
+        result, blocks = recorded_bootstrap(data, **kwargs)
+        stats = np.concatenate(blocks)[:result.bootstrap_replicas]
+        hits = stats[:, 0] >= result.ks_statistic
+        assert result.bootstrap_replicas == 21
+        assert hits.sum() == SEQUENTIAL_HITS and hits[-1]
+        assert result.p_value == SEQUENTIAL_HITS / 21
+        assert result.gamma_spread == float(stats[:, 1].std())
+        assert result.n_tail_spread == float(stats[:, 3].std())
+        assert result.failed_refits == 0
+
+    @pytest.mark.parametrize("per_block", [4, 5])
+    def test_serial_path_refits_no_block_past_the_hit(self, per_block):
+        # replica 21 lies inside a block of 4 or 5, so the last block
+        # refitted is cut and no later block is refitted
+        data, kwargs = sequential_case()
+        with patch.object(heavytail, "BLOCK_VALUES", per_block * len(data)):
+            result, blocks = recorded_bootstrap(data, **kwargs)
+        assert result.bootstrap_replicas % per_block
+        assert len(blocks) == -(-result.bootstrap_replicas // per_block)
+        assert all(len(b) == per_block for b in blocks)
+
+    def test_threads_and_block_sizes_change_no_result(self):
+        # blocks of 4 send 2 blocks (8 replicas), then 4 (16 more) to the
+        # pool, so the hit at replica 21 falls in the second wave
+        data, kwargs = sequential_case()
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for per_block, n_jobs in [(4, 1), (4, 2), (5, 1), (5, 2)]:
+                with patch.object(heavytail, "BLOCK_VALUES",
+                                  per_block * len(data)):
+                    results.append(goodness_of_fit(data, n_jobs=n_jobs,
+                                                   **kwargs))
+            results.append(goodness_of_fit(data, **kwargs))
+        assert results[0].bootstrap_replicas == 21
+        assert all(r == results[0] for r in results)
+
+    def test_capped_run_extends_the_stopped_run(self):
+        data, kwargs = sequential_case()
+        stopped, stopped_blocks = recorded_bootstrap(data, **kwargs)
+        with patch.object(heavytail, "SEQUENTIAL_HITS", kwargs["m"] + 1):
+            capped, capped_blocks = recorded_bootstrap(data, **kwargs)
+        assert capped.bootstrap_replicas == capped.bootstrap_m == kwargs["m"]
+        used = stopped.bootstrap_replicas
+        stats = np.concatenate(capped_blocks)
+        np.testing.assert_array_equal(stats[:used],
+                                      np.concatenate(stopped_blocks)[:used])
+        hits = int((stats[:, 0] >= capped.ks_statistic).sum())
+        assert capped.p_value == (hits + 1) / (kwargs["m"] + 1)
+
+    def test_failed_refits_are_counted_as_hits(self):
+        data, kwargs = sequential_case()
+        plain, blocks = recorded_bootstrap(data, **kwargs)
+        natural = np.flatnonzero(np.concatenate(blocks)[:, 0]
+                                 >= plain.ks_statistic)
+        misses = np.setdiff1d(np.arange(plain.bootstrap_replicas), natural)
+        marked = {int(misses[0]), int(misses[2]), 60}
+        result, _ = recorded_bootstrap(data, marked=marked, **kwargs)
+        hits = np.union1d(natural, sorted(marked))
+        used = int(hits[SEQUENTIAL_HITS - 1]) + 1
+        assert used < plain.bootstrap_replicas
+        assert result.bootstrap_replicas == used
+        assert result.p_value == SEQUENTIAL_HITS / used
+        assert result.failed_refits == 2
+        # the first SEQUENTIAL_HITS replicas all fail: L = h, p = 1
+        every, _ = recorded_bootstrap(data, marked=set(range(SEQUENTIAL_HITS)),
+                                      **kwargs)
+        assert every.bootstrap_replicas == SEQUENTIAL_HITS
+        assert every.failed_refits == SEQUENTIAL_HITS
+        assert every.p_value == 1.0
+        assert every.gamma_spread == every.x_min_spread == 0.0

@@ -34,7 +34,8 @@ the removal schedule against its loop with a step cap and a stop at n.  The
 bound-and-prune power-law threshold scan is checked against the
 per-candidate loop it replaced, bit for bit, in single fits and in the
 bootstrap; and the blocked bootstrap against one 1-D refit per replica,
-with one-row and ragged blocks.  The scan's power-sum bounds are checked
+with one-row and ragged blocks, each stopping at its sequential hit
+count.  The scan's power-sum bounds are checked
 against the exact KS distance of every candidate of every row.  A fit
 from values and counts, each row of a block included, is checked
 against the 1-D fit of the sample written out, and each bootstrap
@@ -51,6 +52,7 @@ import math
 import warnings
 from dataclasses import replace
 from datetime import date, timedelta
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -1520,33 +1522,41 @@ def test_count_form_rejects_what_is_not_rising_integers_and_counts():
             fit_power_law(bad_values, counts=bad_counts)
 
 
-def per_replica_bootstrap(xs, m, seed, min_tail=MIN_TAIL) -> FitResult:
+def per_replica_bootstrap(xs, m, seed, hits, min_tail=MIN_TAIL) -> FitResult:
     """Oracle: the bootstrap as it ran before refits went in blocks,
     each replica drawn by ``gof_replica`` and refitted by one 1-D
-    ``fit_power_law`` call."""
+    ``fit_power_law`` call, one replica after another until the
+    ``hits``-th whose KS distance is at least the sample's (a failed
+    refit counts) or the ``m``-th.  Besag & Clifford's p-value: hits / L
+    for the hit at replica L, else (g + 1) / (m + 1) for g hits."""
     clean, zeros = _clean_degrees(xs)
     fit = fit_power_law(clean, min_tail=min_tail)
     n = len(clean)
     body = clean[clean < fit.x_min]
     sampler = PowerLawSampler(fit.gamma, fit.x_min)
     rows = []
+    found = failed = 0
     for replica in range(m):
         synthetic = gof_replica(replica, n, seed, fit.n_tail / n, body, sampler)
         try:
             refit = fit_power_law(synthetic, min_tail=min_tail)
+            rows.append((refit.ks_statistic, refit.gamma, float(refit.x_min),
+                         float(refit.n_tail)))
         except AnalysisError:
             rows.append((float("inf"), fit.gamma, float(fit.x_min), 0.0))
-            continue
-        rows.append((refit.ks_statistic, refit.gamma, float(refit.x_min),
-                     float(refit.n_tail)))
+            failed += 1
+        found += rows[-1][0] >= fit.ks_statistic
+        if found == hits:
+            break
     stats = np.array(rows, dtype=float)
     return FitResult(
         gamma=fit.gamma, gamma_spread=float(stats[:, 1].std()),
         x_min=fit.x_min, x_min_spread=float(stats[:, 2].std()),
         n_tail=fit.n_tail, n_tail_spread=float(stats[:, 3].std()),
         ks_statistic=fit.ks_statistic,
-        p_value=float(np.mean(stats[:, 0] >= fit.ks_statistic)),
-        bootstrap_m=m, zeros_excluded=zeros)
+        p_value=hits / len(rows) if found == hits else (found + 1) / (m + 1),
+        bootstrap_m=m, bootstrap_replicas=len(rows), failed_refits=failed,
+        zeros_excluded=zeros)
 
 
 def bootstrap_outcome(bootstrap, xs, m, seed):
@@ -1564,14 +1574,17 @@ def bootstrap_outcome(bootstrap, xs, m, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(degree_samples(), st.integers(1, 7), st.integers(0, 2**16),
-       st.integers(1, 3))
-@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 1)
-@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 3)
-def test_blocked_bootstrap_equals_per_replica_refits(xs, m, seed, per_block):
+       st.integers(1, 3), st.integers(1, 8))
+@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 1, 8)
+@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 3, 8)
+@example(np.random.default_rng(2).zipf(2.2, 300), 7, 0, 3, 2)
+def test_blocked_bootstrap_equals_per_replica_refits(xs, m, seed, per_block,
+                                                     hits):
     """goodness_of_fit equals the per-replica oracle when its blocks hold
-    ``per_block`` replicas: one row each, or a ragged last block.  The
-    sample's fit is one fit_power_law call, and so is each block, with
-    one value-count row of ``n`` values per replica."""
+    ``per_block`` replicas (one row each, or a ragged last block) and it
+    stops at ``hits`` hits.  The sample's fit is one fit_power_law call,
+    and so is each block up to the one that holds the last replica read,
+    with one value-count row of ``n`` values per replica."""
     n = int((xs > 0).sum())
     calls = []
 
@@ -1585,11 +1598,14 @@ def test_blocked_bootstrap_equals_per_replica_refits(xs, m, seed, per_block):
 
     fit = heavytail.fit_power_law
     with patch.object(heavytail, "BLOCK_VALUES", per_block * n + n - 1), \
+            patch.object(heavytail, "SEQUENTIAL_HITS", hits), \
             patch.object(heavytail, "fit_power_law", counted):
         blocked = bootstrap_outcome(goodness_of_fit, xs, m, seed)
-    assert blocked == bootstrap_outcome(per_replica_bootstrap, xs, m, seed)
+    assert blocked == bootstrap_outcome(
+        partial(per_replica_bootstrap, hits=hits), xs, m, seed)
     if isinstance(blocked, FitResult):
-        sizes = [min(per_block, m - lo) for lo in range(0, m, per_block)]
+        read = blocked.bootstrap_replicas
+        sizes = [min(per_block, m - lo) for lo in range(0, read, per_block)]
         assert calls == [(n,), *sizes]
 
 

@@ -297,11 +297,11 @@ DIGESTS = {
     "metrics/metrics_lorenz.csv":
         "9ac1e039020f6b517d35e17dc08ac4f4ae5d86cd857fb44a0953b7ec1d5ee777",
     "powerlaw/powerlaw.json":
-        "a215d8147c3e2894933862dc4179c5dd0a75201e190752d955659e7365bdc38d",
+        "eb5242431bb203a938521492ebd19ba51be6a7323eb67b04f8e9dc1f234812eb",
     "powerlaw/powerlaw_ccdf_out.csv":
         "3fcd5f27f3f89a2137f985a812db82bdea143653f1a5ebd95760686a3197abc4",
     "report-all/report.json":
-        "7ee7591381d2f64ef4742feed82ee0ee493286dc004755c11c2baaac8e1b2312",
+        "4b5ddda38ac0f0e875e169d473c704e990e526a35d41e49decbb47b7a797b507",
     "report-all/report_ccdf_in.csv":
         "0d55da0c4b72e7a0cf9d5f2d34caadcd9e2414a917840cddc9237f3a53a5acec",
     "report-all/report_ccdf_out.csv":
