@@ -76,8 +76,8 @@ from .errors import (
 from .filters import filter_reftype, filter_sector, snapshot
 from .generator import GeneratorConfig, generate
 from .graph import LegislationGraph, RefType, Sector
-from .heavytail import (DEFAULT_BOOTSTRAP_M, SEQUENTIAL_HITS, ccdf,
-                        fit_power_law, goodness_of_fit, zeta)
+from .heavytail import (DEFAULT_BOOTSTRAP_M, MIN_TAIL, SEQUENTIAL_HITS,
+                        ccdf, fit_power_law, goodness_of_fit, zeta)
 from .metrics import (
     assortativity,
     clustering,
@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=["in", "out"], default="in")
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M,
                    help=BOOTSTRAP_HELP)
-    p.add_argument("--min-tail", type=int, default=25)
+    p.add_argument("--min-tail", type=int, default=MIN_TAIL)
     p.set_defaults(handler=_cmd_analysis)
 
     p = sub.add_parser("smallworld", help="small-world comparison against nulls")
@@ -697,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed-paths", action="store_true")
     p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP_M,
                    help=BOOTSTRAP_HELP)
-    p.add_argument("--min-tail", type=int, default=25)
+    p.add_argument("--min-tail", type=int, default=MIN_TAIL)
     p.add_argument("--smallworld-replicas", type=int, default=10)
     p.add_argument("--years", default=None, metavar="START:END")
     p.add_argument("--step", type=float, default=0.05)
@@ -708,35 +708,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _module_name(frame) -> str:
-    """Name of the module running ``frame``.  Under ``python -m`` its
-    ``__name__`` is ``__main__``; its spec keeps the dotted name."""
-    spec = frame.f_globals.get("__spec__")
-    return spec.name if spec is not None else frame.f_globals.get("__name__", "")
-
-
-def _origin_module(exc: BaseException) -> str:
-    tb = exc.__traceback__
-    origin = "legisnet"
-    while tb is not None:
-        module = _module_name(tb.tb_frame)
+def _origin_module(frames) -> str:
+    """Dotted name of the first legisnet module among ``frames``,
+    (frame, line) pairs from the innermost out; ``legisnet`` if none.
+    Under ``python -m`` a module's ``__name__`` is ``__main__``; its
+    spec keeps the dotted name."""
+    for frame, _ in frames:
+        spec = frame.f_globals.get("__spec__")
+        module = (spec.name if spec is not None
+                  else frame.f_globals.get("__name__", ""))
         if module.startswith("legisnet"):
-            origin = module
-        tb = tb.tb_next
-    return origin
+            return module
+    return "legisnet"
 
 
 def _complain(command: str, exc: LegisnetError) -> None:
-    print(f"legisnet {command} [{_origin_module(exc)}]: {exc}", file=sys.stderr)
+    import traceback
+
+    origin = _origin_module(reversed([*traceback.walk_tb(exc.__traceback__)]))
+    print(f"legisnet {command} [{origin}]: {exc}", file=sys.stderr)
 
 
 def _warn(command: str, message, *_) -> None:
     """``warnings.showwarning`` as one stderr line naming the module that
     warned: the innermost legisnet frame on the stack."""
-    frame = sys._getframe(1)
-    while frame is not None and not _module_name(frame).startswith("legisnet"):
-        frame = frame.f_back
-    origin = _module_name(frame) if frame is not None else "legisnet"
+    import traceback
+
+    origin = _origin_module(traceback.walk_stack(sys._getframe(1)))
     print(f"legisnet {command} [{origin}]: warning: {message}", file=sys.stderr)
 
 

@@ -24,10 +24,11 @@ the ``per_graph`` memo, so it lives and dies with the graph: here the
 boolean CSR adjacency of the directed structure (types merged), the
 simple undirected projection and the id ranks; in ``metrics`` the
 giant component's projection, the local clustering coefficients and
-the giant component's path statistics.  The projection is not a second
-graph object; it is two pair columns ``(pair_u, pair_v)`` with u < v,
-one pair per node pair joined by a typed edge in either direction,
-over the same node indices.
+the giant component's path statistics.  ``per_graph`` makes every
+cached array read-only, so no caller can change what a later query
+reads.  The projection is not a second graph object; it is two pair
+columns ``(pair_u, pair_v)`` with u < v, one pair per node pair joined
+by a typed edge in either direction, over the same node indices.
 
 ``scipy.sparse`` is imported by ``adjacency`` on its first build, not
 with this module, so commands that never build a CSR (generate, ingest,
@@ -96,14 +97,19 @@ def per_graph(build):
     """Memo: ``build(graph, *args)`` is computed on the first call and
     kept in the graph's cache under ``(build, *args)``.
 
-    Arguments are positional only, so a result has one key.  Callers
-    must not mutate what it returns.
+    Arguments are positional only, so a result has one key.  Its
+    arrays, those of a tuple or a CSR included, are made read-only.
     """
     @wraps(build)
     def once(graph: LegislationGraph, *args):
         key = (build, *args)
         if key not in graph._cache:
-            graph._cache[key] = build(graph, *args)
+            result = graph._cache[key] = build(graph, *args)
+            for part in result if isinstance(result, tuple) else (result,):
+                for array in ((part.data, part.indices, part.indptr)
+                              if hasattr(part, "indptr") else (part,)):
+                    if isinstance(array, np.ndarray):
+                        array.flags.writeable = False
         return graph._cache[key]
     return once
 

@@ -16,8 +16,8 @@ KS distance is at least the observed one, or whose refit fails, is a
 hit.  The p-value is Besag & Clifford's sequential one (Biometrika 78,
 301, 1991): replicas are drawn in order until the ``SEQUENTIAL_HITS``-th
 hit, at replica L, and p = SEQUENTIAL_HITS / L; if the cap of m
-replicas comes first, with g hits, p = (g + 1) / (m + 1).  The model is
-ruled out when p < 0.10.
+replicas comes first, with g hits, p = (g + 1) / (m + 1), and the cap
+costs nothing until it is reached.  The model is ruled out when p < 0.10.
 
 Refits dominate the bootstrap, so the threshold scan bounds and
 prunes.  Tail sizes fall as the threshold rises, so the candidates
@@ -74,6 +74,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -588,11 +589,12 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     The p-value is ``SEQUENTIAL_HITS / L`` for the hit at replica L,
     else (g + 1) / (m + 1) for the g hits among all ``m``; the spreads
     and ``failed_refits`` are over the first L replicas, L = ``m`` at
-    the cap.  With ``n_jobs`` > 1, blocks go to the process pool in
-    waves of ``n_jobs`` blocks, doubling after each wave.  Replica
-    seeds are derived from ``seed`` alone and the replicas past L are
-    dropped, so results depend on neither ``n_jobs`` nor the block
-    size, and a stopped run is a prefix of the run to the cap.
+    the cap.  Blocks are made one wave at a time, so the cap costs
+    nothing until it is reached.  With ``n_jobs`` > 1, the process pool
+    gets ``n_jobs`` blocks in the first wave and twice the last after.
+    Replica seeds are derived from ``seed`` alone and the replicas past
+    L are dropped, so results depend on neither ``n_jobs`` nor the
+    block size, and a stopped run is a prefix of the run to the cap.
     """
     if m < 1:
         raise ValidationError("bootstrap count m must be >= 1")
@@ -614,18 +616,17 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     p_tail = fit.n_tail / n
     sampler = PowerLawSampler(fit.gamma, fit.x_min)
     per_block = max(1, BLOCK_VALUES // n)
-    blocks = [range(lo, min(lo + per_block, m)) for lo in range(0, m, per_block)]
+    blocks = (range(lo, min(lo + per_block, m)) for lo in range(0, m, per_block))
     worker = partial(_gof_block, n=n, seed=seed, p_tail=p_tail,
                      body_values=body_values, body_counts=body_counts,
                      sampler=sampler, min_tail=min_tail)
     refitted = []
     hits = 0
     wave, growth = (1, 1) if n_jobs <= 1 else (n_jobs, 2)
-    while blocks and hits < SEQUENTIAL_HITS:
-        for block in parallel_map(worker, blocks[:wave], n_jobs=n_jobs):
+    while hits < SEQUENTIAL_HITS and (batch := list(islice(blocks, wave))):
+        for block in parallel_map(worker, batch, n_jobs=n_jobs):
             refitted.append(block)
             hits += int(np.count_nonzero(block[:, 0] >= fit.ks_statistic))
-        del blocks[:wave]
         wave *= growth
     stats = np.concatenate(refitted)
     p_value, used = _sequential_p_value(stats[:, 0], fit.ks_statistic,

@@ -39,13 +39,13 @@ in its cache by the ``graph.per_graph`` memo, so the structure and
 small-world stages of one run share a single pass: the giant
 projection ``(mask, pair_u, pair_v)``, the projection's local
 clustering coefficients, and the path statistics per (mode, sources,
-seed, directed).  The arrays are read-only, and every ``path_metrics``
-call returns a new result with its own histogram.  Small-world's C is the
-mean of the cached coefficients over the giant mask.  That is exact: a
-node's coefficient is the quotient of the same integers 2t and
-d(d - 1) whether it is computed on the whole projection or on its
-component alone, and the masked values keep their order, so their mean
-is the same float.
+seed, directed).  ``per_graph`` makes the arrays read-only, and every
+``path_metrics`` call returns a new result with its own histogram.
+Small-world's C is the mean of the cached coefficients over the giant
+mask.  That is exact: a node's coefficient is the quotient of the same
+integers 2t and d(d - 1) whether it is computed on the whole projection
+or on its component alone, and the masked values keep their order, so
+their mean is the same float.
 
 scipy is imported inside the two functions that call it, not with this
 module: ``giant_projection`` loads ``scipy.sparse.csgraph`` and
@@ -287,8 +287,8 @@ def _loglog_slope(per_degree: dict[int, float], counts: dict[int, int]) -> float
 def local_clustering(graph: LegislationGraph) -> np.ndarray:
     """Local clustering coefficient of every node of the projection,
     computed once per graph (read-only)."""
-    return _read_only(local_clustering_from_pairs(graph.node_count,
-                                                  *graph.simple_projection()))
+    return local_clustering_from_pairs(graph.node_count,
+                                       *graph.simple_projection())
 
 
 def clustering(graph: LegislationGraph) -> ClusteringProfile:
@@ -309,11 +309,6 @@ def largest_label(labels: np.ndarray, id_rank: np.ndarray) -> int:
     sizes = np.bincount(labels)
     tied = np.flatnonzero(sizes[labels] == sizes.max())
     return int(labels[tied[np.argmin(id_rank[tied])]])
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @per_graph
@@ -337,8 +332,7 @@ def giant_projection(graph: LegislationGraph,
     pair_u, pair_v = graph.simple_projection()
     keep = mask[pair_u]
     new_index = np.cumsum(mask) - 1
-    return (_read_only(mask), _read_only(new_index[pair_u[keep]]),
-            _read_only(new_index[pair_v[keep]]))
+    return mask, new_index[pair_u[keep]], new_index[pair_v[keep]]
 
 
 def components(graph: LegislationGraph) -> ComponentReport:

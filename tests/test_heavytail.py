@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -468,6 +470,24 @@ class TestSequentialBootstrap:
                                       np.concatenate(stopped_blocks)[:used])
         hits = int((stats[:, 0] >= capped.ks_statistic).sum())
         assert capped.p_value == (hits + 1) / (kwargs["m"] + 1)
+
+    def test_cap_costs_nothing_until_it_is_reached(self):
+        # the stop at replica 21 lies in the first block, so a cap of
+        # 10**7 refits that block alone and holds nothing for the blocks
+        # it never reaches: the default cap's result, time and memory
+        data, kwargs = sequential_case()
+        runs = []
+        for m in (DEFAULT_BOOTSTRAP_M, 10**7):
+            tracemalloc.start()
+            try:
+                result = goodness_of_fit(data, **{**kwargs, "m": m})
+                runs.append((result, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+        (default, default_peak), (capped, capped_peak) = runs
+        assert default.bootstrap_replicas == 21
+        assert capped == replace(default, bootstrap_m=10**7)
+        assert abs(capped_peak - default_peak) < 2**20
 
     def test_failed_refits_are_counted_as_hits(self):
         data, kwargs = sequential_case()

@@ -1124,7 +1124,10 @@ def test_path_metrics_results_share_nothing_with_the_cache():
     directed = metrics.path_metrics(graph, mode="sampled", sources=10, seed=3,
                                     directed=True)
     assert directed.directed and not expected.directed
-    for array in (*giant_projection(graph), metrics.local_clustering(graph)):
+    adjacency = graph.adjacency()
+    for array in (*giant_projection(graph), metrics.local_clustering(graph),
+                  *graph.simple_projection(), graph.id_ranks(),
+                  adjacency.data, adjacency.indices, adjacency.indptr):
         with pytest.raises(ValueError):
             array[:1] = 0
 
