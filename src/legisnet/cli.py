@@ -360,7 +360,7 @@ def _powerlaw_stage(graph: LegislationGraph, args: argparse.Namespace) -> tuple[
     degrees = graph.degree_array(args.direction)
     fit = fit_power_law(degrees, min_tail=args.min_tail)
     result = goodness_of_fit(degrees, fit, m=args.bootstrap, seed=args.seed,
-                             min_tail=args.min_tail, n_jobs=args.threads)
+                             min_tail=args.min_tail)
     positive = degrees[degrees > 0]
     points = ccdf(positive)
     uniq = np.array([k for k, _ in points], dtype=float)
@@ -578,7 +578,8 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> No
                         help="report directory (env LEGISNET_OUTPUT_DIR, default .)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallelizable stages")
+                        help="worker processes for the small-world null "
+                             "replicas and the random-failure repetitions")
 
 
 def _add_graph_input(parser: argparse.ArgumentParser) -> None:

@@ -53,13 +53,13 @@ fit alone bit for bit.  The bootstrap draws each replica from its own
 random stream straight into runs: its tail draws from sorted uniforms,
 so they come out rising (far-tail draws out of order are re-sorted),
 and its body resample as counts of the body's distinct values.  It
-refits the replicas in blocks of ``BLOCK_VALUES`` sample values, in
-order, and stops after the block that holds the last hit it needs: one
-``fit_power_law`` call per block, looked up as this module's global, so
-wrapping that name counts blocks.  A block holds one row per replica:
-the body's distinct values and the tail's runs, 41-85 distinct values
-on the benchmark corpora (generator seeds 11 and 97).  Its refit peaks
-at 1.2-2.4 MB there (traced on the in- and out-degrees), most of it the
+refits the replicas in this process, in blocks of ``BLOCK_VALUES``
+sample values, in order, and stops after the block that holds the last
+hit it needs: one ``fit_power_law`` call per block, looked up as this
+module's global, so wrapping that name counts blocks.  A block holds
+one row per replica: the body's distinct values and the tail's runs,
+41-85 distinct values on the benchmark corpora (generator seeds 11 and
+97).  Its refit peaks at 1.2-2.4 MB there (traced on the in- and out-degrees), most of it the
 bound grid.  That grid costs about 1.2 kB per candidate, so a block of
 distinct values peaks near 160 MB, as one fit of a sample of that many
 distinct values does.
@@ -73,13 +73,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 
 import numpy as np
 
 from .errors import AnalysisError, ValidationError
-from .util import parallel_map, rng_for
+from .util import rng_for
 
 
 def zeta(*args, **kwargs):
@@ -519,7 +517,7 @@ def _gof_draws(replicas: range, n: int, seed: int, p_tail: float,
     for i, replica in enumerate(replicas):
         rng = rng_for(seed, "gof-replica", replica)
         n_tail_draw = int(rng.binomial(n, p_tail))
-        u = rng.random(n_tail_draw) if n_tail_draw else np.empty(0)
+        u = rng.random(n_tail_draw)
         u.sort()
         uniforms.append(u)
         if n - n_tail_draw:
@@ -546,19 +544,6 @@ def _gof_draws(replicas: range, n: int, seed: int, p_tail: float,
     return values, counts
 
 
-def _gof_block(replicas: range, n: int, seed: int, p_tail: float,
-               body_values: np.ndarray, body_counts: np.ndarray,
-               sampler: PowerLawSampler, min_tail: int) -> np.ndarray:
-    """Draw and refit a block of replicas with one ``fit_power_law``
-    call: one (ks, gamma, x_min, n_tail) row each, ks inf where the
-    refit failed."""
-    values, counts = _gof_draws(replicas, n, seed, p_tail, body_values,
-                                body_counts, sampler)
-    refit = fit_power_law(values, min_tail=min_tail, counts=counts)
-    return np.column_stack((refit.ks_statistic, refit.gamma, refit.x_min,
-                            refit.n_tail))
-
-
 def _sequential_p_value(ks_values: np.ndarray, observed: float,
                         hits: int) -> tuple[float, int]:
     """Besag & Clifford's sequential p-value of ``ks_values``, the
@@ -577,7 +562,7 @@ def _sequential_p_value(ks_values: np.ndarray, observed: float,
 
 def goodness_of_fit(degrees, fit: TailFit | None = None,
                     m: int = DEFAULT_BOOTSTRAP_M, seed: int = 0,
-                    min_tail: int = MIN_TAIL, n_jobs: int = 1) -> FitResult:
+                    min_tail: int = MIN_TAIL) -> FitResult:
     """Bootstrap plausibility test of a fitted power-law tail.
 
     Each replica draws, per observation, from the fitted tail with
@@ -589,12 +574,11 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     The p-value is ``SEQUENTIAL_HITS / L`` for the hit at replica L,
     else (g + 1) / (m + 1) for the g hits among all ``m``; the spreads
     and ``failed_refits`` are over the first L replicas, L = ``m`` at
-    the cap.  Blocks are made one wave at a time, so the cap costs
-    nothing until it is reached.  With ``n_jobs`` > 1, the process pool
-    gets ``n_jobs`` blocks in the first wave and twice the last after.
-    Replica seeds are derived from ``seed`` alone and the replicas past
-    L are dropped, so results depend on neither ``n_jobs`` nor the
-    block size, and a stopped run is a prefix of the run to the cap.
+    the cap.  Blocks are drawn and refitted one at a time, in this
+    process, so the cap costs nothing until it is reached.  Replica
+    seeds are derived from ``seed`` alone and the replicas past L are
+    dropped, so results do not depend on the block size, and a stopped
+    run is a prefix of the run to the cap.
     """
     if m < 1:
         raise ValidationError("bootstrap count m must be >= 1")
@@ -616,18 +600,18 @@ def goodness_of_fit(degrees, fit: TailFit | None = None,
     p_tail = fit.n_tail / n
     sampler = PowerLawSampler(fit.gamma, fit.x_min)
     per_block = max(1, BLOCK_VALUES // n)
-    blocks = (range(lo, min(lo + per_block, m)) for lo in range(0, m, per_block))
-    worker = partial(_gof_block, n=n, seed=seed, p_tail=p_tail,
-                     body_values=body_values, body_counts=body_counts,
-                     sampler=sampler, min_tail=min_tail)
     refitted = []
     hits = 0
-    wave, growth = (1, 1) if n_jobs <= 1 else (n_jobs, 2)
-    while hits < SEQUENTIAL_HITS and (batch := list(islice(blocks, wave))):
-        for block in parallel_map(worker, batch, n_jobs=n_jobs):
-            refitted.append(block)
-            hits += int(np.count_nonzero(block[:, 0] >= fit.ks_statistic))
-        wave *= growth
+    for lo in range(0, m, per_block):
+        values, counts = _gof_draws(range(lo, min(lo + per_block, m)), n,
+                                    seed, p_tail, body_values, body_counts,
+                                    sampler)
+        refit = fit_power_law(values, min_tail=min_tail, counts=counts)
+        refitted.append(np.column_stack((refit.ks_statistic, refit.gamma,
+                                         refit.x_min, refit.n_tail)))
+        hits += int(np.count_nonzero(refit.ks_statistic >= fit.ks_statistic))
+        if hits >= SEQUENTIAL_HITS:
+            break
     stats = np.concatenate(refitted)
     p_value, used = _sequential_p_value(stats[:, 0], fit.ks_statistic,
                                          SEQUENTIAL_HITS)

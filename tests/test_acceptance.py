@@ -83,8 +83,7 @@ def test_criterion_02_power_law_recovery():
         fit = fit_power_law(data)
         gamma_hits += abs(fit.gamma - 2.5) <= 0.1
         with pytest.warns(UserWarning):
-            result = goodness_of_fit(data, fit, m=250, seed=seed,
-                                     n_jobs=N_JOBS)
+            result = goodness_of_fit(data, fit, m=250, seed=seed)
         p_hits += result.p_value > 0.10
     elapsed = time.perf_counter() - start
     _report(2, gamma_hits >= 18 and p_hits >= 18 and elapsed < 300,
@@ -107,8 +106,7 @@ def test_criterion_02_poisson_rejection():
         data = np.random.default_rng(seed * 104729 + 7).poisson(8, size=10_000)
         fit = fit_power_law(data)
         with pytest.warns(UserWarning):
-            result = goodness_of_fit(data, fit, m=250, seed=seed,
-                                     n_jobs=N_JOBS)
+            result = goodness_of_fit(data, fit, m=250, seed=seed)
         rejections += result.p_value < 0.10
     elapsed = time.perf_counter() - start
     _report(2, rejections >= 18 and elapsed < 300,

@@ -188,7 +188,7 @@ def test_pure_preferential_in_degree_is_power_law_plausible():
     degrees = g.degree_array("in")
     with pytest.warns(UserWarning, match="resolution"):
         result = goodness_of_fit(degrees, fit_power_law(degrees), m=100,
-                                 seed=1, n_jobs=2)
+                                 seed=1)
     assert result.p_value > 0.10
 
 

@@ -298,17 +298,15 @@ class TestGoodnessOfFit:
             res = goodness_of_fit(geo, m=100, seed=0)
         assert res.p_value < 0.10
 
-    def test_deterministic_and_parallel_identical(self):
+    def test_seeded_runs_identical(self):
         rng = np.random.default_rng(4)
         data = draw_pl_table(2.4, 6, 3_000, rng)
         fit = fit_power_law(data)
         with pytest.warns(UserWarning, match="resolution"):
-            one = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=1)
+            one = goodness_of_fit(data, fit, m=30, seed=9)
         with pytest.warns(UserWarning, match="resolution"):
-            two = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=2)
-        with pytest.warns(UserWarning, match="resolution"):
-            again = goodness_of_fit(data, fit, m=30, seed=9, n_jobs=1)
-        assert one == two == again
+            again = goodness_of_fit(data, fit, m=30, seed=9)
+        assert one == again
 
     def test_spreads_are_populated(self):
         rng = np.random.default_rng(6)
@@ -442,18 +440,17 @@ class TestSequentialBootstrap:
         assert len(blocks) == -(-result.bootstrap_replicas // per_block)
         assert all(len(b) == per_block for b in blocks)
 
-    def test_threads_and_block_sizes_change_no_result(self):
-        # blocks of 4 send 2 blocks (8 replicas), then 4 (16 more) to the
-        # pool, so the hit at replica 21 falls in the second wave
+    def test_block_sizes_change_no_result(self):
+        # the hit at replica 21 falls inside the sixth block of 4 and the
+        # fifth of 5, and inside the one default block
         data, kwargs = sequential_case()
         results = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            for per_block, n_jobs in [(4, 1), (4, 2), (5, 1), (5, 2)]:
+            for per_block in (4, 5):
                 with patch.object(heavytail, "BLOCK_VALUES",
                                   per_block * len(data)):
-                    results.append(goodness_of_fit(data, n_jobs=n_jobs,
-                                                   **kwargs))
+                    results.append(goodness_of_fit(data, **kwargs))
             results.append(goodness_of_fit(data, **kwargs))
         assert results[0].bootstrap_replicas == 21
         assert all(r == results[0] for r in results)

@@ -188,8 +188,12 @@ print(json.dumps(sorted(sys.modules)))
     ("legisnet.cli", ["powerlaw", "--input", "{corpus}", "--bootstrap", "20",
                       "--output-dir", "{out}"], ["scipy.sparse"],
      ["scipy.special"]),
+    ("legisnet.cli", ["powerlaw", "--input", "{corpus}", "--direction", "out",
+                      "--bootstrap", "300", "--threads", "2",
+                      "--output-dir", "{out}"],
+     ["concurrent.futures.process"], []),
 ], ids=["package-scipy", "cli-scipy", "cli-process-pool", "generate",
-        "ingest", "filter", "powerlaw"])
+        "ingest", "filter", "powerlaw", "powerlaw-threads"])
 def test_fresh_process_loads_only_what_it_runs(tmp_path, tooling_corpus,
                                                module, argv, absent, present):
     argv = [arg.format(corpus=tooling_corpus, out=tmp_path) for arg in argv]
@@ -266,9 +270,10 @@ def test_package_imports_scipy_only_inside_functions():
 
 # output directory: command and flags
 RUNS = {
+    # the small-world nulls and random-failure repetitions in a pool
     "report-all": ["report-all", "--bootstrap", "20",
                    "--smallworld-replicas", "2", "--resilience-reps", "5",
-                   "--path-sources", "200", "--seed", "3"],
+                   "--path-sources", "200", "--seed", "3", "--threads", "2"],
     "bowtie": ["bowtie", "--dump-members"],
     # a snapshot of the citation network with many weak components
     "bowtie-icn": ["bowtie", "--dump-members", "--current", "1990-12-31",
@@ -276,7 +281,8 @@ RUNS = {
     "resilience": ["resilience", "--with-null", "--degree-mode",
                    "adaptive_recompute", "--reps", "20"],
     "metrics": ["metrics", "--directed-paths"],
-    # bootstrap refits in several blocks, across a process pool
+    # the bootstrap runs in one process at any --threads, so the flag
+    # changes no byte here
     "powerlaw": ["powerlaw", "--direction", "out", "--bootstrap", "300",
                  "--threads", "2"],
 }
